@@ -1,17 +1,17 @@
-(** Interpreter micro-benchmark: the three execution tiers (tree walker,
-    compiled plans, flat bytecode VM), plus serial vs multi-domain
-    parallel maps.
+(** Interpreter micro-benchmark: the two execution tiers (tree walker,
+    compiled), plus serial vs multi-domain parallel maps.
 
-    Part one runs representative workloads through all three interpreter
+    Part one runs representative workloads through both interpreter
     modes ([Pipelines.run ~interp_mode]) on the same compiled artifact,
     asserting first that outputs, return values and {e every} machine
     metric are bit-identical across tiers, then timing repeated runs of
-    each. The faster tiers only remove host-side interpretation overhead
-    (tree dispatch, closure chains, per-tasklet allocation); any metric
-    divergence is a bug, and any slowdown defeats their purpose — both
-    are hard failures here and in [validate_report]. [--sweep] widens
-    the subject list to the full Polybench suite (dcir pipeline) — the
-    bytecode acceptance geomean is measured there.
+    each. [compiled] means the closure-compiled interpreter for MLIR
+    products and the bytecode VM for SDFG products; it only removes
+    host-side interpretation overhead (tree dispatch, per-tasklet
+    environments, index lists). Any metric divergence is a bug, and any
+    slowdown defeats its purpose — both are hard failures here and in
+    [validate_report]. [--sweep] widens the subject list to the full
+    Polybench suite (dcir pipeline).
 
     Part two compiles kernels with [~autopar:true] (loop→map conversion)
     and runs the result serially and with [--jobs N] worker domains. The
@@ -22,20 +22,19 @@
     where domain fan-out can only break even at best.
 
     Usage: [interp_bench.exe [--reps N] [--jobs N] [--json FILE] [--sweep]].
-    The JSON report uses schema [dcir-interp-bench/3]:
+    The JSON report uses schema [dcir-interp-bench/4]:
 
     {v
-    { "schema": "dcir-interp-bench/3",
+    { "schema": "dcir-interp-bench/4",
       "benchmarks": [ { "name", "pipeline", "reps",
-                        "tree_wall_s", "compiled_wall_s", "bytecode_wall_s",
-                        "speedup", "bytecode_speedup", "identical" } ],
+                        "tree_wall_s", "compiled_wall_s",
+                        "speedup", "identical" } ],
       "parallel":   [ { "name", "pipeline", "jobs", "reps",
                         "serial_wall_s", "parallel_wall_s",
                         "speedup", "identical" } ] }
     v}
 
-    ["speedup"] is tree/compiled (the plan tier's win over walking);
-    ["bytecode_speedup"] is compiled/bytecode (the VM's win over plans). *)
+    ["speedup"] is tree/compiled (the compiled tier's win over walking). *)
 
 open Dcir_workloads
 module Pipelines = Dcir_core.Pipelines
@@ -80,7 +79,6 @@ type row = {
   reps : int;
   tree_s : float;
   compiled_s : float;
-  bytecode_s : float;
   identical : bool;
 }
 
@@ -88,7 +86,6 @@ let speedup_of (baseline : float) (contender : float) : float =
   baseline /. Float.max 1e-9 contender
 
 let speedup (r : row) : float = speedup_of r.tree_s r.compiled_s
-let bc_speedup (r : row) : float = speedup_of r.compiled_s r.bytecode_s
 
 let row_json (r : row) : Json.t =
   Json.Obj
@@ -98,9 +95,7 @@ let row_json (r : row) : Json.t =
       ("reps", Json.Int r.reps);
       ("tree_wall_s", Json.Float r.tree_s);
       ("compiled_wall_s", Json.Float r.compiled_s);
-      ("bytecode_wall_s", Json.Float r.bytecode_s);
       ("speedup", Json.Float (speedup r));
-      ("bytecode_speedup", Json.Float (bc_speedup r));
       ("identical", Json.Bool r.identical);
     ]
 
@@ -143,18 +138,15 @@ let bench_one ~(reps : int) (kind : Pipelines.kind) (w : Workload.t) : row =
      timed runs measure steady-state execution, not compilation. *)
   let rt = Pipelines.run ~interp_mode:`Tree compiled ~entry:w.entry args in
   let rc = Pipelines.run ~interp_mode:`Compiled compiled ~entry:w.entry args in
-  let rb = Pipelines.run ~interp_mode:`Bytecode compiled ~entry:w.entry args in
-  let identical = results_identical rt rc && results_identical rt rb in
+  let identical = results_identical rt rc in
   let tree_s = time_runs `Tree reps compiled ~entry:w.entry args in
   let compiled_s = time_runs `Compiled reps compiled ~entry:w.entry args in
-  let bytecode_s = time_runs `Bytecode reps compiled ~entry:w.entry args in
   {
     name = w.name;
     pipeline = Pipelines.kind_name kind;
     reps;
     tree_s;
     compiled_s;
-    bytecode_s;
     identical;
   }
 
@@ -215,11 +207,12 @@ let () =
   let reps = !reps and jobs = !jobs in
   (* SDFG-heavy subjects (native tasklets, maps, state-machine loops) plus
      an opaque-tasklet pipeline (dace: MLIR bodies behind connectors) and a
-     pure-MLIR pipeline, so both interpreters' plans are exercised. *)
+     pure-MLIR pipeline, so both interpreters' compiled tiers are
+     exercised. *)
   let subjects : (Pipelines.kind * Workload.t) list =
     if !sweep then
       (* The acceptance sweep: every Polybench kernel through the dcir
-         pipeline, all three tiers. *)
+         pipeline, both tiers. *)
       List.map (fun w -> (Pipelines.Dcir, w)) Polybench.all
     else
       [
@@ -229,24 +222,21 @@ let () =
         (Pipelines.Mlir, Polybench.gemm);
       ]
   in
-  pr "== interpreter micro-benchmark: tree vs plan vs bytecode (%d reps) ==@."
-    reps;
-  pr "  %-14s %-8s %11s %11s %11s %8s %8s %10s@." "workload" "pipeline"
-    "tree (s)" "plan (s)" "bytecode" "t/p" "p/b" "identical";
+  pr "== interpreter micro-benchmark: tree vs compiled (%d reps) ==@." reps;
+  pr "  %-14s %-8s %11s %13s %8s %10s@." "workload" "pipeline" "tree (s)"
+    "compiled (s)" "t/c" "identical";
   let rows = List.map (fun (k, w) -> bench_one ~reps k w) subjects in
   List.iter
     (fun r ->
-      pr "  %-14s %-8s %11.4f %11.4f %11.4f %7.2fx %7.2fx %10b@." r.name
-        r.pipeline r.tree_s r.compiled_s r.bytecode_s (speedup r)
-        (bc_speedup r) r.identical)
+      pr "  %-14s %-8s %11.4f %13.4f %7.2fx %10b@." r.name r.pipeline r.tree_s
+        r.compiled_s (speedup r) r.identical)
     rows;
   let geomean f =
     exp
       (List.fold_left (fun acc r -> acc +. log (f r)) 0.0 rows
       /. float_of_int (List.length rows))
   in
-  pr "  geomean speedup: tree/plan %.2fx, plan/bytecode %.2fx@."
-    (geomean speedup) (geomean bc_speedup);
+  pr "  geomean speedup: tree/compiled %.2fx@." (geomean speedup);
   (* Auto-parallelized kernels: certified maps fan out over [jobs] domains.
      The gate is bit-identity to serial, not speed (see module doc). *)
   let par_subjects = [ Polybench.gemm; Polybench.mvt ] in
@@ -266,7 +256,7 @@ let () =
       let report =
         Json.Obj
           [
-            ("schema", Json.Str "dcir-interp-bench/3");
+            ("schema", Json.Str "dcir-interp-bench/4");
             ("benchmarks", Json.List (List.map row_json rows));
             ("parallel", Json.List (List.map par_row_json par_rows));
           ]
@@ -283,7 +273,7 @@ let () =
   | None -> ());
   if List.exists (fun r -> not r.identical) rows then begin
     prerr_endline
-      "interp_bench: FAIL — a faster tier diverged from the tree walker";
+      "interp_bench: FAIL — the compiled tier diverged from the tree walker";
     exit 1
   end;
   if List.exists (fun r -> not r.p_identical) par_rows then begin

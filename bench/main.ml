@@ -16,7 +16,7 @@
     canonical diffable record of the perf trajectory across PRs.
 
     [--interp tree|compiled] selects the interpreter execution strategy
-    (default: compiled plans). Simulated metrics are bit-identical between
+    (default: compiled). Simulated metrics are bit-identical between
     the two — only harness wall-clock changes — so reports produced under
     either setting are directly comparable; the flag exists to measure
     that overhead (EXPERIMENTS.md "Interpreter performance"). *)

@@ -13,21 +13,20 @@
     unwrapped and their inner report validated; with
     [--baseline BASE.json [--rtol R]] the report is additionally gated
     against a recorded history snapshot and the run fails on any metric
-    regression past the tolerance. Also accepts interpreter micro-benchmark reports
-    ([dcir-interp-bench/1], [/2] and [/3], from [bench/interp_bench.exe])
-    and acts as the perf smoke test for compiled execution plans: every
-    row must be bit-identical to the tree walker AND at least as fast — a
-    compiled plan slower than the tree it replaced is a regression, not
-    noise. Schema [/3] adds the bytecode-tier column, held to the same
-    standard. Schema [/2] additionally carries a "parallel" array (serial vs
-    multi-domain execution of auto-parallelized kernels); those rows are
-    gated on bit-identity only — never on speedup, because the executor's
-    contract is determinism and the CI host may have a single core.
+    regression past the tolerance. Also accepts interpreter micro-benchmark
+    reports ([dcir-interp-bench/4], from [bench/interp_bench.exe]) and
+    acts as the perf smoke test for the compiled tier: every row must be
+    bit-identical to the tree walker AND at least as fast — a compiled
+    tier slower than the tree it replaces is a regression, not noise. The
+    report's "parallel" array (serial vs multi-domain execution of
+    auto-parallelized kernels) is gated on bit-identity only — never on
+    speedup, because the executor's contract is determinism and the CI
+    host may have a single core.
     Incident journals from chaos campaigns ([dcir-incidents/1], from
     [dcir fuzz --chaos --journal FILE]) are gated on record-stream shape
     and on the chaos oracle: all four fault kinds exercised, no case
     ending in a wrong answer or an escaped exception.
-    Serving journals ([dcir-serve-journal/1], from [dcir serve]) are
+    Serving journals ([dcir-serve-journal/2], from [dcir serve]) are
     gated on contiguous sequence numbers, catalogued SRV-* codes,
     attributable rejections/sheds, well-formed responses and a
     self-consistent summary.
@@ -82,12 +81,9 @@ let check_pipelines (arr : Json.t) : unit =
           fail "pipeline %S missing (have: %s)" p (String.concat ", " names))
       expected_pipelines
 
-(* Perf smoke for compiled execution plans ([dcir-interp-bench/1]).
-   [~bytecode] ([/3] reports) additionally requires the bytecode column:
-   bit-identical and no slower than the tree walker. The plan-vs-bytecode
-   ordering is deliberately not a per-row gate (tiny kernels can tie);
-   the sweep geomean in EXPERIMENTS.md carries that claim. *)
-let check_interp_bench ?(bytecode = false) (j : Json.t) : unit =
+(* Perf smoke for the compiled tier ([dcir-interp-bench/4]): closure
+   compilation for MLIR products, the bytecode VM for SDFG products. *)
+let check_interp_bench (j : Json.t) : unit =
   let rows =
     match Option.bind (Json.member "benchmarks" j) Json.to_list with
     | Some [] -> fail "\"benchmarks\" is empty"
@@ -111,21 +107,15 @@ let check_interp_bench ?(bytecode = false) (j : Json.t) : unit =
       (match Json.member "identical" row with
       | Some (Json.Bool true) -> ()
       | _ ->
-          fail "%s: compiled plan diverged from the tree walker" label);
+          fail "%s: compiled tier diverged from the tree walker" label);
+      ignore (num "speedup");
       let tree = num "tree_wall_s" and compiled = num "compiled_wall_s" in
       if not (compiled <= tree) then
-        fail "%s: compiled plan slower than tree baseline (%.4fs vs %.4fs)"
-          label compiled tree;
-      if bytecode then begin
-        let bc = num "bytecode_wall_s" in
-        ignore (num "bytecode_speedup");
-        if not (bc <= tree) then
-          fail "%s: bytecode tier slower than tree baseline (%.4fs vs %.4fs)"
-            label bc tree
-      end)
+        fail "%s: compiled tier slower than tree baseline (%.4fs vs %.4fs)"
+          label compiled tree)
     rows
 
-(* Determinism gate for parallel map execution ([dcir-interp-bench/2]).
+(* Determinism gate for parallel map execution (the "parallel" rows).
    Each row must be bit-identical to its serial run and carry well-formed
    timing fields; wall-clock speedup is deliberately NOT gated. *)
 let check_parallel_bench (j : Json.t) : unit =
@@ -253,7 +243,7 @@ let check_plan_cache (j : Json.t) : unit =
       | None -> fail "plan_cache missing %S" key)
     [ "hits"; "misses"; "evictions"; "size" ]
 
-(* Serving journals ([dcir-serve-journal/1], from [dcir serve]). The
+(* Serving journals ([dcir-serve-journal/2], from [dcir serve]). The
    journal is the serving engine's decision record, so the gate holds it
    to the same standard as the event stream: contiguous sequence
    numbers, every code drawn from the closed catalogue, every rejection
@@ -416,16 +406,12 @@ let dispatch (path : string) (j : Json.t) : unit =
       match Json.member "report" j with
       | Some r -> check_bench ~plan_cache:false path r
       | None -> fail "history envelope missing \"report\"")
-  | Some (Json.Str "dcir-interp-bench/1") -> check_interp_bench j
-  | Some (Json.Str "dcir-interp-bench/2") ->
+  | Some (Json.Str "dcir-interp-bench/4") ->
       check_interp_bench j;
-      check_parallel_bench j
-  | Some (Json.Str "dcir-interp-bench/3") ->
-      check_interp_bench ~bytecode:true j;
       check_parallel_bench j
   | Some (Json.Str "dcir-incidents/1") -> check_incidents j
   | Some (Json.Str "dcir-events/1") -> check_events j
-  | Some (Json.Str "dcir-serve-journal/1") -> check_serve_journal j
+  | Some (Json.Str "dcir-serve-journal/2") -> check_serve_journal j
   | Some s -> fail "unexpected schema %s" (Json.to_string s)
   | None -> fail "missing \"schema\" field"
 
@@ -508,7 +494,7 @@ let () =
       List.iter
         (fun (p, doc) ->
           match Json.member "schema" doc with
-          | Some (Json.Str "dcir-serve-journal/1") -> ()
+          | Some (Json.Str "dcir-serve-journal/2") -> ()
           | _ -> fail "--same-serve: %s is not a serve journal" p)
         [ (path, j); (other, oj) ];
       if

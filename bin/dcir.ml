@@ -103,19 +103,15 @@ let jobs_arg =
                  machine metrics are bit-identical for every value.")
 
 let interp_conv : Pipelines.interp_mode Arg.conv =
-  Arg.enum
-    [ ("tree", `Tree); ("compiled", `Compiled); ("bytecode", `Bytecode);
-      ("adaptive", `Adaptive) ]
+  Arg.enum [ ("tree", `Tree); ("compiled", `Compiled) ]
 
 let interp_arg =
   Arg.(value & opt interp_conv `Compiled
        & info [ "interp" ] ~docv:"TIER"
-           ~doc:"Execution tier for SDFG pipelines: $(b,tree) (reference \
-                 walker), $(b,compiled) (closure plans), $(b,bytecode) \
-                 (flat VM with preallocated frames), or $(b,adaptive) \
-                 (profiler-driven tier-up between plans and bytecode). \
-                 Outputs, traps and machine metrics are bit-identical \
-                 across tiers.")
+           ~doc:"Execution tier: $(b,tree) (the reference walkers) or \
+                 $(b,compiled) (closure-compiled MLIR; SDFGs lowered to \
+                 the flat bytecode VM). Outputs, traps and machine \
+                 metrics are bit-identical across tiers.")
 
 (* ------------------------------------------------------------------ *)
 (* Resource-budget flags, shared by run/bench/fuzz (see README
@@ -588,7 +584,7 @@ let fuzz_cmd =
          & info [ "journal" ] ~docv:"FILE"
              ~doc:"With $(b,--chaos): write the incident journal (schema \
                    dcir-incidents/1) as JSON; with $(b,--serve): write the \
-                   serve response journal (schema dcir-serve-journal/1). \
+                   serve response journal (schema dcir-serve-journal/2). \
                    Same seed, same bytes.")
   in
   let coverage_arg =
@@ -765,7 +761,7 @@ let serve_cmd =
          request through admission control, per-tenant quotas and circuit \
          breakers, budget-step deadlines, retry-with-degradation, and the \
          content-addressed plan cache. The response journal (schema \
-         dcir-serve-journal/1) is deterministic: the same request file, \
+         dcir-serve-journal/2) is deterministic: the same request file, \
          seed and configuration produce byte-identical output.";
     ]
   in

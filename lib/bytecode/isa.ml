@@ -1,10 +1,10 @@
-(** The flat-bytecode instruction set — the third execution tier.
+(** The flat-bytecode instruction set of the compiled SDFG tier.
 
     A program is a single [instr array] executed by one dispatch loop
     ({!Vm}); all operands are integer indices into a preallocated
-    {!frame}. Where the compiled closure plans ({!Dcir_sdfg.Interp})
-    allocate a fresh slot array per tasklet execution and an index list
-    per memlet access, the bytecode tier indexes fixed registers:
+    {!frame}. Where the tree walker ({!Dcir_sdfg.Interp}) builds an
+    environment per tasklet execution and an index list per memlet
+    access, the bytecode tier indexes fixed registers:
 
     - [vals]  — tasklet connector slots and assignment results;
     - [ints]  — loop induction variables, range bounds, interstate
@@ -20,24 +20,22 @@
     state machine runs without hashtable lookups or list scans.
 
     Bit-identity contract: instructions drive the same {!Machine}
-    charge helpers in the same order as the tree walker and the
-    compiled plans, so outputs, traps and every machine metric agree
-    across all three tiers. Symbolic index expressions and tasklet
-    bodies that do not fit a specialized opcode reuse the plan
-    compiler's closures ([Interp.compile_expr] / [Interp.compile_texpr])
-    unchanged — exactness by construction, with the specialized forms
-    ([Copy1], [Bin], [DivT], [FusedBin]) reserved for shapes whose
-    charge sequence is statically known. *)
+    charge helpers in the same order as the tree walker, so outputs,
+    traps and every machine metric agree across both tiers. Symbolic
+    index expressions and tasklet bodies that do not fit a specialized
+    opcode run as {!Closures} — exactness by construction, with the
+    specialized forms ([Copy1], [Bin], [DivT], [FusedBin]) reserved for
+    shapes whose charge sequence is statically known. *)
 
 open Dcir_machine
 module Interp = Dcir_sdfg.Interp
 module Sdfg = Dcir_sdfg.Sdfg
 module Texpr = Dcir_sdfg.Texpr
 
-type iexpr = Interp.runtime -> int
+type iexpr = Closures.iexpr
 (** compiled symbolic expression; raises [Expr.Unbound_symbol] *)
 
-type crange = iexpr * iexpr * iexpr  (** (lo, hi, step) *)
+type crange = Closures.crange  (** (lo, hi, step) *)
 
 type instr =
   (* -- control ----------------------------------------------------- *)
@@ -45,14 +43,14 @@ type instr =
   | Jmp of int
   | Step  (** one budget step: state transition or graph execution *)
   | Reraise of exn
-      (** deferred lowering failure — fires where lazy per-state plan
-          compilation would have raised *)
+      (** deferred lowering failure of a malformed graph — fires where
+          the tree walker raises it *)
   | TrapNow of string  (** precomputed always-trap (non-index subsets, …) *)
   (* -- state machine ----------------------------------------------- *)
   | StateSnap of { slot : int }
   | StateRec of { slot : int; label : string }
   | AllocState of { c : Sdfg.container; shape : iexpr list }
-      (** per-state heap allocation charge (mirrors [exec_cstate]) *)
+      (** per-state heap allocation charge (mirrors [exec_state]) *)
   | ChargeBranch
   | EdgeCond of {
       cond : Interp.runtime -> bool;
@@ -80,7 +78,7 @@ type instr =
       body : program;
     }
   (* -- memlet copies ------------------------------------------------ *)
-  | CopyND of Interp.ccopy  (** general fallback: plan-compiled copy *)
+  | CopyND of Closures.ccopy  (** general fallback: any-rank copy *)
   | Copy1 of {
       src : string;
       sslot : int;
@@ -105,7 +103,7 @@ type instr =
   | LoadLast of { dst : int; key : string; tname : string }
       (** fill from a direct tasklet-to-tasklet value edge *)
   | Eval of { dst : int; f : Interp.runtime -> Value.t array -> Value.t }
-      (** general tasklet assignment: plan-compiled body over [vals] *)
+      (** general tasklet assignment: closure-compiled body over [vals] *)
   | Bin of { dst : int; op : Texpr.binop; a : int; b : int }
   | DivT of { dst : int; a : int; b : int }
       (** explicit trap-carrying division *)

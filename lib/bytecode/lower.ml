@@ -1,10 +1,9 @@
 (** Lowering from SDFGs to flat bytecode programs.
 
-    Structurally this mirrors {!Dcir_sdfg.Interp}'s plan compiler
-    ([compile_state] / [compile_graph] / [compile_tasklet]) — the same
-    walks, in the same order, producing the same closures for symbolic
-    expressions and general tasklet bodies — but emits a single flat
-    code array with preallocated frame slots instead of a closure tree:
+    The lowering walks each state the way the tree walker executes it —
+    allocation charges, then the dataflow graph in topological order,
+    then the interstate edges — and emits a single flat code array with
+    preallocated frame slots:
 
     - tasklet connector slots and assignment results get fixed indices
       in the frame's value array (no per-execution [Array.make]);
@@ -14,13 +13,10 @@
       state's edge tests chain via [if_false] pcs and taken edges [Jmp]
       straight to the destination state's entry pc.
 
-    States lower eagerly. The compiled tier compiles states lazily, so
-    a malformed state (e.g. a cyclic dataflow graph) only raises when
-    first executed; to keep failure timing identical, each state is
-    probed with [Interp.compile_state] first and a failing state's
-    entry points become [Reraise] instructions carrying the probe's
-    exception — executed exactly where the lazy compile would have
-    raised. *)
+    States lower eagerly, but the tree walker only inspects a dataflow
+    graph when execution reaches it, so a malformed graph (e.g. a cycle)
+    must not fail the lowering: its exception becomes a [Reraise]
+    instruction, executed exactly where the tree walker would raise. *)
 
 module Interp = Dcir_sdfg.Interp
 module Sdfg = Dcir_sdfg.Sdfg
@@ -123,15 +119,15 @@ let finish (b : builder) (sdfg : Sdfg.t) : program =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Tasklets. Mirrors [Interp.compile_tasklet]: bindings accumulate in
+(* Tasklets. Mirrors [Interp.exec_tasklet_body]: bindings accumulate in
    in-edge order, List.assoc picks the first occurrence, shadowed
    scalar fills still execute (and charge). The binding environment
-   holds absolute frame-slot indices, so [Interp.compile_texpr] bodies
+   holds absolute frame-slot indices, so [Closures.compile_texpr] bodies
    evaluate directly over the frame's value array. *)
 
 let lower_index_exprs (subset : Range.t) : iexpr array =
   Array.of_list
-    (List.map (fun (d : Range.dim) -> Interp.compile_expr d.lo) subset)
+    (List.map (fun (d : Range.dim) -> Closures.compile_expr d.lo) subset)
 
 let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
     (t : Sdfg.tasklet) : unit =
@@ -144,7 +140,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
       match (e.e_dst_conn, e.e_memlet) with
       | Some conn, Some m ->
           if List.mem conn array_conns then
-            benv := (conn, Interp.CBArray m.data) :: !benv
+            benv := (conn, Closures.CBArray m.data) :: !benv
           else begin
             let slot = alloc_val b in
             let i =
@@ -165,7 +161,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
                      (Range.to_string m.subset))
             in
             ignore (emit b i);
-            benv := (conn, Interp.CBScalar slot) :: !benv
+            benv := (conn, Closures.CBScalar slot) :: !benv
           end
       | Some conn, None -> (
           match e.e_src_conn with
@@ -173,13 +169,13 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
               let key = Printf.sprintf "%d:%s" e.e_src src_conn in
               let slot = alloc_val b in
               ignore (emit b (LoadLast { dst = slot; key; tname = t.tname }));
-              benv := (conn, Interp.CBScalar slot) :: !benv
+              benv := (conn, Closures.CBScalar slot) :: !benv
           | None -> ())
       | _ -> ())
     (Sdfg.node_in_edges g n);
   let benv = List.rev !benv in
   (* Body: assignment results land in a contiguous frame region so the
-     writes can index them like the plan's output-value array. *)
+     writes can index them by output position. *)
   let body_instrs, outnames, obase =
     match t.code with
     | Sdfg.Native assigns ->
@@ -192,13 +188,13 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
               match e with
               | Texpr.TBin (op, Texpr.TIn ca, Texpr.TIn cb) -> (
                   match (List.assoc_opt ca benv, List.assoc_opt cb benv) with
-                  | Some (Interp.CBScalar a), Some (Interp.CBScalar bb) -> (
+                  | Some (Closures.CBScalar a), Some (Closures.CBScalar bb) -> (
                       match op with
                       | Texpr.BDiv -> DivT { dst; a; b = bb }
                       | Texpr.BMod -> RemT { dst; a; b = bb }
                       | _ -> Bin { dst; op; a; b = bb })
-                  | _ -> Eval { dst; f = Interp.compile_texpr benv e })
-              | _ -> Eval { dst; f = Interp.compile_texpr benv e })
+                  | _ -> Eval { dst; f = Closures.compile_texpr benv e })
+              | _ -> Eval { dst; f = Closures.compile_texpr benv e })
             assigns
         in
         (instrs, List.map fst assigns, obase)
@@ -216,8 +212,8 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
             (List.map
                (fun conn ->
                  match List.assoc_opt conn benv with
-                 | Some (Interp.CBScalar i) -> OScalar i
-                 | Some (Interp.CBArray data) -> OArray data
+                 | Some (Closures.CBScalar i) -> OScalar i
+                 | Some (Closures.CBArray data) -> OArray data
                  | None -> OUnbound conn)
                t.t_inputs)
         in
@@ -244,7 +240,8 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
   let setouts =
     List.mapi (fun i key -> SetOut { key; src = obase + i }) outkeys
   in
-  (* Writes, per out-edge in edge order; [compile_write] semantics. *)
+  (* Writes, per out-edge in edge order; [Interp.write_outputs]
+     semantics, with every trap deferred to execution. *)
   let rec index_of i conn = function
     | [] -> None
     | x :: _ when String.equal x conn -> Some i
@@ -306,31 +303,53 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
   ignore (emit b (TaskRec { slot = snap; name = t.tname }))
 
 (* ------------------------------------------------------------------ *)
-(* Graphs: one [Step] at entry (exec_cgraph's budget charge), then the
-   nodes in topological order. *)
+(* Graphs: one [Step] at entry (exec_graph's budget charge), then the
+   nodes in topological order.
 
-let rec lower_graph (b : builder) (sdfg : Sdfg.t) (g : Sdfg.graph) : unit =
-  ignore (emit b Step);
+   The tree walker only inspects a graph when execution reaches it, so a
+   malformed graph (a cycle, an edge to a missing node) must not fail the
+   lowering: the exception is caught here and deferred as a [Reraise] at
+   the point where the tree walker raises it. *)
+
+let reraise_on (b : builder) (f : unit -> 'a) (k : 'a -> unit) : unit =
+  match f () with v -> k v | exception e -> ignore (emit b (Reraise e))
+
+(* Mirrors [Interp.force_topo]: a parallel map sorts its whole body,
+   nested map bodies included, before forking any chunk. *)
+let rec force_topo (g : Sdfg.graph) : unit =
+  ignore (Sdfg.topo_order g);
   List.iter
     (fun (n : Sdfg.node) ->
       match n.kind with
-      | Sdfg.Access _ ->
-          List.iter
-            (fun (e : Sdfg.edge) ->
-              match ((Sdfg.node_by_id g e.e_dst).kind, e.e_memlet) with
-              | Sdfg.Access dst_name, Some m ->
-                  let dst_subset =
-                    match m.other with
-                    | Some o -> o
-                    | None -> m.subset (* same-region copy *)
-                  in
-                  lower_copy b ~src:m.data ~dst:dst_name ~wcr:m.wcr
-                    ~src_subset:m.subset ~dst_subset
-              | _ -> ())
-            (Sdfg.node_out_edges g n)
-      | Sdfg.TaskletN t -> lower_tasklet b g n t
-      | Sdfg.MapN mn -> lower_map b sdfg mn)
-    (Sdfg.topo_order g)
+      | Sdfg.MapN mn -> force_topo mn.m_body
+      | Sdfg.Access _ | Sdfg.TaskletN _ -> ())
+    (Sdfg.nodes g)
+
+let rec lower_graph (b : builder) (sdfg : Sdfg.t) (g : Sdfg.graph) : unit =
+  ignore (emit b Step);
+  reraise_on b
+    (fun () -> Sdfg.topo_order g)
+    (List.iter (fun (n : Sdfg.node) ->
+         match n.kind with
+         | Sdfg.Access _ ->
+             List.iter
+               (fun (e : Sdfg.edge) ->
+                 reraise_on b
+                   (fun () -> (Sdfg.node_by_id g e.e_dst).kind)
+                   (fun kind ->
+                     match (kind, e.e_memlet) with
+                     | Sdfg.Access dst_name, Some m ->
+                         let dst_subset =
+                           match m.other with
+                           | Some o -> o
+                           | None -> m.subset (* same-region copy *)
+                         in
+                         lower_copy b ~src:m.data ~dst:dst_name ~wcr:m.wcr
+                           ~src_subset:m.subset ~dst_subset
+                     | _ -> ()))
+               (Sdfg.node_out_edges g n)
+         | Sdfg.TaskletN t -> lower_tasklet b g n t
+         | Sdfg.MapN mn -> lower_map b sdfg mn))
 
 and lower_copy (b : builder) ~(src : string) ~(dst : string)
     ~(wcr : Sdfg.wcr option) ~(src_subset : Range.t) ~(dst_subset : Range.t) :
@@ -347,34 +366,38 @@ and lower_copy (b : builder) ~(src : string) ~(dst : string)
             dst;
             dslot = cslot b dst;
             wcr;
-            sr = Interp.compile_range_dim sd;
-            dr = Interp.compile_range_dim dd;
+            sr = Closures.compile_range_dim sd;
+            dr = Closures.compile_range_dim dd;
           }
     | _ ->
         CopyND
           {
-            Interp.cc_src = src;
+            Closures.cc_src = src;
             cc_dst = dst;
             cc_wcr = wcr;
-            cc_src_dims = List.map Interp.compile_range_dim src_subset;
-            cc_dst_dims = List.map Interp.compile_range_dim dst_subset;
+            cc_src_dims = List.map Closures.compile_range_dim src_subset;
+            cc_dst_dims = List.map Closures.compile_range_dim dst_subset;
           }
   in
   ignore (emit b i)
 
 and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
   match mn.m_par with
-  | Some cert when mn.m_params <> [] ->
-      let body = lower_body sdfg mn.m_body in
-      ignore
-        (emit b
-           (ParMap
-              {
-                cert;
-                params = mn.m_params;
-                ranges = List.map Interp.compile_range_dim mn.m_ranges;
-                body;
-              }))
+  | Some cert when mn.m_params <> [] -> (
+      let ranges = List.map Closures.compile_range_dim mn.m_ranges in
+      match force_topo mn.m_body with
+      | () ->
+          let body = lower_body sdfg mn.m_body in
+          ignore (emit b (ParMap { cert; params = mn.m_params; ranges; body }))
+      | exception e ->
+          (* the tree walker evaluates the ranges before it sorts the
+             body, so a malformed body raises after their charges *)
+          List.iter
+            (fun r ->
+              let lo = alloc_int b and hi = alloc_int b and step = alloc_int b in
+              ignore (emit b (EvalRange { lo; hi; step; r })))
+            ranges;
+          ignore (emit b (Reraise e)))
   | Some _ | None ->
       (* Serial nest: all range bounds evaluate up front (lo, hi, step
          per range, in range order), then the saved symbol bindings, then
@@ -388,7 +411,7 @@ and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
             let lo = alloc_int b and hi = alloc_int b and step = alloc_int b in
             ignore
               (emit b
-                 (EvalRange { lo; hi; step; r = Interp.compile_range_dim rd }));
+                 (EvalRange { lo; hi; step; r = Closures.compile_range_dim rd }));
             (lo, hi, step))
           mn.m_ranges
       in
@@ -437,18 +460,17 @@ and lower_body (sdfg : Sdfg.t) (g : Sdfg.graph) : program =
 (* States and the flattened interstate machine. *)
 
 let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
-    ~(state_pc : (string, int) Hashtbl.t)
-    ~(failed : (string, exn) Hashtbl.t) : unit =
+    ~(state_pc : (string, int) Hashtbl.t) : unit =
   ignore (emit b Step);
   let snap = alloc_snap b in
   ignore (emit b (StateSnap { slot = snap }));
   (* Allocation-charge candidates in container-table iteration order
-     (same Hashtbl.iter as the tree walker and [compile_state]). *)
+     (same Hashtbl.iter as the tree walker's [exec_state]). *)
   let allocs = ref [] in
   Hashtbl.iter
     (fun _ (c : Sdfg.container) ->
       if c.alloc_state = Some s.s_label && c.storage = Sdfg.Heap then
-        allocs := (c, List.map Interp.compile_expr c.shape) :: !allocs)
+        allocs := (c, List.map Closures.compile_expr c.shape) :: !allocs)
     sdfg.containers;
   List.iter
     (fun (c, shape) -> ignore (emit b (AllocState { c; shape })))
@@ -456,35 +478,23 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
   lower_graph b sdfg s.s_graph;
   let outs = Sdfg.out_edges sdfg s.s_label in
   if List.length outs > 1 then ignore (emit b ChargeBranch);
-  (* Transition tail shared by every taken edge and the fallthrough:
-     run_compiled resolves the next state (which may raise for a
-     malformed destination) before recording the profile entry, so the
-     [Reraise] slot precedes [StateRec]. *)
+  (* Transition tail shared by every taken edge and the fallthrough; the
+     destination pc is patched once every state is laid out. *)
   let emit_tail (dst : string option) : unit =
-    (match dst with
-    | Some d when Hashtbl.mem failed d || not (Hashtbl.mem state_pc d) ->
-        (* patched below once all states are laid out *)
-        ignore
-          (emit_patch b (fun () ->
-               match Hashtbl.find_opt failed d with
-               | Some e -> Reraise e
-               | None -> StateRec { slot = snap; label = s.s_label }))
-    | _ -> ignore (emit b (StateRec { slot = snap; label = s.s_label })));
+    ignore (emit b (StateRec { slot = snap; label = s.s_label }));
     match dst with
     | None -> ignore (emit b Halt)
     | Some d ->
         ignore
           (emit_patch b (fun () ->
-               if Hashtbl.mem failed d then Halt (* unreachable *)
-               else
-                 match Hashtbl.find_opt state_pc d with
-                 | Some pc -> Jmp pc
-                 | None -> Halt (* missing destination state *)))
+               match Hashtbl.find_opt state_pc d with
+               | Some pc -> Jmp pc
+               | None -> Halt (* missing destination state *)))
   in
   List.iter
     (fun (e : Sdfg.istate_edge) ->
       let skip = ref (-1) in
-      let cond = Interp.compile_bexpr e.ie_cond in
+      let cond = Closures.compile_bexpr e.ie_cond in
       ignore
         (emit_patch b (fun () ->
              EdgeCond
@@ -495,7 +505,7 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
           let items =
             Array.of_list
               (List.map
-                 (fun (sym, ex) -> (sym, Interp.compile_expr ex))
+                 (fun (sym, ex) -> (sym, Closures.compile_expr ex))
                  assigns)
           in
           let base = alloc_ints b (Array.length items) in
@@ -505,46 +515,21 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
     outs;
   emit_tail None
 
-(* The StateRec-vs-Reraise choice above keys off [failed] and
-   [state_pc], which are only complete after every state has been laid
-   out — hence the always-patch form for edges to unknown-at-emit-time
-   destinations. Edges to already-laid-out healthy states still go
-   through the patch list, which is resolved in [finish]. *)
-
 let lower (sdfg : Sdfg.t) : program =
   let b = new_builder () in
   let state_pc : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let failed : (string, exn) Hashtbl.t = Hashtbl.create 4 in
-  (* Probe every state with the plan compiler so a lowering failure
-     carries exactly the exception lazy compilation would raise. *)
-  List.iter
-    (fun (s : Sdfg.state) ->
-      match Interp.compile_state sdfg s with
-      | (_ : Interp.cstate) -> ()
-      | exception e -> Hashtbl.replace failed s.s_label e)
-    (Sdfg.states sdfg);
   let entry_ref = ref (-1) in
   ignore (emit_patch b (fun () -> Jmp !entry_ref));
   List.iter
     (fun (s : Sdfg.state) ->
-      if not (Hashtbl.mem failed s.s_label) then begin
-        Hashtbl.replace state_pc s.s_label b.len;
-        lower_state b sdfg s ~state_pc ~failed
-      end)
+      Hashtbl.replace state_pc s.s_label b.len;
+      lower_state b sdfg s ~state_pc)
     (Sdfg.states sdfg);
-  (* Entry: run_compiled looks up the start state before its loop — a
-     missing start halts without charging a step; a failed one raises
-     before anything else. *)
+  (* Entry: a missing start state halts without charging a step, like
+     the tree walker's empty walk. *)
   let halt_pc = emit b Halt in
   (entry_ref :=
-     match Hashtbl.find_opt failed sdfg.start_state with
-     | Some _ -> halt_pc (* overridden below *)
-     | None -> (
-         match Hashtbl.find_opt state_pc sdfg.start_state with
-         | Some pc -> pc
-         | None -> halt_pc));
-  let p = finish b sdfg in
-  (match Hashtbl.find_opt failed sdfg.start_state with
-  | Some e -> p.p_code.(0) <- Reraise e
-  | None -> ());
-  p
+     match Hashtbl.find_opt state_pc sdfg.start_state with
+     | Some pc -> pc
+     | None -> halt_pc);
+  finish b sdfg

@@ -1,16 +1,15 @@
 (** The bytecode dispatch loop — one [while] over a flat code array.
 
     Every instruction drives the same {!Dcir_machine.Machine} charge
-    helpers as the tree walker and the compiled plans, in the same
-    order, so outputs, traps and machine metrics are bit-identical
-    across all three tiers (the fuzz oracle and
-    [test/test_interp_plans.ml] enforce this). What disappears is pure
-    interpretation overhead: per-tasklet slot-array allocation, index
-    lists, closure-tree dispatch, and the interstate edge scan.
+    helpers as the tree walker, in the same order, so outputs, traps and
+    machine metrics are bit-identical across both tiers (the fuzz oracle
+    and [test/test_interp_plans.ml] enforce this). What disappears is
+    pure interpretation overhead: per-tasklet environments, index lists,
+    topological re-sorts, and the interstate edge scan.
 
     Certified parallel maps delegate to {!Interp.exec_par_chunks} — the
     chunked schedule, forked machines and deterministic metric merge are
-    shared with the compiled tier; only the chunk bodies execute as
+    shared with the tree walker; only the chunk bodies execute as
     bytecode. *)
 
 open Dcir_machine
@@ -53,13 +52,13 @@ let load_linear (rt : Interp.runtime) (fr : frame) ~(data : string)
       if Array.length dims <> 0 then rank_trap data 0 (Array.length dims);
       (buf, 0)
   | 1 ->
-      let i0 = Interp.ceval idxs.(0) rt in
+      let i0 = Closures.ceval idxs.(0) rt in
       let buf, dims = cached rt fr cslot data in
       if Array.length dims <> 1 then rank_trap data 1 (Array.length dims);
       (buf, i0)
   | 2 ->
-      let i0 = Interp.ceval idxs.(0) rt in
-      let i1 = Interp.ceval idxs.(1) rt in
+      let i0 = Closures.ceval idxs.(0) rt in
+      let i1 = Closures.ceval idxs.(1) rt in
       let buf, dims = cached rt fr cslot data in
       if Array.length dims <> 2 then rank_trap data 2 (Array.length dims);
       Machine.charge_op rt.machine Cost.Int_alu;
@@ -67,7 +66,7 @@ let load_linear (rt : Interp.runtime) (fr : frame) ~(data : string)
   | n ->
       let tmp = Array.make n 0 in
       for k = 0 to n - 1 do
-        tmp.(k) <- Interp.ceval idxs.(k) rt
+        tmp.(k) <- Closures.ceval idxs.(k) rt
       done;
       let buf, dims = cached rt fr cslot data in
       if Array.length dims <> n then rank_trap data n (Array.length dims);
@@ -111,7 +110,7 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
           Hashtbl.replace rt.alloc_charged c.cname ();
           let bytes =
             List.fold_left
-              (fun acc cd -> acc * max 1 (Interp.ceval cd rt))
+              (fun acc cd -> acc * max 1 (Closures.ceval cd rt))
               1 shape
             * Sdfg.elem_bytes c
           in
@@ -136,14 +135,14 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
         let n = Array.length items in
         for j = 0 to n - 1 do
           Machine.charge_op m Cost.Int_alu;
-          fr.ints.(base + j) <- Interp.ceval (snd items.(j)) rt
+          fr.ints.(base + j) <- Closures.ceval (snd items.(j)) rt
         done;
         for j = 0 to n - 1 do
           Hashtbl.replace rt.symbols (fst items.(j)) fr.ints.(base + j)
         done
     (* -- serial map loops ------------------------------------------ *)
     | EvalRange { lo; hi; step; r } ->
-        let l, h, s = Interp.eval_crange rt r in
+        let l, h, s = Closures.eval_crange rt r in
         fr.ints.(lo) <- l;
         fr.ints.(hi) <- h;
         fr.ints.(step) <- s
@@ -165,16 +164,16 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
         pc := head
     (* -- certified parallel maps ----------------------------------- *)
     | ParMap { cert; params; ranges; body } ->
-        let dims = List.map (Interp.eval_crange rt) ranges in
+        let dims = List.map (Closures.eval_crange rt) ranges in
         Interp.exec_par_chunks rt cert ~params ~dims ~body:(fun crt ->
             exec crt body)
     (* -- memlet copies --------------------------------------------- *)
-    | CopyND cc -> Interp.exec_ccopy rt cc
+    | CopyND cc -> Closures.exec_ccopy rt cc
     | Copy1 { src; sslot; dst; dslot; wcr; sr; dr } ->
         let sbuf, sdims = cached rt fr sslot src in
         let dbuf, ddims = cached rt fr dslot dst in
-        let slo, shi, sstep = Interp.eval_crange rt sr in
-        let dlo, dhi, dstep = Interp.eval_crange rt dr in
+        let slo, shi, sstep = Closures.eval_crange rt sr in
+        let dlo, dhi, dstep = Closures.eval_crange rt dr in
         if slo = shi && dlo = dhi then begin
           if Array.length sdims <> 1 then rank_trap src 1 (Array.length sdims);
           let v = Machine.load m sbuf slo in
@@ -287,46 +286,12 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
         Array.blit vals 0 fr.vals obase (Array.length vals)
   done
 
-(** [run p ~buffers ~symbols] executes a lowered program; mirrors
-    {!Interp.run}'s runtime construction, argument binding, missing-
-    buffer validation and return-value logic exactly. *)
+(** [run p ~buffers ~symbols] executes a lowered program through
+    {!Interp.run}, which builds the runtime, binds the arguments and
+    computes the return value exactly as for the tree walker. *)
 let run ?(machine : Machine.t option)
     ?(profile : Dcir_obs.Obs.Profile.t option) ?(jobs : int = 1)
     (p : program) ~(buffers : (string * Machine.buffer * int array) list)
     ~(symbols : (string * int) list) () : Interp.result =
-  let machine = match machine with Some m -> m | None -> Machine.create () in
-  let rt =
-    {
-      Interp.machine;
-      sdfg = p.p_sdfg;
-      buffers = Hashtbl.create 32;
-      dims = Hashtbl.create 32;
-      symbols = Hashtbl.create 32;
-      topo_cache = Hashtbl.create 32;
-      alloc_charged = Hashtbl.create 16;
-      last_outputs = Hashtbl.create 32;
-      budget = Machine.budget machine;
-      profile;
-      prepared = Hashtbl.create 8;
-      jobs = max 1 jobs;
-    }
-  in
-  List.iter (fun (s, v) -> Hashtbl.replace rt.Interp.symbols s v) symbols;
-  List.iter
-    (fun (name, buf, dims) ->
-      Hashtbl.replace rt.Interp.buffers name buf;
-      Hashtbl.replace rt.Interp.dims name dims)
-    buffers;
-  Hashtbl.iter
-    (fun name (c : Sdfg.container) ->
-      if (not c.transient) && not (Hashtbl.mem rt.Interp.buffers name) then
-        Interp.trap "missing buffer for argument '%s'" name)
-    p.p_sdfg.containers;
-  exec rt p;
-  let return_value =
-    match (p.p_sdfg.return_scalar, p.p_sdfg.return_expr) with
-    | Some name, _ -> Some (Machine.peek (Interp.buffer_of rt name) 0)
-    | None, Some e -> Some (Value.VInt (Interp.eval_expr rt e))
-    | None, None -> None
-  in
-  { Interp.return_value; machine }
+  Interp.run ?machine ?profile ~jobs ~exec:(fun rt -> exec rt p) p.p_sdfg
+    ~buffers ~symbols ()

@@ -221,56 +221,24 @@ let pp (ppf : Format.formatter) (x : t) : unit =
               (s "landed") (s "requested") (i "dropped")
       | "PLAN-HIT" ->
           flush ();
-          let what =
-            if s "artifact" = "bytecode" then "bytecode program"
-            else "execution plan"
-          in
-          Format.fprintf ppf "    [PLAN-HIT] %s reused (cache size %d)@." what
-            (i "size")
+          Format.fprintf ppf
+            "    [PLAN-HIT] bytecode program reused (cache size %d)@." (i "size")
       | "PLAN-MISS" ->
           flush ();
-          if s "artifact" = "bytecode" then
-            Format.fprintf ppf
-              "    [PLAN-MISS] bytecode program lowered, %d instruction(s) \
-               (cache size %d)@."
-              (i "instrs") (i "size")
-          else
-            Format.fprintf ppf
-              "    [PLAN-MISS] execution plan compiled (cache size %d)@."
-              (i "size")
+          Format.fprintf ppf
+            "    [PLAN-MISS] bytecode program lowered, %d instruction(s) \
+             (cache size %d)@."
+            (i "instrs") (i "size")
       | "PLAN-EVICT" ->
           flush ();
-          let what =
-            if s "artifact" = "bytecode" then "bytecode program"
-            else "plan"
-          in
           Format.fprintf ppf
-            "    [PLAN-EVICT] oldest %s evicted (cache size %d)@." what
+            "    [PLAN-EVICT] oldest bytecode program evicted (cache size \
+             %d)@."
             (i "size")
-      | "TIER-UP" ->
-          flush ();
-          if s "trigger" = "static" then
-            Format.fprintf ppf
-              "    [TIER-UP] program %s promoted to bytecode: static cost \
-               %d over threshold@."
-              (s "digest") (i "cost")
-          else
-            Format.fprintf ppf
-              "    [TIER-UP] program %s promoted to bytecode: %d cumulative \
-               cycle(s) over %d run(s)%s@."
-              (s "digest") (i "cycles") (i "runs")
-              (match s "hot_state" with
-              | "" -> ""
-              | hs -> Printf.sprintf " (hottest state '%s')" hs)
-      | "EXEC-TIER" ->
-          flush ();
-          Format.fprintf ppf
-            "    [EXEC-TIER] program %s runs at the %s tier (%s)@."
-            (s "digest") (s "tier") (s "reason")
       | "EXEC-MODE" ->
           flush ();
           Format.fprintf ppf
-            "    [EXEC-MODE] %s interpreter, %s plans, %d job(s)@." (s "ir")
+            "    [EXEC-MODE] %s interpreter, %s tier, %d job(s)@." (s "ir")
             (s "mode") (i "jobs")
       | "CHAOS-INJECT" ->
           flush ();

@@ -490,9 +490,6 @@ type run_result = {
   outputs : (int * Value.t array) list;
       (** arg position -> final contents, for array args *)
   metrics : Metrics.t;
-  exec_tier : string;
-      (** the tier that actually executed: "tree", "plan" or "bytecode" —
-          for [`Adaptive] runs, the {!Dcir_bytecode.Tierup} decision *)
 }
 
 let reset_metrics (m : Metrics.t) : unit =
@@ -550,41 +547,36 @@ let snapshot_outputs (bufs : (arg * Machine.buffer option) list) :
   |> List.filter_map (fun (i, b) ->
          Option.map (fun buf -> (i, Machine.snapshot buf)) b)
 
-(** Interpreter execution strategy, for both IRs: [`Compiled] (default)
-    builds one-time execution plans (closure arrays / per-state compiled
-    programs); [`Tree] walks the IR directly; [`Bytecode] lowers SDFG
-    products one level further, to the flat register VM of
-    {!Dcir_bytecode}; [`Adaptive] picks plan vs bytecode per program via
-    the deterministic {!Dcir_bytecode.Tierup} policy (interpret → plan →
-    bytecode laddering), journaling the choice as [EXEC-TIER] events.
-    Outputs, traps and machine metrics are bit-identical across all
-    modes — they differ only in host-side wall-clock. MLIR products have
-    no bytecode lowering; [`Bytecode]/[`Adaptive] fall back to the
-    compiled closure interpreter there. *)
-type interp_mode = [ `Tree | `Compiled | `Bytecode | `Adaptive ]
+(** Interpreter execution tier, for both IRs: [`Tree] walks the IR
+    directly — the reference semantics; [`Compiled] (default) runs MLIR
+    products through the closure-compiled interpreter and lowers SDFG
+    products to the flat register VM of {!Dcir_bytecode}. Outputs, traps
+    and machine metrics are bit-identical across both tiers — they
+    differ only in host-side wall-clock. *)
+type interp_mode = [ `Tree | `Compiled ]
 
-(* Compiled SDFG plans are reusable across runs — bench repetitions, and
-   (the compile-once/run-many payoff of the shared representation) across
-   independent requests of a serving session. The store is
-   content-addressed: plans are keyed by a digest of the printed program
-   ({!Dcir_support.Digest} over {!Dcir_sdfg.Printer}), so two
+(* Lowered bytecode programs are reusable across runs — bench
+   repetitions, and (the compile-once/run-many payoff of the shared
+   representation) across independent requests of a serving session. The
+   store is content-addressed: programs are keyed by a digest of the
+   printed SDFG ({!Dcir_support.Digest} over {!Dcir_sdfg.Printer}), so two
    structurally identical SDFGs — e.g. the same source submitted by two
-   tenants — share one compiled plan. Sharded buckets + LRU eviction
-   with a configurable capacity live in {!Dcir_support.Cstore}. *)
+   tenants — share one program. Sharded buckets + LRU eviction with a
+   configurable capacity live in {!Dcir_support.Cstore}. *)
 
 module Cstore = Dcir_support.Cstore
 module Cdigest = Dcir_support.Digest
+module Isa = Dcir_bytecode.Isa
 
 let default_plan_cache_capacity = 16
 
-let plan_store : Dcir_sdfg.Interp.plan Cstore.t ref =
+let plan_store : Isa.program Cstore.t ref =
   ref (Cstore.create ~capacity:default_plan_cache_capacity ())
 
 (* Printing a large SDFG on every lookup would tax the hot bench path, so
-   digests are memoized by physical identity (the old cache's key),
-   bounded like the store itself. A mutated SDFG keeps its stale digest —
-   exactly the staleness contract of the identity-keyed cache this store
-   replaces; passes never mutate an SDFG after compilation. *)
+   digests are memoized by physical identity, bounded like the store
+   itself. A mutated SDFG keeps its stale digest; passes never mutate an
+   SDFG after compilation. *)
 let digest_memo : (Sdfg.t * string) list ref = ref []
 let digest_memo_cap = 32
 
@@ -615,39 +607,19 @@ let pc_misses = Om.Counter.make "plan_cache.misses"
 let pc_evictions = Om.Counter.make "plan_cache.evictions"
 let pc_size = Om.Gauge.make "plan_cache.size"
 
-(* Bytecode programs live in a second content-addressed store under the
-   same digests, so a serve session can hold both artifacts for a hot
-   program (the adaptive policy may run it at either tier over its
-   lifetime). Cache events share the PLAN-* codes, distinguished by an
-   ["artifact"] field. *)
-let program_store : Dcir_bytecode.Isa.program Cstore.t ref =
-  ref (Cstore.create ~capacity:default_plan_cache_capacity ())
-
-let bc_hits = Om.Counter.make "bytecode_cache.hits"
-let bc_misses = Om.Counter.make "bytecode_cache.misses"
-let bc_evictions = Om.Counter.make "bytecode_cache.evictions"
-let bc_size = Om.Gauge.make "bytecode_cache.size"
-
-(** Resize the artifact stores (used by [dcir serve --plan-cache]); drops
-    every cached plan and bytecode program, and resets the tier-up
-    registry. Capacity 0 disables caching entirely. *)
+(** Resize the program store (used by [dcir serve --plan-cache]); drops
+    every cached program. Capacity 0 disables caching entirely. *)
 let set_plan_cache_capacity ?shards (capacity : int) : unit =
   plan_store := Cstore.create ?shards ~capacity ();
-  program_store := Cstore.create ?shards ~capacity ();
-  Dcir_bytecode.Tierup.reset ();
   digest_memo := [];
-  Om.Gauge.set pc_size 0;
-  Om.Gauge.set bc_size 0
+  Om.Gauge.set pc_size 0
 
-(** Drop all cached artifacts, digest memos and tier-up state without
-    changing capacity. *)
+(** Drop all cached programs and digest memos without changing
+    capacity. *)
 let reset_plan_cache () : unit =
   Cstore.clear !plan_store;
-  Cstore.clear !program_store;
-  Dcir_bytecode.Tierup.reset ();
   digest_memo := [];
-  Om.Gauge.set pc_size 0;
-  Om.Gauge.set bc_size 0
+  Om.Gauge.set pc_size 0
 
 let plan_cache_stats () : (string * Json.t) list =
   [
@@ -658,19 +630,17 @@ let plan_cache_stats () : (string * Json.t) list =
   ]
 
 (* --- Private artifact capture (multi-domain serving) ----------------
-   The plan/bytecode stores and their counters are committed journal
-   state: hits, misses and evictions must be a pure function of request
-   commit order, never of worker scheduling. A serve worker domain
-   therefore runs with capture enabled: {!plan_for}/{!program_for}
-   compile privately (no store lookup, no counters, no events) and log a
-   {!warm} op; at commit time the supervisor calls {!replay_warm} in
-   commit order, which re-enters the normal store path with the
-   precompiled artifact in hand — replicating the exact hit/miss/evict
-   sequence of the sequential engine without recompiling. *)
+   The program store and its counters are committed journal state: hits,
+   misses and evictions must be a pure function of request commit order,
+   never of worker scheduling. A serve worker domain therefore runs with
+   capture enabled: {!plan_for} lowers privately (no store lookup, no
+   counters, no events) and logs a {!warm} op; at commit time the
+   supervisor calls {!replay_warm} in commit order, which re-enters the
+   normal store path with the lowered program in hand — replicating the
+   exact hit/miss/evict sequence of the sequential engine without
+   lowering again. *)
 
-type warm =
-  | Warm_plan of Sdfg.t * Dcir_sdfg.Interp.plan
-  | Warm_program of Sdfg.t * Dcir_bytecode.Isa.program
+type warm = Sdfg.t * Isa.program
 
 let private_capture : warm list ref option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -687,22 +657,24 @@ let end_private_capture () : warm list =
       Domain.DLS.set private_capture None;
       List.rev !acc
 
-(** The compiled plan for [sdfg], through the content-addressed store: a
-    hit may return a plan compiled from a {e different} (but
-    print-identical) SDFG — callers execute [plan.pl_sdfg], which the
-    cached-vs-fresh differential test pins to bit-identical outputs and
-    machine metrics. [precompiled] (supervisor replay) supplies the
-    artifact to store on a miss instead of compiling. *)
-let plan_for ?(precompiled : Dcir_sdfg.Interp.plan option) (sdfg : Sdfg.t) :
-    Dcir_sdfg.Interp.plan =
+(** The lowered bytecode program for [sdfg], through the
+    content-addressed store: a hit may return a program lowered from a
+    {e different} (but print-identical) SDFG — callers execute
+    [program.p_sdfg], which the cached-vs-fresh differential test pins to
+    bit-identical outputs and machine metrics. [precompiled] (supervisor
+    replay) supplies the program to store on a miss instead of
+    lowering. *)
+let plan_for ?(precompiled : Isa.program option) (sdfg : Sdfg.t) : Isa.program
+    =
+  let lower () =
+    match precompiled with
+    | Some p -> p
+    | None -> Dcir_bytecode.Lower.lower sdfg
+  in
   match Domain.DLS.get private_capture with
   | Some acc ->
-      let p =
-        match precompiled with
-        | Some p -> p
-        | None -> Dcir_sdfg.Interp.compile_plan sdfg
-      in
-      acc := Warm_plan (sdfg, p) :: !acc;
+      let p = lower () in
+      acc := (sdfg, p) :: !acc;
       p
   | None -> (
       let key = digest_of_sdfg sdfg in
@@ -714,11 +686,7 @@ let plan_for ?(precompiled : Dcir_sdfg.Interp.plan option) (sdfg : Sdfg.t) :
           p
       | None ->
           Om.Counter.incr pc_misses;
-          let p =
-            match precompiled with
-            | Some p -> p
-            | None -> Dcir_sdfg.Interp.compile_plan sdfg
-          in
+          let p = lower () in
           let evicted = Cstore.add !plan_store key p in
           List.iter
             (fun _ ->
@@ -728,66 +696,16 @@ let plan_for ?(precompiled : Dcir_sdfg.Interp.plan option) (sdfg : Sdfg.t) :
             evicted;
           Om.Gauge.set pc_size (Cstore.length !plan_store);
           Events.emit ~code:"PLAN-MISS"
-            [ ("size", Json.Int (Cstore.length !plan_store)) ];
-          p)
-
-(** The lowered bytecode program for [sdfg], through the second
-    content-addressed store — same hit semantics as {!plan_for}: callers
-    execute [program.p_sdfg]. *)
-let program_for ?(precompiled : Dcir_bytecode.Isa.program option)
-    (sdfg : Sdfg.t) : Dcir_bytecode.Isa.program =
-  match Domain.DLS.get private_capture with
-  | Some acc ->
-      let p =
-        match precompiled with
-        | Some p -> p
-        | None -> Dcir_bytecode.Lower.lower sdfg
-      in
-      acc := Warm_program (sdfg, p) :: !acc;
-      p
-  | None -> (
-      let key = digest_of_sdfg sdfg in
-      match Cstore.find !program_store key with
-      | Some p ->
-          Om.Counter.incr bc_hits;
-          Events.emit ~code:"PLAN-HIT"
             [
-              ("artifact", Json.Str "bytecode");
-              ("size", Json.Int (Cstore.length !program_store));
-            ];
-          p
-      | None ->
-          Om.Counter.incr bc_misses;
-          let p =
-            match precompiled with
-            | Some p -> p
-            | None -> Dcir_bytecode.Lower.lower sdfg
-          in
-          let evicted = Cstore.add !program_store key p in
-          List.iter
-            (fun _ ->
-              Om.Counter.incr bc_evictions;
-              Events.emit ~code:"PLAN-EVICT"
-                [
-                  ("artifact", Json.Str "bytecode");
-                  ("size", Json.Int (Cstore.length !program_store));
-                ])
-            evicted;
-          Om.Gauge.set bc_size (Cstore.length !program_store);
-          Events.emit ~code:"PLAN-MISS"
-            [
-              ("artifact", Json.Str "bytecode");
-              ("size", Json.Int (Cstore.length !program_store));
-              ("instrs", Json.Int (Dcir_bytecode.Isa.size p));
+              ("size", Json.Int (Cstore.length !plan_store));
+              ("instrs", Json.Int (Isa.size p));
             ];
           p)
 
 (** Replay one captured warm op through the normal store path (commit
-    order), reusing the worker's compiled artifact on a miss. *)
-let replay_warm (w : warm) : unit =
-  match w with
-  | Warm_plan (sdfg, p) -> ignore (plan_for ~precompiled:p sdfg)
-  | Warm_program (sdfg, p) -> ignore (program_for ~precompiled:p sdfg)
+    order), reusing the worker's lowered program on a miss. *)
+let replay_warm ((sdfg, p) : warm) : unit =
+  ignore (plan_for ~precompiled:p sdfg)
 
 let run ?(cfg = Cost.default) ?(budget : Budget.t option)
     ?(profile : Obs.Profile.t option)
@@ -796,12 +714,8 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
   Events.emit ~code:"EXEC-MODE"
     [
       ( "mode",
-        Json.Str
-          (match interp_mode with
-          | `Tree -> "tree"
-          | `Compiled -> "compiled"
-          | `Bytecode -> "bytecode"
-          | `Adaptive -> "adaptive") );
+        Json.Str (match interp_mode with `Tree -> "tree" | `Compiled -> "compiled")
+      );
       ("ir", Json.Str (match compiled with CMlir _ -> "mlir" | CSdfg _ -> "sdfg"));
       ("jobs", Json.Int jobs);
     ];
@@ -852,55 +766,27 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
                         i entry)))
           bufs
       in
-      (* MLIR products have no bytecode lowering — the register VM is an
-         SDFG-side tier; bytecode/adaptive requests run the compiled
-         closure interpreter here. *)
       let mode =
-        match interp_mode with
-        | `Tree -> Interp.Tree
-        | `Compiled | `Bytecode | `Adaptive -> Interp.Compiled
+        match interp_mode with `Tree -> Interp.Tree | `Compiled -> Interp.Compiled
       in
       let results, _ = Interp.run ~machine ?profile ~mode m ~entry rt_args in
       {
         return_value = (match results with v :: _ -> Some v | [] -> None);
         outputs = snapshot_outputs bufs;
         metrics = Machine.metrics machine;
-        exec_tier = (match mode with Interp.Tree -> "tree" | _ -> "plan");
       }
   | CSdfg fresh_sdfg ->
-      (* Resolve the execution artifact first: a content-addressed store
-         hit may substitute a print-identical SDFG compiled earlier, and
-         all argument binding below must target the SDFG the artifact
+      (* Resolve the bytecode program first: a content-addressed store
+         hit may substitute a print-identical SDFG lowered earlier, and
+         all argument binding below must target the SDFG the program
          closes over. Tree mode always walks the SDFG it was handed. *)
-      let tier =
+      let program =
         match interp_mode with
-        | `Tree -> `TreeT
-        | `Compiled -> `PlanT (plan_for fresh_sdfg)
-        | `Bytecode -> `ByteT (program_for fresh_sdfg)
-        | `Adaptive -> (
-            let digest = digest_of_sdfg fresh_sdfg in
-            let choice, reason =
-              Dcir_bytecode.Tierup.decide ~digest fresh_sdfg
-            in
-            Events.emit ~code:"EXEC-TIER"
-              [
-                ( "tier",
-                  Json.Str
-                    (match choice with
-                    | `Bytecode -> "bytecode"
-                    | `Plan -> "plan") );
-                ("reason", Json.Str reason);
-                ("digest", Json.Str (Dcir_bytecode.Tierup.short digest));
-              ];
-            match choice with
-            | `Bytecode -> `ByteT (program_for fresh_sdfg)
-            | `Plan -> `PlanT (plan_for fresh_sdfg))
+        | `Tree -> None
+        | `Compiled -> Some (plan_for fresh_sdfg)
       in
       let sdfg =
-        match tier with
-        | `TreeT -> fresh_sdfg
-        | `PlanT p -> p.Dcir_sdfg.Interp.pl_sdfg
-        | `ByteT prog -> prog.Dcir_bytecode.Isa.p_sdfg
+        match program with Some p -> p.Isa.p_sdfg | None -> fresh_sdfg
       in
       if List.length sdfg.param_order <> List.length args then
         raise
@@ -965,35 +851,18 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
                       !pos pname entry)))
         sdfg.param_order bufs;
       let res =
-        match tier with
-        | `TreeT ->
-            Dcir_sdfg.Interp.run ~machine ?profile ~jobs
-              ~mode:Dcir_sdfg.Interp.Tree sdfg ~buffers:!buffers
-              ~symbols:!symbols ()
-        | `PlanT plan ->
-            Dcir_sdfg.Interp.run ~machine ?profile ~jobs
-              ~mode:Dcir_sdfg.Interp.Compiled ~plan sdfg
+        match program with
+        | None ->
+            Dcir_sdfg.Interp.run ~machine ?profile ~jobs sdfg
               ~buffers:!buffers ~symbols:!symbols ()
-        | `ByteT prog ->
+        | Some prog ->
             Dcir_bytecode.Vm.run ~machine ?profile ~jobs prog
               ~buffers:!buffers ~symbols:!symbols ()
       in
-      (match interp_mode with
-      | `Adaptive ->
-          Dcir_bytecode.Tierup.observe
-            ~digest:(digest_of_sdfg fresh_sdfg)
-            ?profile
-            ~cycles:(Machine.metrics machine).cycles ()
-      | _ -> ());
       {
         return_value = res.return_value;
         outputs = snapshot_outputs bufs;
         metrics = Machine.metrics machine;
-        exec_tier =
-          (match tier with
-          | `TreeT -> "tree"
-          | `PlanT _ -> "plan"
-          | `ByteT _ -> "bytecode");
       }
   in
   emit_run_spend ();

@@ -13,8 +13,6 @@
 open Dcir_sdfg
 open Dcir_symbolic
 
-let counter = ref 0
-
 (* All edges in [g] whose memlet touches [c] (as data or copy dst). *)
 let touching_edges (g : Sdfg.graph) (c : string) : Sdfg.edge list =
   List.filter
@@ -99,7 +97,6 @@ let promote_one (sdfg : Sdfg.t) : bool =
                               | Sdfg.Access n -> String.equal n cname
                               | _ -> false)
                             edges ->
-                    incr counter;
                     let reg = Sdfg.fresh_name sdfg "_ls" in
                     let cont = Sdfg.container sdfg cname in
                     ignore

@@ -1,7 +1,7 @@
 (** Differential oracle: run one generated program through all the
-    pipelines — the five compilation pipelines, the bytecode execution
-    tier, and (optionally) the auto-parallelizing pipeline — and compare
-    against the unoptimized reference.
+    pipelines — the five compilation pipelines, the bytecode tier against
+    the tree walker, and (optionally) the auto-parallelizing pipeline —
+    and compare against the unoptimized reference.
 
     The reference is the direct Polygeist lowering executed with no
     optimization at all — the same baseline
@@ -228,46 +228,45 @@ let autopar_failures ~(checked : bool) ?reproducer_dir ~(jobs : int)
         | None -> [])
 
 (* ------------------------------------------------------------------ *)
-(* Seventh pipeline: the bytecode execution tier. Checked two ways — the
-   bytecode run must still agree with the reference (within rtol, like
-   any pipeline), and it must be BIT-IDENTICAL to the compiled-plan tier
-   on the same artifact: same output bits, same trap behaviour, same
+(* Seventh pipeline: the two SDFG execution tiers on one dcir artifact.
+   The bytecode VM (what [`Compiled] runs) must be BIT-IDENTICAL to the
+   tree walker: same output bits, same return value, same trap kind, same
    value of every machine metric. The tiers only differ in host-side
-   dispatch, so any divergence at all is a lowering or VM bug. *)
+   dispatch, so any divergence at all is a lowering or VM bug. Agreement
+   with the reference is the dcir pipeline's own check. *)
 
-let bytecode_failures ~(checked : bool) ?reproducer_dir (case : Gen.case)
-    (ref_r : Pipelines.run_result) : failure list =
+let bytecode_vs_tree ~(checked : bool) ?reproducer_dir (case : Gen.case) :
+    failure option =
+  let diverge msg =
+    Some
+      { f_pipeline = "dcir-bytecode-vs-tree"; f_kind = Divergence msg;
+        f_invalid = false }
+  in
   match
-    try
-      let compiled =
-        Pipelines.compile ~checked ?reproducer_dir Pipelines.Dcir
-          ~src:case.src ~entry:case.entry
-      in
-      let plan =
-        Pipelines.run ~interp_mode:`Compiled compiled ~entry:case.entry
-          (case.args ())
-      in
-      let byte =
-        Pipelines.run ~interp_mode:`Bytecode compiled ~entry:case.entry
-          (case.args ())
-      in
-      Ok (plan, byte)
-    with e -> Error e
+    Pipelines.compile ~checked ?reproducer_dir Pipelines.Dcir ~src:case.src
+      ~entry:case.entry
   with
-  | Error e -> [ crash_failure "dcir-bytecode" e ]
-  | Ok (plan, byte) ->
-      (match divergence ref_r byte with
-      | Some msg ->
-          [ { f_pipeline = "dcir-bytecode"; f_kind = Divergence msg;
-              f_invalid = false } ]
-      | None -> [])
-      @ (match
-           bitwise_divergence ~what:"plan and bytecode tiers" plan byte
-         with
-        | Some msg ->
-            [ { f_pipeline = "dcir-bytecode-vs-plan";
-                f_kind = Divergence msg; f_invalid = false } ]
-        | None -> [])
+  | exception e -> Some (crash_failure "dcir-bytecode" e)
+  | compiled -> (
+      let run mode =
+        try Ok (Pipelines.run ~interp_mode:mode compiled ~entry:case.entry
+                  (case.args ()))
+        with e -> Error e
+      in
+      match (run `Tree, run `Compiled) with
+      | Ok tree, Ok byte ->
+          Option.bind
+            (bitwise_divergence ~what:"tree and bytecode tiers" tree byte)
+            diverge
+      | Error et, Error eb
+        when Option.is_some (trap_kind_of_exn et)
+             && trap_kind_of_exn et = trap_kind_of_exn eb ->
+          None
+      | Error _, Error e -> Some (crash_failure "dcir-bytecode" e)
+      | Ok _, Error e ->
+          diverge ("bytecode raised, tree walker finished: " ^ describe_exn e)
+      | Error e, Ok _ ->
+          diverge ("tree walker raised, bytecode finished: " ^ describe_exn e))
 
 (** Run [case] through the reference and all five pipelines; the empty
     list means every pipeline agreed with the unoptimized reference.
@@ -275,8 +274,9 @@ let bytecode_failures ~(checked : bool) ?reproducer_dir (case : Gen.case)
     rollback around every optimization pass). [~parallel] adds the sixth,
     auto-parallelizing pipeline, whose [~jobs]-domain execution must match
     its serial execution bit-for-bit. The seventh pipeline — the bytecode
-    execution tier on the dcir artifact — always runs, and must match the
-    compiled-plan tier bit-for-bit (outputs, traps, every machine metric).
+    tier against the tree walker on the dcir artifact — always runs, and
+    the two must agree bit-for-bit (outputs, traps, every machine
+    metric).
     [~limits] caps every compile (fuel) and run (steps, allocations) with
     a fresh budget; an exhausted budget surfaces as a crash failure naming
     the exceeded ceiling. *)
@@ -326,14 +326,7 @@ let check ?(checked = false) ?(parallel = false) ?(jobs = 3)
                   Pipelines.run ~budget:(fresh_budget ()) compiled
                     ~entry:case.entry (case.args ())))
             Pipelines.all_kinds
-          @ Option.to_list
-              (must_trap "dcir-bytecode" (fun () ->
-                   let compiled =
-                     Pipelines.compile ~checked ?reproducer_dir
-                       Pipelines.Dcir ~src:case.src ~entry:case.entry
-                   in
-                   Pipelines.run ~interp_mode:`Bytecode compiled
-                     ~entry:case.entry (case.args ())))
+          @ Option.to_list (bytecode_vs_tree ~checked ?reproducer_dir case)
           @
           if parallel then
             Option.to_list
@@ -368,7 +361,7 @@ let check ?(checked = false) ?(parallel = false) ?(jobs = 3)
                       f_invalid = false }
               | None -> None))
         Pipelines.all_kinds
-      @ bytecode_failures ~checked ?reproducer_dir case ref_r
+      @ Option.to_list (bytecode_vs_tree ~checked ?reproducer_dir case)
       @
       if parallel then
         autopar_failures ~checked ?reproducer_dir ~jobs case ref_r

@@ -752,7 +752,7 @@ and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
 (* ------------------------------------------------------------------ *)
 
 (** A persistent execution context for repeated invocations of one entry
-    function — used by the SDFG interpreter's compiled plans so opaque
+    function — used by the SDFG bytecode tier so opaque
     tasklets compile their MLIR body once per run instead of once per
     invocation. Bindings are reused across invocations; this is safe
     because SSA dominance guarantees every value read is rebound first. *)

@@ -35,28 +35,21 @@ type func = {
 type modul = { mutable funcs : func list; gen : Dcir_support.Id_gen.t }
 
 (* ------------------------------------------------------------------ *)
-(* Creation context *)
+(* Id minting *)
 
-type ctx = { mutable next_vid : int; mutable next_oid : int }
-
-let ctx_create () : ctx = { next_vid = 0; next_oid = 0 }
-
-(* A single global context keeps ids unique across modules; ids only need to
-   be distinct, not dense. *)
-let global_ctx : ctx = ctx_create ()
+(* Process-wide atomic counters keep ids unique across modules and across
+   domains (serve pool workers build IR concurrently); ids only need to be
+   distinct, not dense. *)
+let value_counter = Atomic.make 0
+let op_counter = Atomic.make 0
 
 let new_value ?(hint = "") (ty : Types.t) : value =
-  let v = { vid = global_ctx.next_vid; vty = ty; hint } in
-  global_ctx.next_vid <- global_ctx.next_vid + 1;
-  v
+  { vid = Atomic.fetch_and_add value_counter 1; vty = ty; hint }
 
 let new_op ?(operands = []) ?(results = []) ?(attrs = []) ?(regions = [])
     (name : string) : op =
-  let o =
-    { oid = global_ctx.next_oid; name; operands; results; attrs; regions }
-  in
-  global_ctx.next_oid <- global_ctx.next_oid + 1;
-  o
+  { oid = Atomic.fetch_and_add op_counter 1; name; operands; results; attrs;
+    regions }
 
 let new_region ?(args = []) ?(ops = []) () : region = { rargs = args; rops = ops }
 

@@ -45,18 +45,16 @@ let catalogue : (string * string) list =
     ("APAR-CERT", "autopar: loop certified parallel (map conversion)");
     ("APAR-REFUSE", "autopar: loop refused, with the conflict witness");
     ("BUDGET-SPEND", "resource budget spent by a phase (fuel/steps/allocs)");
-    ("PLAN-HIT", "execution plan cache hit");
-    ("PLAN-MISS", "execution plan cache miss (plan compiled)");
-    ("PLAN-EVICT", "execution plan cache eviction (LRU bound)");
+    ("PLAN-HIT", "bytecode program cache hit");
+    ("PLAN-MISS", "bytecode program cache miss (program lowered)");
+    ("PLAN-EVICT", "bytecode program cache eviction (LRU bound)");
     ("EXEC-MODE", "interpreter mode chosen for a run (tree/compiled, jobs)");
-    ("TIER-UP", "adaptive tier: program promoted to the bytecode tier");
-    ("EXEC-TIER", "adaptive tier: execution tier chosen for one run");
     ("CHAOS-INJECT", "chaos harness injected a fault");
     ("CHAOS-CASE", "chaos campaign: generated case summary");
     ("CHAOS-OUTCOME", "chaos campaign: per-case verdict");
     ("NOTE", "uncategorized incident-journal note");
     (* Serving engine (dcir serve) — mirrored from the response journal
-       (schema dcir-serve-journal/1, see Dcir_serve.Sjournal). *)
+       (schema dcir-serve-journal/2, see Dcir_serve.Sjournal). *)
     ("SRV-ADMIT", "serve: request admitted to the queue");
     ("SRV-REJECT", "serve: request rejected fast (breaker/quota/malformed)");
     ("SRV-SHED", "serve: request shed from a full admission queue");

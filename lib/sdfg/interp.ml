@@ -42,17 +42,16 @@ type runtime = {
       (** when set, cycles/loads/stores attribution per state (partitioning
           total execution) and per tasklet (inclusive) *)
   prepared : (int, Dcir_mlir.Interp.prepared) Hashtbl.t;
-      (** compiled mode: per-node prepared MLIR contexts for opaque
+      (** bytecode tier: per-node prepared MLIR contexts for opaque
           tasklets, so their bodies compile once per run *)
   jobs : int;
       (** worker domains for certified parallel maps; 1 = run the chunked
           schedule on the calling domain (bit-identical either way) *)
 }
 
-(* The single budget-charged step helper — replaces the two hard-coded
-   200M-step checks that previously guarded [exec_graph] and
-   [exec_cgraph], and the 100M transition counters in both state-machine
-   walks. Exhaustion raises [Budget.Exhausted] instead of a trap. *)
+(* The single budget-charged step helper: every executed graph and state
+   transition, in both tiers, charges one step. Exhaustion raises
+   [Budget.Exhausted] instead of a trap. *)
 let charge_step (rt : runtime) : unit = Dcir_resilience.Budget.step rt.budget
 
 let metric_snap (rt : runtime) : (float * int * int) option =
@@ -91,8 +90,8 @@ let eval_expr (rt : runtime) (e : Expr.t) : int =
   | v -> v
   | exception Expr.Unbound_symbol s -> trap "unbound symbol '%s'" s
 
-(* Evaluation order is deliberately explicit (lo, hi, step) so the compiled
-   plan layer can mirror the charge sequence exactly. *)
+(* Evaluation order is deliberately explicit (lo, hi, step) so the
+   bytecode tier can mirror the charge sequence exactly. *)
 let eval_range_dim (rt : runtime) (d : Range.dim) : int * int * int =
   let lo = eval_expr rt d.lo in
   let hi = eval_expr rt d.hi in
@@ -209,8 +208,8 @@ type conn_value =
   | CScalar of Value.t
   | CArray of string  (** whole-container binding for indirect access *)
 
-(* Charge-and-compute helpers shared by the tree walker and the compiled
-   plans, so both modes are bit-identical by construction. Operands are
+(* Charge-and-compute helpers shared by the tree walker and the bytecode
+   tier, so both tiers are bit-identical by construction. Operands are
    already evaluated (left-to-right) when these run. *)
 
 let apply_binop (m : Machine.t) (op : Texpr.binop) (va : Value.t)
@@ -707,7 +706,7 @@ and exec_tasklet (rt : runtime) (g : Sdfg.graph) (n : Sdfg.node)
 
 (* A connector is array-valued when the code indexes into it (native) or
    the corresponding parameter is a memref (opaque). Static per tasklet —
-   the compiled plans resolve it once. *)
+   the bytecode lowering resolves it once. *)
 and tasklet_array_conns (t : Sdfg.tasklet) : string list =
   match t.code with
   | Sdfg.Native assigns ->
@@ -929,711 +928,6 @@ let run_tree (rt : runtime) : unit =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Compiled execution plans.
-
-   Each state is compiled once — on its first execution — into closures
-   with everything static pre-resolved: topological order, tasklet
-   expressions (connector lookups become array-slot reads), memlet subset
-   indices, interstate conditions and assignments, and the per-state
-   allocation-charge candidates. The closures drive the {e same} machine
-   helpers ([linearize], [buffer_of], [apply_binop], …) in the same order
-   as the tree walker, so charged cycles, loads, stores and allocation
-   addresses are bit-for-bit identical; only the interpretation overhead
-   (tree dispatch, assoc-list scans, repeated topo sorts) disappears. *)
-
-type mode = Tree | Compiled
-
-(* Compiled symbolic expression; mirrors Expr.eval's left-to-right
-   evaluation (the symbol environment may charge for scalar-container
-   reads) and raises Expr.Unbound_symbol like the interpreter. *)
-let rec compile_expr (e : Expr.t) : runtime -> int =
-  match e with
-  | Expr.Int n -> fun _ -> n
-  | Expr.Sym s -> (
-      fun rt ->
-        match sym_env rt s with
-        | Some v -> v
-        | None -> raise (Expr.Unbound_symbol s))
-  | Expr.Add xs ->
-      let cs = List.map compile_expr xs in
-      fun rt -> List.fold_left (fun acc c -> acc + c rt) 0 cs
-  | Expr.Mul xs ->
-      let cs = List.map compile_expr xs in
-      fun rt -> List.fold_left (fun acc c -> acc * c rt) 1 cs
-  | Expr.Div (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
-      fun rt ->
-        let x = ca rt in
-        let y = cb rt in
-        if y = 0 then invalid_arg "Expr.eval: division by zero"
-        else if (x < 0) <> (y < 0) && x mod y <> 0 then (x / y) - 1
-        else x / y
-  | Expr.Mod (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
-      fun rt ->
-        let x = ca rt in
-        let y = cb rt in
-        if y = 0 then invalid_arg "Expr.eval: modulo by zero"
-        else
-          let m = x mod y in
-          if m < 0 then m + abs y else m
-  | Expr.Min (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
-      fun rt ->
-        let x = ca rt in
-        let y = cb rt in
-        min x y
-  | Expr.Max (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
-      fun rt ->
-        let x = ca rt in
-        let y = cb rt in
-        max x y
-
-(* Wrapper matching [eval_expr]'s trap. *)
-let ceval (c : runtime -> int) (rt : runtime) : int =
-  match c rt with
-  | v -> v
-  | exception Expr.Unbound_symbol s -> trap "unbound symbol '%s'" s
-
-let compile_bexpr (b : Bexpr.t) : runtime -> bool =
-  let rec go (b : Bexpr.t) : runtime -> bool =
-    match b with
-    | Bexpr.Bool v -> fun _ -> v
-    | Bexpr.Cmp (op, a, c) ->
-        let ca = compile_expr a and cc = compile_expr c in
-        let f : int -> int -> bool =
-          match op with
-          | Bexpr.Eq -> ( = )
-          | Bexpr.Ne -> ( <> )
-          | Bexpr.Lt -> ( < )
-          | Bexpr.Le -> ( <= )
-          | Bexpr.Gt -> ( > )
-          | Bexpr.Ge -> ( >= )
-        in
-        fun rt ->
-          let x = ca rt in
-          let y = cc rt in
-          f x y
-    | Bexpr.And (x, y) ->
-        let cx = go x and cy = go y in
-        fun rt -> cx rt && cy rt
-    | Bexpr.Or (x, y) ->
-        let cx = go x and cy = go y in
-        fun rt -> cx rt || cy rt
-    | Bexpr.Not x ->
-        let cx = go x in
-        fun rt -> not (cx rt)
-  in
-  go b
-
-let compile_range_dim (d : Range.dim) :
-    (runtime -> int) * (runtime -> int) * (runtime -> int) =
-  (compile_expr d.lo, compile_expr d.hi, compile_expr d.step)
-
-(* Evaluation order (lo, hi, step) mirrors [eval_range_dim]. *)
-let eval_crange (rt : runtime)
-    ((clo, chi, cstep) : (runtime -> int) * (runtime -> int) * (runtime -> int))
-    : int * int * int =
-  let lo = ceval clo rt in
-  let hi = ceval chi rt in
-  let step = ceval cstep rt in
-  (lo, hi, step)
-
-(* Compile-time connector binding: scalars become slots in a per-tasklet
-   value array; array bindings resolve to their container statically. *)
-type cbind = CBScalar of int | CBArray of string
-
-(* Compiled tasklet expression over the slot array. Mirrors [eval_texpr]
-   arm by arm (same charge points, same traps, same evaluation order). *)
-let rec compile_texpr (benv : (string * cbind) list) (e : Texpr.t) :
-    runtime -> Value.t array -> Value.t =
-  match e with
-  | Texpr.TFloat f ->
-      let v = Value.VFloat f in
-      fun _ _ -> v
-  | Texpr.TInt n ->
-      let v = Value.VInt n in
-      fun _ _ -> v
-  | Texpr.TSym s -> (
-      fun rt _ ->
-        match sym_env rt s with
-        | Some v -> VInt v
-        | None -> trap "tasklet references unbound symbol '%s'" s)
-  | Texpr.TIn c -> (
-      match List.assoc_opt c benv with
-      | Some (CBScalar i) -> fun _ slots -> slots.(i)
-      | Some (CBArray _) ->
-          fun _ _ -> trap "connector '%s' is an array, not a scalar" c
-      | None -> fun _ _ -> trap "unbound input connector '%s'" c)
-  | Texpr.TIndex (c, idxs) -> (
-      match List.assoc_opt c benv with
-      | Some (CBArray data) ->
-          let cidxs = List.map (compile_texpr benv) idxs in
-          fun rt slots ->
-            let indices =
-              List.map (fun ci -> Value.as_int (ci rt slots)) cidxs
-            in
-            let lin = linearize rt data indices in
-            Machine.load rt.machine (buffer_of rt data) lin
-      | Some (CBScalar _) ->
-          fun _ _ -> trap "connector '%s' is scalar; cannot index" c
-      | None -> fun _ _ -> trap "unbound input connector '%s'" c)
-  | Texpr.TBin (op, a, b) ->
-      let ca = compile_texpr benv a and cb = compile_texpr benv b in
-      fun rt slots ->
-        let va = ca rt slots in
-        let vb = cb rt slots in
-        apply_binop rt.machine op va vb
-  | Texpr.TCmp (op, a, b) ->
-      let ca = compile_texpr benv a and cb = compile_texpr benv b in
-      fun rt slots ->
-        let va = ca rt slots in
-        let vb = cb rt slots in
-        apply_cmpop rt.machine op va vb
-  | Texpr.TSelect (c, a, b) ->
-      let cc = compile_texpr benv c in
-      let ca = compile_texpr benv a in
-      let cb = compile_texpr benv b in
-      fun rt slots ->
-        Machine.charge_op rt.machine Int_alu;
-        if Value.as_bool (cc rt slots) then ca rt slots else cb rt slots
-  | Texpr.TUn (`Neg, a) -> (
-      let ca = compile_texpr benv a in
-      fun rt slots ->
-        match ca rt slots with
-        | VFloat f ->
-            Machine.charge_op rt.machine Fp_add;
-            VFloat (-.f)
-        | VInt n ->
-            Machine.charge_op rt.machine Int_alu;
-            VInt (-n))
-  | Texpr.TUn (`Not, a) ->
-      let ca = compile_texpr benv a in
-      fun rt slots ->
-        Machine.charge_op rt.machine Int_alu;
-        Value.of_bool (not (Value.as_bool (ca rt slots)))
-  | Texpr.TUn (`ToFloat, a) ->
-      let ca = compile_texpr benv a in
-      fun rt slots ->
-        Machine.charge_op rt.machine Move;
-        VFloat (Value.as_float (ca rt slots))
-  | Texpr.TUn (`ToInt, a) ->
-      let ca = compile_texpr benv a in
-      fun rt slots ->
-        Machine.charge_op rt.machine Move;
-        apply_toint (ca rt slots)
-  | Texpr.TCall (fname, args) ->
-      let cargs = List.map (compile_texpr benv) args in
-      fun rt slots ->
-        let vargs = List.map (fun c -> Value.as_float (c rt slots)) cargs in
-        apply_call rt.machine fname vargs
-
-type crange = (runtime -> int) * (runtime -> int) * (runtime -> int)
-
-type cnode =
-  | CCopies of ccopy list  (** Access node's outgoing copies, in edge order *)
-  | CTasklet of ctask
-  | CMap of cmap
-
-and ccopy = {
-  cc_src : string;
-  cc_dst : string;
-  cc_wcr : Sdfg.wcr option;
-  cc_src_dims : crange list;
-  cc_dst_dims : crange list;
-}
-
-and ctask = {
-  ct_tname : string;
-  ct_fills : (runtime -> Value.t) array;
-      (** scalar connector slots, in in-edge order *)
-  ct_body : cbody;
-  ct_outkeys : string array;  (** last_outputs keys, in output order *)
-  ct_writes : (runtime -> Value.t array -> unit) array;
-      (** per out-edge, in edge order; indexes the output value array *)
-}
-
-and cbody =
-  | CNative of (runtime -> Value.t array -> Value.t) array
-  | COpaque of copaque
-
-and copaque = {
-  co_tname : string;
-  co_overhead : float;
-  co_modul : Dcir_mlir.Ir.modul;
-  co_entry : string;
-  co_nid : int;  (** prepared-context cache key *)
-  co_syms : string list;
-  co_args : coarg list;  (** per input connector, in [t_inputs] order *)
-}
-
-and coarg = COScalar of int | COArray of string | COUnbound of string
-
-and cmap = {
-  cm_params : string list;
-  cm_ranges : crange list;
-  cm_body : cgraph;
-  cm_par : Sdfg.par_cert option;
-}
-
-and cgraph = cnode array
-
-type cedge = {
-  ce_src : string;
-  ce_dst : string;
-  ce_cond : runtime -> bool;  (** raises Expr.Unbound_symbol *)
-  ce_assign : (string * (runtime -> int)) list;
-}
-
-type cstate = {
-  cs_label : string;
-  cs_allocs : (Sdfg.container * (runtime -> int) list) list;
-      (** heap containers charged at this state, in container-table order *)
-  cs_graph : cgraph;
-  cs_branch : bool;  (** more than one outgoing interstate edge *)
-  cs_edges : cedge list;
-}
-
-(** A compiled plan. Closures take the runtime as an argument, so one plan
-    is reusable across runs of the same (un-mutated) SDFG; states compile
-    lazily on first execution. *)
-type plan = {
-  pl_sdfg : Sdfg.t;
-  pl_states : (string, cstate) Hashtbl.t;
-}
-
-let compile_plan (sdfg : Sdfg.t) : plan =
-  { pl_sdfg = sdfg; pl_states = Hashtbl.create 16 }
-
-(* Compiled write of one output value (write_element order: buffer, then
-   linearize, then store). All validation traps fire at execution time,
-   never at compile time, so failure timing matches the tree walker. *)
-let compile_write (outnames : string list) (conn : string) (m : Sdfg.memlet)
-    : runtime -> Value.t array -> unit =
-  let rec index_of i = function
-    | [] -> None
-    | x :: _ when String.equal x conn -> Some i
-    | _ :: r -> index_of (i + 1) r
-  in
-  match index_of 0 outnames with
-  | None -> fun _ _ -> trap "no value computed for output connector '%s'" conn
-  | Some i ->
-      if List.for_all Range.is_index m.subset then
-        let cidxs =
-          List.map (fun (d : Range.dim) -> compile_expr d.lo) m.subset
-        in
-        fun rt vals ->
-          let indices = List.map (fun c -> ceval c rt) cidxs in
-          let buf = buffer_of rt m.data in
-          let lin = linearize rt m.data indices in
-          let v = vals.(i) in
-          (match m.wcr with
-          | None -> Machine.store rt.machine buf lin v
-          | Some w ->
-              let old_v = Machine.load rt.machine buf lin in
-              Machine.store rt.machine buf lin (apply_wcr rt w old_v v))
-      else fun _ _ -> trap "write memlet must be a single element (%s)" m.data
-
-let compile_tasklet (g : Sdfg.graph) (n : Sdfg.node) (t : Sdfg.tasklet) :
-    ctask =
-  let array_conns = tasklet_array_conns t in
-  (* Bindings accumulate in in-edge order; List.assoc picks the first
-     occurrence, like the tree walker's env. Every scalar fill still
-     executes (and charges) even for shadowed duplicates. *)
-  let fills = ref [] in
-  let benv = ref [] in
-  let nslots = ref 0 in
-  List.iter
-    (fun (e : Sdfg.edge) ->
-      match (e.e_dst_conn, e.e_memlet) with
-      | Some conn, Some m ->
-          if List.mem conn array_conns then
-            benv := (conn, CBArray m.data) :: !benv
-          else begin
-            let i = !nslots in
-            incr nslots;
-            let fill =
-              if List.for_all Range.is_index m.subset then
-                let cidxs =
-                  List.map (fun (d : Range.dim) -> compile_expr d.lo) m.subset
-                in
-                fun rt ->
-                  (* read_element order: linearize, then load. *)
-                  let indices = List.map (fun c -> ceval c rt) cidxs in
-                  let lin = linearize rt m.data indices in
-                  Machine.load rt.machine (buffer_of rt m.data) lin
-              else
-                let subset_s = Range.to_string m.subset in
-                fun _ ->
-                  trap
-                    "tasklet '%s': scalar connector '%s' with non-index \
-                     subset %s"
-                    t.tname conn subset_s
-            in
-            fills := fill :: !fills;
-            benv := (conn, CBScalar i) :: !benv
-          end
-      | Some conn, None -> (
-          match e.e_src_conn with
-          | Some src_conn ->
-              let key = Printf.sprintf "%d:%s" e.e_src src_conn in
-              let i = !nslots in
-              incr nslots;
-              fills :=
-                (fun rt ->
-                  match Hashtbl.find_opt rt.last_outputs key with
-                  | Some v -> v
-                  | None ->
-                      trap
-                        "tasklet '%s': value edge source %s not yet executed"
-                        t.tname key)
-                :: !fills;
-              benv := (conn, CBScalar i) :: !benv
-          | None -> ())
-      | _ -> ())
-    (Sdfg.node_in_edges g n);
-  let benv = List.rev !benv in
-  let fills = Array.of_list (List.rev !fills) in
-  let body, outnames =
-    match t.code with
-    | Sdfg.Native assigns ->
-        ( CNative
-            (Array.of_list
-               (List.map (fun (_, e) -> compile_texpr benv e) assigns)),
-          List.map fst assigns )
-    | Sdfg.Opaque f ->
-        let modul = Dcir_mlir.Ir.new_module () in
-        modul.funcs <- [ f ];
-        ( COpaque
-            {
-              co_tname = t.tname;
-              co_overhead = t.t_overhead;
-              co_modul = modul;
-              co_entry = f.Dcir_mlir.Ir.fname;
-              co_nid = n.nid;
-              co_syms = t.t_syms;
-              co_args =
-                List.map
-                  (fun conn ->
-                    match List.assoc_opt conn benv with
-                    | Some (CBScalar i) -> COScalar i
-                    | Some (CBArray data) -> COArray data
-                    | None -> COUnbound conn)
-                  t.t_inputs;
-            },
-          t.t_outputs )
-  in
-  let outkeys =
-    Array.of_list
-      (List.map (fun c -> Printf.sprintf "%d:%s" n.nid c) outnames)
-  in
-  let writes =
-    Array.of_list
-      (List.filter_map
-         (fun (e : Sdfg.edge) ->
-           match (e.e_src_conn, e.e_memlet) with
-           | Some conn, Some m -> Some (compile_write outnames conn m)
-           | _ -> None)
-         (Sdfg.node_out_edges g n))
-  in
-  { ct_tname = t.tname; ct_fills = fills; ct_body = body; ct_outkeys = outkeys; ct_writes = writes }
-
-let rec compile_graph (g : Sdfg.graph) : cgraph =
-  Array.of_list
-    (List.map
-       (fun (n : Sdfg.node) ->
-         match n.kind with
-         | Sdfg.Access _ ->
-             CCopies
-               (List.filter_map
-                  (fun (e : Sdfg.edge) ->
-                    match ((Sdfg.node_by_id g e.e_dst).kind, e.e_memlet) with
-                    | Sdfg.Access dst_name, Some m ->
-                        let dst_subset =
-                          match m.other with
-                          | Some o -> o
-                          | None -> m.subset (* same-region copy *)
-                        in
-                        Some
-                          {
-                            cc_src = m.data;
-                            cc_dst = dst_name;
-                            cc_wcr = m.wcr;
-                            cc_src_dims =
-                              List.map compile_range_dim m.subset;
-                            cc_dst_dims =
-                              List.map compile_range_dim dst_subset;
-                          }
-                    | _ -> None)
-                  (Sdfg.node_out_edges g n))
-         | Sdfg.TaskletN t -> CTasklet (compile_tasklet g n t)
-         | Sdfg.MapN mn ->
-             CMap
-               {
-                 cm_params = mn.m_params;
-                 cm_ranges = List.map compile_range_dim mn.m_ranges;
-                 cm_body = compile_graph mn.m_body;
-                 cm_par = mn.m_par;
-               })
-       (Sdfg.topo_order g))
-
-let compile_state (sdfg : Sdfg.t) (s : Sdfg.state) : cstate =
-  (* Allocation-charge candidates in container-table iteration order, so
-     charge order matches the tree walker's Hashtbl.iter. *)
-  let allocs = ref [] in
-  Hashtbl.iter
-    (fun _ (c : Sdfg.container) ->
-      if c.alloc_state = Some s.s_label && c.storage = Sdfg.Heap then
-        allocs := (c, List.map compile_expr c.shape) :: !allocs)
-    sdfg.containers;
-  let outs = Sdfg.out_edges sdfg s.s_label in
-  {
-    cs_label = s.s_label;
-    cs_allocs = List.rev !allocs;
-    cs_graph = compile_graph s.s_graph;
-    cs_branch = List.length outs > 1;
-    cs_edges =
-      List.map
-        (fun (e : Sdfg.istate_edge) ->
-          {
-            ce_src = e.ie_src;
-            ce_dst = e.ie_dst;
-            ce_cond = compile_bexpr e.ie_cond;
-            ce_assign =
-              List.map (fun (sym, ex) -> (sym, compile_expr ex)) e.ie_assign;
-          })
-        outs;
-  }
-
-let plan_state (pl : plan) (label : string) : cstate option =
-  match Hashtbl.find_opt pl.pl_states label with
-  | Some cs -> Some cs
-  | None -> (
-      match Sdfg.find_state pl.pl_sdfg label with
-      | None -> None
-      | Some s ->
-          let cs = compile_state pl.pl_sdfg s in
-          Hashtbl.replace pl.pl_states label cs;
-          Some cs)
-
-(* ------------------------------------------------------------------ *)
-(* Compiled execution. Mirrors exec_graph / exec_access_copies /
-   exec_tasklet / exec_map / exec_state step for step. *)
-
-let exec_ccopy (rt : runtime) (cc : ccopy) : unit =
-  let src_buf = buffer_of rt cc.cc_src in
-  let dst_buf = buffer_of rt cc.cc_dst in
-  let write_one dst_indices v =
-    let lin = linearize rt cc.cc_dst dst_indices in
-    match cc.cc_wcr with
-    | None -> Machine.store rt.machine dst_buf lin v
-    | Some w ->
-        let old_v = Machine.load rt.machine dst_buf lin in
-        Machine.store rt.machine dst_buf lin (apply_wcr rt w old_v v)
-  in
-  let src_dims = List.map (eval_crange rt) cc.cc_src_dims in
-  let dst_dims = List.map (eval_crange rt) cc.cc_dst_dims in
-  let single ds = List.for_all (fun (lo, hi, _) -> lo = hi) ds in
-  if single src_dims && single dst_dims then begin
-    let src_idx = List.map (fun (lo, _, _) -> lo) src_dims in
-    let dst_idx = List.map (fun (lo, _, _) -> lo) dst_dims in
-    let v = Machine.load rt.machine src_buf (linearize rt cc.cc_src src_idx) in
-    write_one dst_idx v
-  end
-  else begin
-    if List.length src_dims <> List.length dst_dims then
-      trap "copy %s -> %s: subset rank mismatch" cc.cc_src cc.cc_dst;
-    let rec iter src_prefix dst_prefix = function
-      | [] ->
-          let v =
-            Machine.load rt.machine src_buf
-              (linearize rt cc.cc_src (List.rev src_prefix))
-          in
-          write_one (List.rev dst_prefix) v
-      | ((lo, hi, step), (dlo, _, dstep)) :: rest ->
-          let i = ref lo and k = ref 0 in
-          while !i <= hi do
-            iter (!i :: src_prefix) ((dlo + (!k * dstep)) :: dst_prefix) rest;
-            i := !i + step;
-            incr k
-          done
-    in
-    iter [] [] (List.combine src_dims dst_dims)
-  end
-
-let rec exec_cgraph (rt : runtime) (g : cgraph) : unit =
-  charge_step rt;
-  Array.iter
-    (fun (cn : cnode) ->
-      match cn with
-      | CCopies copies -> List.iter (exec_ccopy rt) copies
-      | CTasklet ct -> exec_ctask rt ct
-      | CMap cm -> exec_cmap rt cm)
-    g
-
-and exec_ctask (rt : runtime) (ct : ctask) : unit =
-  match rt.profile with
-  | None -> exec_ctask_body rt ct
-  | Some _ ->
-      let snap = metric_snap rt in
-      exec_ctask_body rt ct;
-      profile_record rt snap ~kind:"tasklet" ~name:ct.ct_tname
-
-and exec_ctask_body (rt : runtime) (ct : ctask) : unit =
-  let nfills = Array.length ct.ct_fills in
-  let slots = Array.make nfills (Value.VInt 0) in
-  for i = 0 to nfills - 1 do
-    slots.(i) <- ct.ct_fills.(i) rt
-  done;
-  let vals =
-    match ct.ct_body with
-    | CNative assigns ->
-        let n = Array.length assigns in
-        let vals = Array.make n (Value.VInt 0) in
-        for i = 0 to n - 1 do
-          vals.(i) <- assigns.(i) rt slots
-        done;
-        vals
-    | COpaque co ->
-        Machine.charge rt.machine co.co_overhead;
-        let sym_args =
-          List.map
-            (fun s ->
-              match sym_env rt s with
-              | Some v -> Dcir_mlir.Interp.Scalar (Value.VInt v)
-              | None ->
-                  trap "opaque tasklet '%s': unbound symbol '%s'" co.co_tname s)
-            co.co_syms
-        in
-        let args =
-          List.map
-            (fun (a : coarg) ->
-              match a with
-              | COScalar i -> Dcir_mlir.Interp.Scalar slots.(i)
-              | COArray data ->
-                  Dcir_mlir.Interp.Buf
-                    { buf = buffer_of rt data; dims = dims_of rt data }
-              | COUnbound conn ->
-                  trap "opaque tasklet '%s': unbound connector '%s'"
-                    co.co_tname conn)
-            co.co_args
-        in
-        let prep =
-          match Hashtbl.find_opt rt.prepared co.co_nid with
-          | Some p -> p
-          | None ->
-              let p =
-                Dcir_mlir.Interp.prepare ?profile:rt.profile
-                  ~machine:rt.machine co.co_modul ~entry:co.co_entry
-              in
-              Hashtbl.replace rt.prepared co.co_nid p;
-              p
-        in
-        let results = Dcir_mlir.Interp.run_prepared prep (sym_args @ args) in
-        Array.of_list
-          (List.map2 (fun _ v -> v) (Array.to_list ct.ct_outkeys) results)
-  in
-  Array.iteri
-    (fun i key -> Hashtbl.replace rt.last_outputs key vals.(i))
-    ct.ct_outkeys;
-  Array.iter (fun w -> w rt vals) ct.ct_writes
-
-and exec_cmap (rt : runtime) (cm : cmap) : unit =
-  match cm.cm_par with
-  | Some cert when cm.cm_params <> [] ->
-      let dims = List.map (eval_crange rt) cm.cm_ranges in
-      exec_par_chunks rt cert ~params:cm.cm_params ~dims
-        ~body:(fun crt -> exec_cgraph crt cm.cm_body)
-  | Some _ | None -> exec_cmap_serial rt cm
-
-and exec_cmap_serial (rt : runtime) (cm : cmap) : unit =
-  let dims = List.map (eval_crange rt) cm.cm_ranges in
-  let saved =
-    List.map (fun p -> (p, Hashtbl.find_opt rt.symbols p)) cm.cm_params
-  in
-  let rec iter params dims =
-    match (params, dims) with
-    | [], [] -> exec_cgraph rt cm.cm_body
-    | p :: ps, (lo, hi, step) :: ds ->
-        let i = ref lo in
-        while !i <= hi do
-          Machine.charge_op rt.machine Int_alu;
-          Machine.charge_op rt.machine Branch;
-          Hashtbl.replace rt.symbols p !i;
-          iter ps ds;
-          i := !i + step
-        done
-    | _ -> trap "map params/ranges mismatch"
-  in
-  iter cm.cm_params dims;
-  List.iter
-    (fun (p, old) ->
-      match old with
-      | Some v -> Hashtbl.replace rt.symbols p v
-      | None -> Hashtbl.remove rt.symbols p)
-    saved
-
-let exec_cstate (rt : runtime) (cs : cstate) : unit =
-  List.iter
-    (fun ((c : Sdfg.container), cshape) ->
-      if c.alloc_in_loop || not (Hashtbl.mem rt.alloc_charged c.cname) then begin
-        Hashtbl.replace rt.alloc_charged c.cname ();
-        let bytes =
-          List.fold_left (fun acc cd -> acc * max 1 (ceval cd rt)) 1 cshape
-          * Sdfg.elem_bytes c
-        in
-        let pages = (bytes + 4095) / 4096 in
-        Machine.charge rt.machine
-          (rt.machine.cfg.malloc_cost
-          +. (rt.machine.cfg.malloc_per_page *. float_of_int pages)
-          +. if c.alloc_in_loop then rt.machine.cfg.free_cost else 0.0);
-        (Machine.metrics rt.machine).heap_allocs <-
-          (Machine.metrics rt.machine).heap_allocs + 1
-      end)
-    cs.cs_allocs;
-  exec_cgraph rt cs.cs_graph
-
-let run_compiled (rt : runtime) (pl : plan) : unit =
-  let machine = rt.machine in
-  let cur = ref (plan_state pl rt.sdfg.start_state) in
-  while !cur <> None do
-    (* each interstate transition is one budget step — the hang guard *)
-    charge_step rt;
-    let cs = Option.get !cur in
-    let snap = metric_snap rt in
-    exec_cstate rt cs;
-    if cs.cs_branch then Machine.charge_op machine Branch;
-    let taken =
-      List.find_opt
-        (fun (e : cedge) ->
-          match e.ce_cond rt with
-          | v -> v
-          | exception Expr.Unbound_symbol sym ->
-              trap "condition on edge %s->%s reads unbound symbol '%s'"
-                e.ce_src e.ce_dst sym)
-        cs.cs_edges
-    in
-    let next =
-      match taken with
-      | None -> None
-      | Some e ->
-          (* Evaluate all RHS with pre-assignment values, then commit. *)
-          let values =
-            List.map
-              (fun (sym, cex) ->
-                Machine.charge_op machine Int_alu;
-                (sym, ceval cex rt))
-              e.ce_assign
-          in
-          List.iter (fun (sym, v) -> Hashtbl.replace rt.symbols sym v) values;
-          plan_state pl e.ce_dst
-    in
-    profile_record rt snap ~kind:"state" ~name:cs.cs_label;
-    cur := next
-  done
-
-(* ------------------------------------------------------------------ *)
 
 type result = {
   return_value : Value.t option;
@@ -1645,13 +939,12 @@ type result = {
     (sizes and promoted scalar parameters). [profile] attributes
     cycles/loads/stores per state — including the state's outgoing
     transition costs, so the per-state entries partition the run's total —
-    and per tasklet (inclusive). [mode] selects tree-walking or compiled
-    execution plans (the default); both charge the machine identically.
-    [plan] supplies a pre-compiled (or cached, reusable across runs) plan
-    for this SDFG; ignored in tree mode. *)
+    and per tasklet (inclusive). [exec] walks the state machine over the
+    prepared runtime; it defaults to the tree walker, and the bytecode
+    tier passes its VM, which charges the machine identically. *)
 let run ?(machine : Machine.t option)
-    ?(profile : Dcir_obs.Obs.Profile.t option) ?(mode : mode = Compiled)
-    ?(plan : plan option) ?(jobs : int = 1) (sdfg : Sdfg.t)
+    ?(profile : Dcir_obs.Obs.Profile.t option) ?(jobs : int = 1)
+    ?(exec : runtime -> unit = run_tree) (sdfg : Sdfg.t)
     ~(buffers : (string * Machine.buffer * int array) list)
     ~(symbols : (string * int) list) () : result =
   let machine = match machine with Some m -> m | None -> Machine.create () in
@@ -1684,15 +977,7 @@ let run ?(machine : Machine.t option)
       if (not c.transient) && not (Hashtbl.mem rt.buffers name) then
         trap "missing buffer for argument '%s'" name)
     sdfg.containers;
-  (match mode with
-  | Tree -> run_tree rt
-  | Compiled ->
-      let pl =
-        match plan with
-        | Some p when p.pl_sdfg == sdfg -> p
-        | _ -> compile_plan sdfg
-      in
-      run_compiled rt pl);
+  exec rt;
   let return_value =
     match (sdfg.return_scalar, sdfg.return_expr) with
     | Some name, _ -> Some (Machine.peek (buffer_of rt name) 0)

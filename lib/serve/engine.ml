@@ -50,18 +50,12 @@ type config = {
   cfg_chaos : (id:string -> attempt:int -> Chaos.plan option) option;
       (** fault plans keyed by (request, attempt) — deterministic and
           position-independent, preserving tenant isolation *)
-  cfg_interp : Pipelines.interp_mode;
-      (** execution tier for run requests; [`Adaptive] journals each
-          tier choice as [EXEC-TIER] events and stays deterministic —
-          the tier-up registry is reset with the artifact stores, so the
-          same request sequence replays byte-identically *)
+  cfg_interp : Pipelines.interp_mode;  (** execution tier for run requests *)
   cfg_workers : int;
       (** worker domains; 1 = in-process sequential drain. Any N
           produces the same journal entries, responses and store
           telemetry as N = 1 — the worker count itself is recorded in
-          the config header so journals are self-describing.
-          [`Adaptive] interp mode forces the sequential drain (the
-          tier-up registry is commit-order state). *)
+          the config header so journals are self-describing. *)
   cfg_watchdog : int option;
       (** budget-step watchdog: caps any single attempt's step spend
           below the tenant's remaining quota, so one runaway request
@@ -100,11 +94,7 @@ let config_fields (c : config) : (string * Json.t) list =
       match c.cfg_deadline with Some d -> Json.Int d | None -> Json.Null );
     ( "interp",
       Json.Str
-        (match c.cfg_interp with
-        | `Tree -> "tree"
-        | `Compiled -> "compiled"
-        | `Bytecode -> "bytecode"
-        | `Adaptive -> "adaptive") );
+        (match c.cfg_interp with `Tree -> "tree" | `Compiled -> "compiled") );
     ("workers", Json.Int c.cfg_workers);
     ( "watchdog",
       match c.cfg_watchdog with Some w -> Json.Int w | None -> Json.Null );
@@ -358,9 +348,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
     requests;
 
   (* ---- drain phase ------------------------------------------------ *)
-  (* [`Adaptive] keeps the sequential drain: the tier-up registry is
-     commit-order global state that workers cannot run ahead of. *)
-  let use_pool = config.cfg_workers > 1 && config.cfg_interp <> `Adaptive in
+  let use_pool = config.cfg_workers > 1 in
   let memo_mutex = Mutex.create () in
   let memo : (string, coalesced) Hashtbl.t = Hashtbl.create 16 in
   let coalesced_count = Atomic.make 0 in
@@ -568,7 +556,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                   | _ -> ());
                   match rq.Request.rq_op with
                   | Request.Compile ->
-                      (* Warm the plan store: the artifact digest is the
+                      (* Warm the program store: the artifact digest is the
                          store key, so a later run of the same program
                          hits. Invisible to the tenant — the compile was
                          already paid for above either way. *)
@@ -617,18 +605,12 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
           | Ok (report, result, digest) ->
               let landed = Pipelines.tier_name report.Pipelines.res_landed in
               add "SRV-DONE"
-                ([
-                   ("id", Json.Str id);
-                   ("tenant", Json.Str tn_name);
-                   ("tier", Json.Str landed);
-                   ("attempts", Json.Int job.jb_attempts);
-                 ]
-                @
-                (* Which execution tier actually ran (run requests only) —
-                   under [`Adaptive] this is the journaled tier choice. *)
-                match result with
-                | Some r -> [ ("exec", Json.Str r.Pipelines.exec_tier) ]
-                | None -> []);
+                [
+                  ("id", Json.Str id);
+                  ("tenant", Json.Str tn_name);
+                  ("tier", Json.Str landed);
+                  ("attempts", Json.Int job.jb_attempts);
+                ];
               let before, after = Tenant.record_outcome tenant ~ok:true in
               breaker_transition before after;
               fin

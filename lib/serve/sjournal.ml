@@ -1,4 +1,4 @@
-(** Serve response journal (JSON schema [dcir-serve-journal/1]).
+(** Serve response journal (JSON schema [dcir-serve-journal/2]).
 
     The journal is the serving engine's complete, replayable decision
     record: one sequenced entry per admission-control and scheduling
@@ -89,7 +89,7 @@ let entry_json (e : entry) : Json.t =
 let count_status (responses : response list) (s : status) : int =
   List.length (List.filter (fun r -> r.rs_status = s) responses)
 
-(** The [dcir-serve-journal/1] document. [config] fields are spliced
+(** The [dcir-serve-journal/2] document. [config] fields are spliced
     into the header (queue capacity, breaker thresholds, ...);
     [plan_cache] is the store telemetry delta for this serve run. *)
 let to_json ~(seed : int) ~(config : (string * Json.t) list)
@@ -102,7 +102,7 @@ let to_json ~(seed : int) ~(config : (string * Json.t) list)
   in
   Json.Obj
     [
-      ("schema", Json.Str "dcir-serve-journal/1");
+      ("schema", Json.Str "dcir-serve-journal/2");
       ("seed", Json.Int seed);
       ("config", Json.Obj config);
       ("entries", Json.List (List.map entry_json (entries t)));

@@ -1,10 +1,12 @@
-(** Tests for compiled execution plans and the interpreter hot-path fixes.
+(** Tests for the compiled execution tier and the interpreter hot-path
+    fixes.
 
-    The compiled plans ({!Dcir_sdfg.Interp} [~mode:Compiled],
-    {!Dcir_mlir.Interp} likewise) must be {e observably indistinguishable}
-    from the tree walkers: same outputs, same traps, and bit-identical
-    machine metrics — the cost model is the paper's measurement apparatus,
-    so a plan that changes cycle counts silently corrupts every figure.
+    The compiled tier (the bytecode VM of {!Dcir_bytecode} for SDFGs,
+    {!Dcir_mlir.Interp} [~mode:Compiled] for MLIR) must be {e observably
+    indistinguishable} from the tree walkers: same outputs, same traps,
+    and bit-identical machine metrics — the cost model is the paper's
+    measurement apparatus, so a tier that changes cycle counts silently
+    corrupts every figure.
     These tests pin that contract on hand-built SDFGs, on the full
     fixed-seed fuzz corpus, and on a Polybench subset, alongside the
     hot-path bug sweep: symbol reads of scalar containers must charge a
@@ -46,7 +48,7 @@ let metrics_equal (a : Metrics.t) (b : Metrics.t) : bool =
 
 let check_metrics_equal label (a : Metrics.t) (b : Metrics.t) =
   if not (metrics_equal a b) then
-    Alcotest.failf "%s: tree and compiled metrics differ\ntree:\n%a\ncompiled:\n%a"
+    Alcotest.failf "%s: tree and bytecode metrics differ\ntree:\n%a\nbytecode:\n%a"
       label Metrics.pp a Metrics.pp b
 
 let results_identical (a : Pipelines.run_result) (b : Pipelines.run_result) :
@@ -63,6 +65,18 @@ let results_identical (a : Pipelines.run_result) (b : Pipelines.run_result) :
          && Array.for_all2 Value.equal x y)
        a.outputs b.outputs
   && metrics_equal a.metrics b.metrics
+
+(* The two SDFG tiers on a hand-built SDFG: the tree walker, and the
+   bytecode VM over the lowered program. *)
+type tier = Tree | Bytecode
+
+let run_tier (tier : tier) ~(machine : Machine.t) (sdfg : Sdfg.t)
+    ~(buffers : (string * Machine.buffer * int array) list) : Interp.result =
+  match tier with
+  | Tree -> Interp.run ~machine sdfg ~buffers ~symbols:[] ()
+  | Bytecode ->
+      Dcir_bytecode.Vm.run ~machine (Dcir_bytecode.Lower.lower sdfg) ~buffers
+        ~symbols:[] ()
 
 (* ------------------------------------------------------------------ *)
 (* Symbol reads of scalar containers charge a load *)
@@ -83,25 +97,22 @@ let symenv_sdfg () : Sdfg.t =
   sdfg.start_state <- "init";
   sdfg
 
-let run_symenv (mode : Interp.mode) : Metrics.t =
+let run_symenv (tier : tier) : Metrics.t =
   let machine = Machine.create () in
   let n =
     Machine.alloc machine ~storage:Machine.Heap ~elems:1 ~elem_bytes:8
       ~zero_init:(Value.VInt 0)
   in
   Machine.poke n 0 (Value.VInt 5);
-  let _ =
-    Interp.run ~machine ~mode (symenv_sdfg ()) ~buffers:[ ("n", n, [||]) ]
-      ~symbols:[] ()
-  in
+  ignore (run_tier tier ~machine (symenv_sdfg ()) ~buffers:[ ("n", n, [||]) ]);
   Machine.metrics machine
 
 let test_symenv_scalar_load () =
-  let mt = run_symenv Interp.Tree in
+  let mt = run_symenv Tree in
   Alcotest.(check int) "scalar-container symbol read goes through the cache" 1
     mt.loads;
   Alcotest.(check bool) "load charged cycles" true (mt.cycles > 0.0);
-  check_metrics_equal "symenv" mt (run_symenv Interp.Compiled)
+  check_metrics_equal "symenv" mt (run_symenv Bytecode)
 
 (* ------------------------------------------------------------------ *)
 (* SDFG construction stays linear in the number of states *)
@@ -127,20 +138,20 @@ let test_construction_scale () =
   Alcotest.(check int) "all states present" n (List.length (Sdfg.states sdfg));
   Alcotest.(check bool) "find_state hits the last state" true
     (Sdfg.find_state sdfg (label (n - 1)) <> None);
-  (* And the whole chain executes identically in both modes. *)
-  let run mode =
+  (* And the whole chain executes identically in both tiers. *)
+  let run tier =
     let machine = Machine.create () in
-    ignore (Interp.run ~machine ~mode sdfg ~buffers:[] ~symbols:[] ());
+    ignore (run_tier tier ~machine sdfg ~buffers:[]);
     Machine.metrics machine
   in
-  check_metrics_equal "10k-state chain" (run Interp.Tree) (run Interp.Compiled)
+  check_metrics_equal "10k-state chain" (run Tree) (run Bytecode)
 
 (* ------------------------------------------------------------------ *)
 (* float->int casts: truncation toward zero, trap on NaN/inf *)
 
 let cast_src = "int kernel_cast(double x) {\n  return (int)x;\n}\n"
 let cast_kinds = [ Pipelines.Mlir; Pipelines.Dcir ]
-let modes : Pipelines.interp_mode list = [ `Tree; `Compiled; `Bytecode ]
+let modes : Pipelines.interp_mode list = [ `Tree; `Compiled ]
 
 let run_cast kind mode (x : float) : Pipelines.run_result =
   let compiled =
@@ -257,7 +268,7 @@ let test_float_mod_semantics () =
   Alcotest.(check bool) "fmod propagates nan" true
     (Value.equal (sdfg_fbin Texpr.BMod 3.0 Float.nan) (Value.VFloat Float.nan))
 
-(* Tasklet-level: the same ops through whole-SDFG execution, both modes. *)
+(* Tasklet-level: the same ops through whole-SDFG execution, both tiers. *)
 let fbin_sdfg () : Sdfg.t =
   let sdfg = Sdfg.create "fbin" in
   List.iter
@@ -294,7 +305,7 @@ let test_float_binops_tasklet_parity () =
   let sdfg = fbin_sdfg () in
   List.iter
     (fun (a, b) ->
-      let run mode =
+      let run tier =
         let machine = Machine.create () in
         let scalar v =
           let buf =
@@ -308,14 +319,14 @@ let test_float_binops_tasklet_parity () =
           [ ("a", scalar a, [||]); ("b", scalar b, [||]); ("m", scalar 0.0, [||]);
             ("lo", scalar 0.0, [||]); ("hi", scalar 0.0, [||]) ]
         in
-        ignore (Interp.run ~machine ~mode sdfg ~buffers:bufs ~symbols:[] ());
+        ignore (run_tier tier ~machine sdfg ~buffers:bufs);
         let out name =
           let _, buf, _ = List.find (fun (n, _, _) -> n = name) bufs in
           Machine.peek buf 0
         in
         ((out "m", out "lo", out "hi"), Machine.metrics machine)
       in
-      let (vt, mt) = run Interp.Tree and (vc, mc) = run Interp.Compiled in
+      let (vt, mt) = run Tree and (vc, mc) = run Bytecode in
       let m1, lo1, hi1 = vt and m2, lo2, hi2 = vc in
       Alcotest.(check bool)
         (Printf.sprintf "tasklet outputs identical for (%g, %g)" a b)
@@ -325,8 +336,8 @@ let test_float_binops_tasklet_parity () =
     fbin_operands
 
 (* ------------------------------------------------------------------ *)
-(* Three-way differential (tree / plan / bytecode): fuzz corpus,
-   Polybench subset, and trap-timing shapes *)
+(* Two-way differential (tree / compiled): fuzz corpus, Polybench subset,
+   and trap-timing shapes *)
 
 let run_outcome compiled ~entry args (mode : Pipelines.interp_mode) :
     (Pipelines.run_result, string) result =
@@ -335,59 +346,54 @@ let run_outcome compiled ~entry args (mode : Pipelines.interp_mode) :
   | exception Dcir_sdfg.Interp.Trap m -> Error m
   | exception Dcir_mlir.Interp.Trap m -> Error m
 
-let check_plan_differential ~label kind ~src ~entry args =
+let check_tier_differential ~label kind ~src ~entry args =
   let compiled = Pipelines.compile kind ~src ~entry in
   let rt = run_outcome compiled ~entry args `Tree in
   let rc = run_outcome compiled ~entry args `Compiled in
-  let rb = run_outcome compiled ~entry args `Bytecode in
-  let agree a b =
-    match (a, b) with
+  let agree =
+    match (rt, rc) with
     | Ok x, Ok y -> results_identical x y
     | Error x, Error y -> String.equal x y
     | _ -> false
   in
-  if not (agree rt rc) then
+  if not agree then
     Alcotest.failf
-      "%s: compiled plan diverged from tree walker (outputs, trap, or metrics)"
-      label;
-  if not (agree rt rb) then
-    Alcotest.failf
-      "%s: bytecode diverged from tree walker (outputs, trap, or metrics)"
+      "%s: compiled tier diverged from tree walker (outputs, trap, or metrics)"
       label
 
-let test_fuzz_plan_differential () =
+let test_fuzz_tier_differential () =
   (* Same corpus as the CI fuzz campaign: seed 42, 100 programs. Every
      case must execute identically — outputs AND machine metrics — under
-     tree walking and compiled plans. The SDFG-native pipeline runs for
+     tree walking and the compiled tier. The SDFG-native pipeline runs for
      every case; the opaque-tasklet pipeline (dace) on every tenth. *)
   let seed = 42 and count = 100 in
   for i = 0 to count - 1 do
     let case = Dcir_fuzz.Gen.generate (Dcir_fuzz.Rng.derive seed i) in
     let args = case.args () in
-    check_plan_differential
+    check_tier_differential
       ~label:(Printf.sprintf "fuzz case %d (seed %d) dcir" i case.seed)
       Pipelines.Dcir ~src:case.src ~entry:case.entry args;
     if i mod 10 = 0 then
-      check_plan_differential
+      check_tier_differential
         ~label:(Printf.sprintf "fuzz case %d (seed %d) dace" i case.seed)
         Pipelines.Dace ~src:case.src ~entry:case.entry args
   done
 
-let test_polybench_plan_differential () =
+let test_polybench_tier_differential () =
   let open Dcir_workloads in
   List.iter
     (fun (w : Workload.t) ->
       List.iter
         (fun kind ->
-          check_plan_differential
+          check_tier_differential
             ~label:(w.name ^ " " ^ Pipelines.kind_name kind)
             kind ~src:w.src ~entry:w.entry (w.args ()))
         [ Pipelines.Dcir; Pipelines.Dace ])
     [ Polybench.gesummv; Polybench.trisolv; Polybench.jacobi_1d ]
 
-(* Trap-timing parity on the shapes from test_trapsafe.ml: all three
-   tiers must trap at the same point (or not at all) with the same
-   message, and agree bit-for-bit when they finish. *)
+(* Trap-timing parity on the shapes from test_trapsafe.ml: both tiers
+   must trap at the same point (or not at all) with the same message, and
+   agree bit-for-bit when they finish. *)
 let test_bytecode_trap_timing () =
   let zero_trip =
     {|
@@ -400,7 +406,7 @@ int f(int n, int d) {
   in
   List.iter
     (fun (what, args) ->
-      check_plan_differential
+      check_tier_differential
         ~label:("trap-timing " ^ what)
         Pipelines.Dcir ~src:zero_trip ~entry:"f" args)
     [
@@ -419,12 +425,100 @@ int g(int a, int d) {
   in
   List.iter
     (fun (what, args) ->
-      check_plan_differential
+      check_tier_differential
         ~label:("trap-timing " ^ what)
         Pipelines.Dcir ~src:rem ~entry:"g" args)
     [
       ("rem-zero", [ Pipelines.AInt 7; Pipelines.AInt 0 ]);
       ("rem-ok", [ Pipelines.AInt 7; Pipelines.AInt 3 ]);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Lazy failure timing: a malformed dataflow graph raises only when
+   execution reaches it — the tree walker sorts a graph when it first
+   executes it, and the lowering defers the same exception to the same
+   point as a [Reraise]. *)
+
+type cycle_at = Start_state | Later_state | Map_body
+
+let cyclic_sdfg (at : cycle_at) : Sdfg.t =
+  let sdfg = Sdfg.create "lazy" in
+  ignore
+    (Sdfg.add_container sdfg ~transient:false ~dtype:Sdfg.DInt ~shape:[] "out");
+  List.iter
+    (fun n ->
+      ignore (Sdfg.add_container sdfg ~dtype:Sdfg.DInt ~shape:[] n))
+    [ "a"; "b" ];
+  sdfg.param_order <- [ "out" ];
+  let cycle (g : Sdfg.graph) =
+    let a = Sdfg.add_node g (Sdfg.Access "a") in
+    let b = Sdfg.add_node g (Sdfg.Access "b") in
+    ignore (Sdfg.add_edge g ~memlet:(memlet "a" []) a b);
+    ignore (Sdfg.add_edge g ~memlet:(memlet "b" []) b a)
+  in
+  (* A well-formed state storing 7 to [out]; with [Map_body] it then runs
+     a one-iteration map whose body is cyclic. *)
+  let store = Sdfg.add_state sdfg "store" in
+  let g = store.s_graph in
+  let t =
+    Sdfg.add_node g
+      (Sdfg.TaskletN (mk_tasklet "seven" [] [ "_o" ] [ ("_o", Texpr.TInt 7) ]))
+  in
+  let out = Sdfg.add_node g (Sdfg.Access "out") in
+  ignore (Sdfg.add_edge g ~src_conn:"_o" ~memlet:(memlet "out" []) t out);
+  if at = Map_body then begin
+    let body = Sdfg.new_graph () in
+    cycle body;
+    let map =
+      Sdfg.add_node g
+        (Sdfg.MapN
+           {
+             m_params = [ "i" ];
+             m_ranges = [ Range.index Expr.zero ];
+             m_body = body;
+             m_par = None;
+           })
+    in
+    (* orders the map after the store *)
+    ignore (Sdfg.add_edge g ~memlet:(memlet "out" []) out map)
+  end
+  else begin
+    cycle (Sdfg.add_state sdfg "cycle").s_graph;
+    let first, second =
+      if at = Start_state then ("cycle", "store") else ("store", "cycle")
+    in
+    Sdfg.add_istate_edge sdfg ~src:first ~dst:second ();
+    sdfg.start_state <- first
+  end;
+  sdfg
+
+let test_lazy_failure_timing () =
+  List.iter
+    (fun (at, what) ->
+      let sdfg = cyclic_sdfg at in
+      let outcome tier =
+        let machine = Machine.create () in
+        let out =
+          Machine.alloc machine ~storage:Machine.Heap ~elems:1 ~elem_bytes:8
+            ~zero_init:(Value.VInt 0)
+        in
+        match run_tier tier ~machine sdfg ~buffers:[ ("out", out, [||]) ] with
+        | _ -> Alcotest.failf "%s: expected the cyclic graph to raise" what
+        | exception e ->
+            (Printexc.to_string e, Machine.metrics machine, Machine.peek out 0)
+      in
+      let et, mt, vt = outcome Tree and eb, mb, vb = outcome Bytecode in
+      Alcotest.(check string) (what ^ ": same exception") et eb;
+      check_metrics_equal what mt mb;
+      let stored = Value.VInt (if at = Start_state then 0 else 7) in
+      Alcotest.(check bool)
+        (what ^ ": the store before the cycle ran in both tiers")
+        true
+        (Value.equal vt vb && Value.equal vt stored))
+    [
+      (Start_state, "cyclic start state");
+      (Later_state, "cyclic later state");
+      (Map_body, "cyclic map body");
     ]
 
 let suite =
@@ -445,8 +539,10 @@ let suite =
         test_float_binops_tasklet_parity;
       Alcotest.test_case "bytecode trap-timing parity" `Quick
         test_bytecode_trap_timing;
+      Alcotest.test_case "lazy failure timing of malformed graphs" `Quick
+        test_lazy_failure_timing;
       Alcotest.test_case "fuzz corpus plan-vs-tree differential" `Slow
-        test_fuzz_plan_differential;
+        test_fuzz_tier_differential;
       Alcotest.test_case "polybench plan-vs-tree metric equality" `Slow
-        test_polybench_plan_differential;
+        test_polybench_tier_differential;
     ] )

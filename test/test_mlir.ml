@@ -185,6 +185,27 @@ let test_interp_trap_on_unknown () =
        false
      with Interp.Trap _ -> true)
 
+(* Serve pool workers build IR on several domains at once; SSA value and
+   op ids must stay unique across them (a plain shared counter lets two
+   domains mint the same id). *)
+let test_ids_distinct_across_domains () =
+  let n = 100_000 in
+  let mint () =
+    Array.init n (fun _ ->
+        let v = Ir.new_value Types.I64 in
+        let o = Ir.new_op "test.op" in
+        (v.Ir.vid, o.Ir.oid))
+  in
+  let d1 = Domain.spawn mint and d2 = Domain.spawn mint in
+  let ids = Array.append (Domain.join d1) (Domain.join d2) in
+  let distinct proj =
+    let seen = Hashtbl.create (2 * n) in
+    Array.iter (fun x -> Hashtbl.replace seen (proj x) ()) ids;
+    Hashtbl.length seen
+  in
+  Alcotest.(check int) "value ids distinct" (2 * n) (distinct fst);
+  Alcotest.(check int) "op ids distinct" (2 * n) (distinct snd)
+
 let suite =
   ( "mlir",
     [
@@ -198,4 +219,6 @@ let suite =
       Alcotest.test_case "replace uses" `Quick test_replace_uses;
       Alcotest.test_case "interp: scf.if + math" `Quick test_interp_if_and_math;
       Alcotest.test_case "interp: unknown op traps" `Quick test_interp_trap_on_unknown;
+      Alcotest.test_case "ids distinct across domains" `Quick
+        test_ids_distinct_across_domains;
     ] )

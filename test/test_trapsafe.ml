@@ -73,11 +73,7 @@ let assert_parity ?(kinds = all_kinds) ~(what : string) ~(src : string)
           let o = run_opt mode kind ~src ~entry args in
           let label =
             Printf.sprintf "%s [%s, %s]" what kname
-              (match mode with
-              | `Tree -> "tree"
-              | `Compiled -> "compiled"
-              | `Bytecode -> "bytecode"
-              | `Adaptive -> "adaptive")
+              (match mode with `Tree -> "tree" | `Compiled -> "compiled")
           in
           match (reference, o) with
           | Trapped, Trapped -> ()
@@ -90,7 +86,7 @@ let assert_parity ?(kinds = all_kinds) ~(what : string) ~(src : string)
               Alcotest.failf "%s: reference %s but pipeline %s" label
                 (outcome_name a) (outcome_name b))
         kinds)
-    [ `Tree; `Compiled; `Bytecode; `Adaptive ]
+    [ `Tree; `Compiled ]
 
 (* A division inside a loop that runs zero times must not trap after
    optimization (pre-fix LICM hoisted it into the preheader). *)
