@@ -17,12 +17,16 @@
 
 open Dcir_sdfg
 
-let eliminated_counter = ref 0
+(* Domain-local: [Driver.optimize] reads it as a before/after delta, so
+   compiles running on two domains must not see each other's counts. *)
+let eliminated_counter : int ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref 0)
 
-(* Usefulness analysis over one SDFG. *)
-let compute_useful (sdfg : Sdfg.t) : (string, unit) Hashtbl.t =
+(* Usefulness analysis over one SDFG, given its symbolically referenced
+   containers. *)
+let compute_useful (sdfg : Sdfg.t) (referenced : (string, unit) Hashtbl.t) :
+    (string, unit) Hashtbl.t =
   let useful : (string, unit) Hashtbl.t = Hashtbl.create 32 in
-  let referenced = Graph_util.symbolically_referenced sdfg in
   Hashtbl.iter
     (fun name (c : Sdfg.container) ->
       if not c.transient then Hashtbl.replace useful name ())
@@ -31,99 +35,146 @@ let compute_useful (sdfg : Sdfg.t) : (string, unit) Hashtbl.t =
   (match sdfg.return_scalar with
   | Some r -> Hashtbl.replace useful r ()
   | None -> ());
-  (* Node-level usefulness per graph, re-evaluated to a global fixpoint. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let mark name =
-      if not (Hashtbl.mem useful name) then begin
-        Hashtbl.replace useful name ();
-        changed := true
+  (* Node-level usefulness per graph, re-evaluated to a global fixpoint. A
+     state's outcome depends on [useful] only through the containers it
+     holds access nodes of, so a newly useful container re-evaluates just
+     those states; any order reaches the same least fixpoint. *)
+  let index = Graph_util.access_index sdfg in
+  let states = index.ai_states in
+  let dirty = Array.make (Array.length states) true in
+  let pending = ref true in
+  let mark name =
+    if not (Hashtbl.mem useful name) then begin
+      Hashtbl.replace useful name ();
+      List.iter
+        (fun i ->
+          dirty.(i) <- true;
+          pending := true)
+        (Graph_util.access_positions index name)
+    end
+  in
+  let rec process (g : Sdfg.graph) =
+    let node = Graph_util.node_lookup g in
+    (* Useful nodes: writers into useful containers and maps whose body
+       writes one, then backwards along value edges (memlet-free, into a
+       connector) from every useful consumer. *)
+    let node_useful : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+    let work = Queue.create () in
+    let add nid =
+      if not (Hashtbl.mem node_useful nid) then begin
+        Hashtbl.replace node_useful nid ();
+        Queue.push nid work
       end
     in
-    let rec process (g : Sdfg.graph) =
-      (* Per-graph node usefulness fixpoint (value-edge chains). *)
-      let node_useful : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-      let local_changed = ref true in
-      while !local_changed do
-        local_changed := false;
-        List.iter
-          (fun (e : Sdfg.edge) ->
-            let dst = Sdfg.node_by_id g e.e_dst in
-            let writes_useful =
-              match (dst.kind, e.e_memlet) with
-              | Sdfg.Access n, Some _ -> Hashtbl.mem useful n
-              | _, None -> (
-                  (* value or dependency edge: usefulness flows from a
-                     useful consumer node only for value edges *)
-                  match e.e_dst_conn with
-                  | Some _ -> Hashtbl.mem node_useful dst.nid
-                  | None -> false)
-              | _ -> false
-            in
-            if writes_useful && not (Hashtbl.mem node_useful e.e_src) then begin
-              Hashtbl.replace node_useful e.e_src ();
-              local_changed := true
-            end)
-          (Sdfg.edges g);
-        (* Maps: useful if their body writes a useful container. *)
-        List.iter
-          (fun (n : Sdfg.node) ->
-            match n.kind with
-            | Sdfg.MapN mn
-              when (not (Hashtbl.mem node_useful n.nid))
-                   && List.exists (Hashtbl.mem useful)
-                        (Sdfg.written_containers mn.m_body) ->
-                Hashtbl.replace node_useful n.nid ();
-                local_changed := true
-            | _ -> ())
-          (Sdfg.nodes g)
-      done;
-      (* Everything a useful node reads is a useful container. *)
-      List.iter
-        (fun (e : Sdfg.edge) ->
-          match ((Sdfg.node_by_id g e.e_src).kind, e.e_memlet) with
-          | Sdfg.Access n, Some _ when Hashtbl.mem node_useful e.e_dst ->
-              mark n
-          | _ -> ())
-        (Sdfg.edges g);
-      (* Copies into useful containers read their source. *)
-      List.iter
-        (fun (e : Sdfg.edge) ->
-          match
-            ((Sdfg.node_by_id g e.e_src).kind, (Sdfg.node_by_id g e.e_dst).kind,
-             e.e_memlet)
-          with
-          | Sdfg.Access src, Sdfg.Access dst, Some _
-            when Hashtbl.mem useful dst ->
-              mark src
-          | _ -> ())
-        (Sdfg.edges g);
-      List.iter
-        (fun (n : Sdfg.node) ->
-          match n.kind with
-          | Sdfg.MapN mn ->
-              if List.exists (Hashtbl.mem useful) (Sdfg.written_containers mn.m_body)
-              then
-                List.iter mark (Sdfg.read_containers mn.m_body);
-              process mn.m_body
-          | _ -> ())
-        (Sdfg.nodes g)
-    in
-    List.iter (fun (st : Sdfg.state) -> process st.s_graph) (Sdfg.states sdfg)
+    let value_sources : (int, int) Hashtbl.t = Hashtbl.create 16 in
+    List.iter
+      (fun (e : Sdfg.edge) ->
+        match ((node e.e_dst).kind, e.e_memlet) with
+        | Sdfg.Access n, Some _ -> if Hashtbl.mem useful n then add e.e_src
+        | _, None ->
+            if e.e_dst_conn <> None then
+              Hashtbl.add value_sources e.e_dst e.e_src
+        | _ -> ())
+      (Sdfg.edges g);
+    List.iter
+      (fun (n : Sdfg.node) ->
+        match n.kind with
+        | Sdfg.MapN mn
+          when List.exists (Hashtbl.mem useful)
+                 (Sdfg.written_containers mn.m_body) ->
+            add n.nid
+        | _ -> ())
+      (Sdfg.nodes g);
+    while not (Queue.is_empty work) do
+      List.iter add (Hashtbl.find_all value_sources (Queue.pop work))
+    done;
+    (* Everything a useful node reads is a useful container. *)
+    List.iter
+      (fun (e : Sdfg.edge) ->
+        match ((node e.e_src).kind, e.e_memlet) with
+        | Sdfg.Access n, Some _ when Hashtbl.mem node_useful e.e_dst -> mark n
+        | _ -> ())
+      (Sdfg.edges g);
+    (* Copies into useful containers read their source. *)
+    List.iter
+      (fun (e : Sdfg.edge) ->
+        match ((node e.e_src).kind, (node e.e_dst).kind, e.e_memlet) with
+        | Sdfg.Access src, Sdfg.Access dst, Some _ when Hashtbl.mem useful dst
+          ->
+            mark src
+        | _ -> ())
+      (Sdfg.edges g);
+    List.iter
+      (fun (n : Sdfg.node) ->
+        match n.kind with
+        | Sdfg.MapN mn ->
+            if
+              List.exists (Hashtbl.mem useful)
+                (Sdfg.written_containers mn.m_body)
+            then List.iter mark (Sdfg.read_containers mn.m_body);
+            process mn.m_body
+        | _ -> ())
+      (Sdfg.nodes g)
+  in
+  while !pending do
+    pending := false;
+    Array.iteri
+      (fun i (st : Sdfg.state) ->
+        if dirty.(i) then begin
+          dirty.(i) <- false;
+          process st.s_graph
+        end)
+      states
   done;
   useful
+
+(* Every container with a reader or a writer edge anywhere, in one scan:
+   both kinds of edge touch an access node of the container. *)
+let accessed_containers (sdfg : Sdfg.t) : (string, unit) Hashtbl.t =
+  let acc = Hashtbl.create 64 in
+  let rec visit (g : Sdfg.graph) =
+    let node = Graph_util.node_lookup g in
+    List.iter
+      (fun (e : Sdfg.edge) ->
+        List.iter
+          (fun nid ->
+            match (node nid).kind with
+            | Sdfg.Access n
+              when Graph_util.writes_into node n e
+                   || Graph_util.reads_from node n e ->
+                Hashtbl.replace acc n ()
+            | _ -> ())
+          [ e.e_dst; e.e_src ])
+      (Sdfg.edges g);
+    List.iter
+      (fun (n : Sdfg.node) ->
+        match n.kind with Sdfg.MapN mn -> visit mn.m_body | _ -> ())
+      (Sdfg.nodes g)
+  in
+  List.iter (fun (st : Sdfg.state) -> visit st.s_graph) (Sdfg.states sdfg);
+  acc
 
 let run (sdfg : Sdfg.t) : bool =
   let changed = ref false in
   let progress = ref true in
+  (* The symbolically referenced containers, recomputed only after a step
+     that edited the SDFG since the last computation. *)
+  let referenced = ref (Hashtbl.create 0) and stale = ref true in
+  let refresh () =
+    if !stale then begin
+      referenced := Graph_util.symbolically_referenced sdfg;
+      stale := false
+    end
+  in
   while !progress do
     progress := false;
-    let useful = compute_useful sdfg in
+    refresh ();
+    let useful = compute_useful sdfg !referenced in
     (* Remove writes into useless containers, then useless computations. *)
     let rec clean (g : Sdfg.graph) =
+      let node = Graph_util.node_lookup g in
       let dead_write (e : Sdfg.edge) : bool =
-        match ((Sdfg.node_by_id g e.e_dst).kind, e.e_memlet) with
+        match ((node e.e_dst).kind, e.e_memlet) with
         | Sdfg.Access name, Some _ -> not (Hashtbl.mem useful name)
         | _ -> false
       in
@@ -141,11 +192,15 @@ let run (sdfg : Sdfg.t) : bool =
       let continue_ = ref true in
       while !continue_ do
         continue_ := false;
+        let sources = Hashtbl.create 64 in
+        List.iter
+          (fun (e : Sdfg.edge) -> Hashtbl.replace sources e.e_src ())
+          (Sdfg.edges g);
         let dead_nodes =
           List.filter
             (fun (n : Sdfg.node) ->
               match n.kind with
-              | Sdfg.TaskletN _ -> Sdfg.node_out_edges g n = []
+              | Sdfg.TaskletN _ -> not (Hashtbl.mem sources n.nid)
               | Sdfg.MapN mn -> Sdfg.written_containers mn.m_body = []
               | Sdfg.Access _ -> false)
             (Sdfg.nodes g)
@@ -161,17 +216,18 @@ let run (sdfg : Sdfg.t) : bool =
       Graph_util.prune_isolated_access g
     in
     List.iter (fun (st : Sdfg.state) -> clean st.s_graph) (Sdfg.states sdfg);
+    if !progress then stale := true;
+    refresh ();
     (* Containers with no accesses at all disappear. *)
-    let referenced = Graph_util.symbolically_referenced sdfg in
+    let accessed = accessed_containers sdfg in
     let to_remove =
       Hashtbl.fold
         (fun name (c : Sdfg.container) acc ->
           if
             c.transient
-            && (not (Hashtbl.mem referenced name))
+            && (not (Hashtbl.mem !referenced name))
             && sdfg.return_scalar <> Some name
-            && Graph_util.all_reader_edges sdfg name = []
-            && Graph_util.all_writer_edges sdfg name = []
+            && not (Hashtbl.mem accessed name)
           then name :: acc
           else acc)
         sdfg.containers []
@@ -194,7 +250,8 @@ let run (sdfg : Sdfg.t) : bool =
             in
             clean_nodes st.s_graph)
           (Sdfg.states sdfg);
-        incr eliminated_counter;
+        incr (Domain.DLS.get eliminated_counter);
+        stale := true;
         changed := true;
         progress := true)
       to_remove

@@ -292,13 +292,16 @@ let all_pass_names : string list =
 let simplify (sdfg : Dcir_sdfg.Sdfg.t) : bool = fixpoint simplify_passes sdfg
 
 (* Containers removed outright plus arrays demoted to register scalars —
-   both stop existing in memory. *)
+   both stop existing in memory.
+   Both counters are domain-local, so these read and reset the calling
+   domain's counts. *)
 let eliminated_containers () : int =
-  !Dead_dataflow.eliminated_counter + !Shrink_scalar.counter
+  !(Domain.DLS.get Dead_dataflow.eliminated_counter)
+  + !(Domain.DLS.get Shrink_scalar.counter)
 
 let reset_counters () : unit =
-  Dead_dataflow.eliminated_counter := 0;
-  Shrink_scalar.counter := 0
+  Domain.DLS.get Dead_dataflow.eliminated_counter := 0;
+  Domain.DLS.get Shrink_scalar.counter := 0
 
 (** Full pipeline: simplify, then -O1 data movement reduction, then -O2
     memory scheduling, re-simplifying after each stage (passes expose new

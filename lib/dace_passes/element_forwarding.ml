@@ -31,14 +31,14 @@ let run (sdfg : Sdfg.t) : bool =
   List.iter
     (fun (st : Sdfg.state) ->
       let g = st.s_graph in
+      let node = Graph_util.node_lookup g in
       (* Tasklet writes per (container, subset-string). *)
       let writes =
         List.filter_map
           (fun (e : Sdfg.edge) ->
             match
-              ((Sdfg.node_by_id g e.e_src).kind,
-               (Sdfg.node_by_id g e.e_dst).kind,
-               e.e_src_conn, e.e_memlet)
+              ((node e.e_src).kind, (node e.e_dst).kind, e.e_src_conn,
+               e.e_memlet)
             with
             | Sdfg.TaskletN _, Sdfg.Access _, Some conn, Some m
               when m.wcr = None && List.for_all Range.is_index m.subset ->
@@ -52,7 +52,7 @@ let run (sdfg : Sdfg.t) : bool =
       let write_counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
       List.iter
         (fun (e : Sdfg.edge) ->
-          match ((Sdfg.node_by_id g e.e_dst).kind, e.e_memlet) with
+          match ((node e.e_dst).kind, e.e_memlet) with
           | Sdfg.Access n, Some _ ->
               Hashtbl.replace write_counts n
                 (1 + Option.value ~default:0 (Hashtbl.find_opt write_counts n))
@@ -62,9 +62,8 @@ let run (sdfg : Sdfg.t) : bool =
         List.filter
           (fun (e : Sdfg.edge) ->
             match
-              ((Sdfg.node_by_id g e.e_src).kind,
-               (Sdfg.node_by_id g e.e_dst).kind,
-               e.e_dst_conn, e.e_memlet)
+              ((node e.e_src).kind, (node e.e_dst).kind, e.e_dst_conn,
+               e.e_memlet)
             with
             | Sdfg.Access _, Sdfg.TaskletN _, Some _, Some m -> m.wcr = None
             | _ -> false)

@@ -67,62 +67,136 @@ let rec symbol_reads (g : Sdfg.graph) : string list =
     (Sdfg.nodes g);
   S.elements !acc
 
+(** [g]'s nid -> node lookup, as {!Sdfg.node_by_id} but through a table
+    built once per call: resolving every edge endpoint by the linear
+    [node_by_id] made each edge loop quadratic in the graph's size. The
+    table lives only as long as the caller's loop and is never stored on
+    the graph: tree-interpreter map chunks read one body graph from several
+    domains, and serve workers share SDFGs. The first node with an id wins,
+    as in [node_by_id]. *)
+let node_lookup (g : Sdfg.graph) : int -> Sdfg.node =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (n : Sdfg.node) ->
+      if not (Hashtbl.mem tbl n.nid) then Hashtbl.replace tbl n.nid n)
+    (Sdfg.nodes g);
+  fun nid ->
+    match Hashtbl.find_opt tbl nid with
+    | Some n -> n
+    | None -> invalid_arg "Sdfg.node_by_id"
+
+(* A memlet edge into an access node of [name] writes it; one out of such
+   a node reads it. *)
+let writes_into (node : int -> Sdfg.node) (name : string) (e : Sdfg.edge) :
+    bool =
+  match ((node e.e_dst).kind, e.e_memlet) with
+  | Sdfg.Access n, Some m ->
+      String.equal n name && (String.equal m.data name || m.other <> None)
+  | _ -> false
+
+let reads_from (node : int -> Sdfg.node) (name : string) (e : Sdfg.edge) :
+    bool =
+  match ((node e.e_src).kind, e.e_memlet) with
+  | Sdfg.Access n, Some m -> String.equal n name && String.equal m.data name
+  | _ -> false
+
+(* The edges of [g] and its map bodies satisfying [pred], with the graph
+   each lives in. *)
+let rec edges_where (pred : (int -> Sdfg.node) -> Sdfg.edge -> bool)
+    (g : Sdfg.graph) : (Sdfg.graph * Sdfg.edge) list =
+  let node = node_lookup g in
+  let here =
+    List.filter_map
+      (fun e -> if pred node e then Some (g, e) else None)
+      (Sdfg.edges g)
+  in
+  here
+  @ List.concat_map
+      (fun (n : Sdfg.node) ->
+        match n.kind with
+        | Sdfg.MapN mn -> edges_where pred mn.m_body
+        | _ -> [])
+      (Sdfg.nodes g)
+
 (** Edges writing into access nodes of [name] in graph [g] (recursively,
     maps included), with the graph they live in. *)
-let rec writer_edges (g : Sdfg.graph) (name : string) :
+let writer_edges (g : Sdfg.graph) (name : string) :
     (Sdfg.graph * Sdfg.edge) list =
-  let here =
-    List.filter
-      (fun (e : Sdfg.edge) ->
-        match ((Sdfg.node_by_id g e.e_dst).kind, e.e_memlet) with
-        | Sdfg.Access n, Some m ->
-            String.equal n name
-            && (String.equal m.data name || m.other <> None)
-        | _ -> false)
-      (Sdfg.edges g)
-    |> List.map (fun e -> (g, e))
-  in
-  here
-  @ List.concat_map
-      (fun (n : Sdfg.node) ->
-        match n.kind with
-        | Sdfg.MapN mn -> writer_edges mn.m_body name
-        | _ -> [])
-      (Sdfg.nodes g)
+  edges_where (fun node -> writes_into node name) g
 
 (** Edges reading from access nodes of [name] (recursively). *)
-let rec reader_edges (g : Sdfg.graph) (name : string) :
+let reader_edges (g : Sdfg.graph) (name : string) :
     (Sdfg.graph * Sdfg.edge) list =
-  let here =
-    List.filter
-      (fun (e : Sdfg.edge) ->
-        match ((Sdfg.node_by_id g e.e_src).kind, e.e_memlet) with
-        | Sdfg.Access n, Some m -> String.equal n name && String.equal m.data name
-        | _ -> false)
-      (Sdfg.edges g)
-    |> List.map (fun e -> (g, e))
-  in
-  here
-  @ List.concat_map
+  edges_where (fun node -> reads_from node name) g
+
+(** Container -> the states holding one of its access nodes (map bodies
+    included), in SDFG order. A pass builds it once per sweep over its
+    candidate containers, so each container's edge queries visit only its
+    own states instead of rescanning the SDFG. Edits during the sweep keep
+    it valid as long as it stays a superset of the states holding each
+    name: removing access nodes needs nothing, adding one needs
+    {!note_access}. States are numbered by their position in the SDFG when
+    the index was built. *)
+type access_index = {
+  ai_states : Sdfg.state array;
+  ai_names : (string, int list) Hashtbl.t;  (** ascending positions *)
+}
+
+let access_index (sdfg : Sdfg.t) : access_index =
+  let states = Array.of_list (Sdfg.states sdfg) in
+  let tbl = Hashtbl.create 64 in
+  let rec visit (i : int) (g : Sdfg.graph) =
+    List.iter
       (fun (n : Sdfg.node) ->
         match n.kind with
-        | Sdfg.MapN mn -> reader_edges mn.m_body name
-        | _ -> [])
+        | Sdfg.Access c -> (
+            match Hashtbl.find_opt tbl c with
+            | Some (j :: _) when j = i -> ()
+            | Some js -> Hashtbl.replace tbl c (i :: js)
+            | None -> Hashtbl.replace tbl c [ i ])
+        | Sdfg.MapN mn -> visit i mn.m_body
+        | Sdfg.TaskletN _ -> ())
       (Sdfg.nodes g)
+  in
+  Array.iteri (fun i (st : Sdfg.state) -> visit i st.s_graph) states;
+  Hashtbl.filter_map_inplace (fun _ js -> Some (List.rev js)) tbl;
+  { ai_states = states; ai_names = tbl }
 
-let all_writer_edges (sdfg : Sdfg.t) (name : string) :
+(** Positions of the states holding an access node of [name]. *)
+let access_positions (idx : access_index) (name : string) : int list =
+  Option.value ~default:[] (Hashtbl.find_opt idx.ai_names name)
+
+let access_states (idx : access_index) (name : string) : Sdfg.state list =
+  List.map (Array.get idx.ai_states) (access_positions idx name)
+
+(** Record that [st] now holds an access node of [name]. *)
+let note_access (idx : access_index) (name : string) (st : Sdfg.state) : unit =
+  let rec position i =
+    if i >= Array.length idx.ai_states then
+      invalid_arg "Graph_util.note_access: state not in the index"
+    else if idx.ai_states.(i) == st then i
+    else position (i + 1)
+  in
+  let i = position 0 and js = access_positions idx name in
+  if not (List.mem i js) then
+    Hashtbl.replace idx.ai_names name (List.sort compare (i :: js))
+
+let indexed_edges (idx : access_index)
+    (pred : (int -> Sdfg.node) -> Sdfg.edge -> bool) (name : string) :
     (Sdfg.state * Sdfg.graph * Sdfg.edge) list =
   List.concat_map
     (fun (st : Sdfg.state) ->
-      List.map (fun (g, e) -> (st, g, e)) (writer_edges st.s_graph name))
-    (Sdfg.states sdfg)
+      List.map (fun (g, e) -> (st, g, e)) (edges_where pred st.s_graph))
+    (access_states idx name)
 
-let all_reader_edges (sdfg : Sdfg.t) (name : string) :
+(** Every writer edge of [name], in SDFG order, with its state and graph. *)
+let all_writer_edges (idx : access_index) (name : string) :
     (Sdfg.state * Sdfg.graph * Sdfg.edge) list =
-  List.concat_map
-    (fun (st : Sdfg.state) ->
-      List.map (fun (g, e) -> (st, g, e)) (reader_edges st.s_graph name))
-    (Sdfg.states sdfg)
+  indexed_edges idx (fun node -> writes_into node name) name
+
+let all_reader_edges (idx : access_index) (name : string) :
+    (Sdfg.state * Sdfg.graph * Sdfg.edge) list =
+  indexed_edges idx (fun node -> reads_from node name) name
 
 (** Container names referenced as pseudo-symbols anywhere (subsets, tasklet
     code, conditions, assignments, shapes): these cannot be removed or
@@ -165,13 +239,13 @@ let prune_isolated_access (g : Sdfg.graph) : unit =
     to sequence conflicting accesses. *)
 let rec event_nodes (g : Sdfg.graph) (name : string) :
     (Sdfg.node * [ `Read | `Write ]) list =
+  let node = node_lookup g in
   List.concat_map
     (fun (e : Sdfg.edge) ->
       match e.e_memlet with
       | None -> []
       | Some m ->
-          let src = Sdfg.node_by_id g e.e_src
-          and dst = Sdfg.node_by_id g e.e_dst in
+          let src = node e.e_src and dst = node e.e_dst in
           let acc = ref [] in
           (match (src.kind, dst.kind) with
           | Sdfg.Access a, Sdfg.Access b ->

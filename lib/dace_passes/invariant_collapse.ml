@@ -162,6 +162,9 @@ let narrow_writes (sdfg : Sdfg.t) : bool =
   let syms : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   List.iter (fun s -> Hashtbl.replace syms s ()) sdfg.arg_symbols;
   let loops = Loop_analysis.find_loops sdfg in
+  (* Narrowing edits only interstate edges, so one index serves every
+     loop; most calls never query it. *)
+  let index = lazy (Graph_util.access_index sdfg) in
   List.iter
     (fun (l : Loop_analysis.loop) ->
       match Loop_analysis.single_state_body sdfg l with
@@ -196,7 +199,9 @@ let narrow_writes (sdfg : Sdfg.t) : bool =
                            | _ -> false)
                          writer_subsets
                   in
-                  let readers = Graph_util.all_reader_edges sdfg c in
+                  let readers =
+                    Graph_util.all_reader_edges (Lazy.force index) c
+                  in
                   let read_boxes =
                     List.map
                       (fun ((_, _, e) : _ * _ * Sdfg.edge) ->

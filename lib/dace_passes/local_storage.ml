@@ -15,12 +15,13 @@ open Dcir_symbolic
 
 (* All edges in [g] whose memlet touches [c] (as data or copy dst). *)
 let touching_edges (g : Sdfg.graph) (c : string) : Sdfg.edge list =
+  let node = Graph_util.node_lookup g in
   List.filter
     (fun (e : Sdfg.edge) ->
       match e.e_memlet with
       | Some m ->
           String.equal m.data c
-          || (match (Sdfg.node_by_id g e.e_dst).kind with
+          || (match (node e.e_dst).kind with
              | Sdfg.Access n -> String.equal n c && m.other <> None
              | _ -> false)
       | None -> false)

@@ -93,12 +93,13 @@ let rename_sym_in_graph (g : Sdfg.graph) ~(from_ : string) ~(to_ : string) :
 
 (* All memlet subsets on container [c] in a graph. *)
 let subsets_of (g : Sdfg.graph) (c : string) : Range.t list =
+  let node = Graph_util.node_lookup g in
   List.filter_map
     (fun (e : Sdfg.edge) ->
       match e.e_memlet with
       | Some m when String.equal m.data c -> Some m.subset
       | Some m when m.other <> None -> (
-          match (Sdfg.node_by_id g e.e_dst).kind with
+          match (node e.e_dst).kind with
           | Sdfg.Access n when String.equal n c -> m.other
           | _ -> None)
       | _ -> None)

@@ -25,8 +25,9 @@ open Dcir_sdfg
    every target, preserving transitive ordering through the removed node. *)
 let reanchor_deps (g : Sdfg.graph) (name : string) (targets : int list) : unit
     =
+  let node = Graph_util.node_lookup g in
   let victim (nid : int) =
-    match (Sdfg.node_by_id g nid).kind with
+    match (node nid).kind with
     | Sdfg.Access c -> String.equal c name
     | _ -> false
   in
@@ -83,11 +84,12 @@ let run (sdfg : Sdfg.t) : bool =
         sdfg.containers []
       |> List.sort compare
     in
+    let index = Graph_util.access_index sdfg in
     List.iter
       (fun name ->
         match
-          (Graph_util.all_writer_edges sdfg name,
-           Graph_util.all_reader_edges sdfg name)
+          (Graph_util.all_writer_edges index name,
+           Graph_util.all_reader_edges index name)
         with
         | [ (wst, wg, we) ], readers
           when List.for_all
@@ -191,6 +193,7 @@ let run (sdfg : Sdfg.t) : bool =
                       match (Sdfg.node_by_id g re.e_dst).kind with
                       | Sdfg.Access _ ->
                           let n = Sdfg.add_node g (Sdfg.Access m.data) in
+                          Graph_util.note_access index m.data wst;
                           (n.nid, n.nid)
                       | _ -> (src_access, re.e_dst)
                     in

@@ -69,8 +69,8 @@ let swap_tasklet (g : Sdfg.graph) (nid : int) (t : Sdfg.tasklet) : unit =
 (* Can every reader of [name] be rewritten? Readers are either tasklet
    inputs (native only) or copy sources; copies stay (they just read the
    value through memory) — only rank-0 tasklet inputs need rewriting. *)
-let rewire_readers (sdfg : Sdfg.t) (name : string) : bool =
-  let readers = Graph_util.all_reader_edges sdfg name in
+let rewire_readers (index : Graph_util.access_index) (name : string) : bool =
+  let readers = Graph_util.all_reader_edges index name in
   let plan =
     List.map
       (fun ((_, g, e) : Sdfg.state * Sdfg.graph * Sdfg.edge) ->
@@ -132,21 +132,20 @@ let run (sdfg : Sdfg.t) : bool =
   let progress = ref true in
   while !progress do
     progress := false;
-    let referenced = Graph_util.symbolically_referenced sdfg in
-    ignore referenced;
     let containers =
       Hashtbl.fold (fun _ c acc -> c :: acc) sdfg.containers []
       |> List.sort (fun (a : Sdfg.container) b -> compare a.cname b.cname)
     in
+    let index = Graph_util.access_index sdfg in
     List.iter
       (fun (c : Sdfg.container) ->
         if Sdfg.is_scalar c && c.dtype = Sdfg.DInt then begin
           let name = c.cname in
-          let writers = Graph_util.all_writer_edges sdfg name in
+          let writers = Graph_util.all_writer_edges index name in
           match writers with
           | [] when not c.transient ->
               (* Read-only scalar parameter -> argument symbol. *)
-              if rewire_readers sdfg name then begin
+              if rewire_readers index name then begin
                 Sdfg.remove_container sdfg name;
                 sdfg.arg_symbols <- sdfg.arg_symbols @ [ name ];
                 (match sdfg.return_scalar with
@@ -200,7 +199,7 @@ let run (sdfg : Sdfg.t) : bool =
                   (* The write must only count scalar readers we can rewire
                      (pseudo-symbol readers are fine: the name becomes a true
                      symbol). *)
-                  if rewire_readers sdfg name then begin
+                  if rewire_readers index name then begin
                     (* Delete the defining tasklet (if it only feeds this),
                        its input edges, and the access node. *)
                     let tasklet_feeds_only_this =

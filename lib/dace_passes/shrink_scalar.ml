@@ -13,7 +13,8 @@
 open Dcir_sdfg
 open Dcir_symbolic
 
-let counter = ref 0
+(* Domain-local, for the same reason as [Dead_dataflow.eliminated_counter]. *)
+let counter : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 let run (sdfg : Sdfg.t) : bool =
   let changed = ref false in
@@ -31,10 +32,11 @@ let run (sdfg : Sdfg.t) : bool =
       sdfg.containers []
     |> List.sort compare
   in
+  let index = Graph_util.access_index sdfg in
   List.iter
     (fun name ->
-      let writers = Graph_util.all_writer_edges sdfg name in
-      let readers = Graph_util.all_reader_edges sdfg name in
+      let writers = Graph_util.all_writer_edges index name in
+      let readers = Graph_util.all_reader_edges index name in
       let all = writers @ readers in
       match all with
       | [] -> ()
@@ -64,7 +66,7 @@ let run (sdfg : Sdfg.t) : bool =
             | [] -> false
           in
           if same_graph && single_identical && writers <> [] then begin
-            incr counter;
+            incr (Domain.DLS.get counter);
             let c = Sdfg.container sdfg name in
             c.shape <- [];
             c.storage <- Sdfg.Register;

@@ -10,12 +10,18 @@ type t = {
   sets : int;
   assoc : int;
   line_bytes : int;
-  tags : int array;  (** sets * assoc; -1 = invalid *)
-  stamps : int array;  (** LRU timestamps, parallel to [tags] *)
+  ways : int array array;
+      (** per set: [assoc] tags (-1 = invalid), then [assoc] LRU
+          timestamps; {!untouched} until the set's first access *)
   mutable tick : int;
   mutable accesses : int;
   mutable misses : int;
 }
+
+(* Shared by every set never accessed since creation or {!reset}: a
+   simulated run touches few of the L3's 32k sets, and allocating all of
+   them up front cost more than a small run itself. *)
+let untouched : int array = [||]
 
 let create ~(name : string) ~(size_bytes : int) ~(assoc : int)
     ~(line_bytes : int) : t =
@@ -26,8 +32,7 @@ let create ~(name : string) ~(size_bytes : int) ~(assoc : int)
     sets;
     assoc;
     line_bytes;
-    tags = Array.make (sets * assoc) (-1);
-    stamps = Array.make (sets * assoc) 0;
+    ways = Array.make sets untouched;
     tick = 0;
     accesses = 0;
     misses = 0;
@@ -40,37 +45,39 @@ let access (c : t) (addr : int) : bool =
   c.accesses <- c.accesses + 1;
   let line = addr / c.line_bytes in
   let set = line mod c.sets in
-  let base = set * c.assoc in
+  let assoc = c.assoc in
+  let ways =
+    match c.ways.(set) with
+    | w when w == untouched ->
+        let w = Array.make (2 * assoc) 0 in
+        Array.fill w 0 assoc (-1);
+        c.ways.(set) <- w;
+        w
+    | w -> w
+  in
   let hit_way = ref (-1) in
-  for w = 0 to c.assoc - 1 do
-    if c.tags.(base + w) = line then hit_way := w
+  for w = 0 to assoc - 1 do
+    if ways.(w) = line then hit_way := w
   done;
   if !hit_way >= 0 then begin
-    c.stamps.(base + !hit_way) <- c.tick;
+    ways.(assoc + !hit_way) <- c.tick;
     true
   end
   else begin
     c.misses <- c.misses + 1;
     (* Evict least-recently-used way. *)
     let victim = ref 0 in
-    for w = 1 to c.assoc - 1 do
-      if c.stamps.(base + w) < c.stamps.(base + !victim) then victim := w
+    for w = 1 to assoc - 1 do
+      if ways.(assoc + w) < ways.(assoc + !victim) then victim := w
     done;
-    c.tags.(base + !victim) <- line;
-    c.stamps.(base + !victim) <- c.tick;
+    ways.(!victim) <- line;
+    ways.(assoc + !victim) <- c.tick;
     false
   end
 
-(** Invalidate lines intersecting [addr, addr+bytes) — used when freed heap
-    memory is recycled, so a new allocation does not inherit stale hits. *)
-let invalidate_range (c : t) ~(addr : int) ~(bytes : int) : unit =
-  let first = addr / c.line_bytes and last = (addr + bytes - 1) / c.line_bytes in
-  Array.iteri
-    (fun i tag -> if tag >= first && tag <= last then c.tags.(i) <- -1)
-    c.tags
-
+(** Empty every set — tags and LRU stamps alike — and zero the counters. *)
 let reset (c : t) : unit =
-  Array.fill c.tags 0 (Array.length c.tags) (-1);
+  Array.fill c.ways 0 c.sets untouched;
   c.tick <- 0;
   c.accesses <- 0;
   c.misses <- 0

@@ -24,52 +24,61 @@ open Dcir_mlir
 (* Dense bitsets *)
 
 module Bits = struct
-  type t = { n : int; b : Bytes.t }
+  (* Bit [i] lives in word [i / word_bits] at position [i mod word_bits],
+     one OCaml int per word. Bits at and above [n] in the last word are
+     garbage ([create ~full] sets them, [diff_into] may clear them): [mem]
+     and [iter] never look there and [equal] masks them off. *)
+  type t = { n : int; w : int array }
 
-  let bytes_for n = (n + 7) / 8
+  let word_bits = Sys.int_size
 
   let create ~(full : bool) (n : int) : t =
-    { n; b = Bytes.make (bytes_for n) (if full then '\xff' else '\x00') }
+    let words = (n + word_bits - 1) / word_bits in
+    { n; w = Array.make words (if full then -1 else 0) }
 
-  let copy (t : t) : t = { t with b = Bytes.copy t.b }
-  let mem (t : t) (i : int) : bool =
-    Char.code (Bytes.get t.b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+  let copy (t : t) : t = { t with w = Array.copy t.w }
+  let bit (i : int) : int = 1 lsl (i mod word_bits)
+
+  let mem (t : t) (i : int) : bool = t.w.(i / word_bits) land bit i <> 0
 
   let add (t : t) (i : int) : unit =
-    Bytes.set t.b (i lsr 3)
-      (Char.chr (Char.code (Bytes.get t.b (i lsr 3)) lor (1 lsl (i land 7))))
+    let k = i / word_bits in
+    t.w.(k) <- t.w.(k) lor bit i
 
   let remove (t : t) (i : int) : unit =
-    Bytes.set t.b (i lsr 3)
-      (Char.chr
-         (Char.code (Bytes.get t.b (i lsr 3)) land lnot (1 lsl (i land 7))
-         land 0xff))
+    let k = i / word_bits in
+    t.w.(k) <- t.w.(k) land lnot (bit i)
 
-  let zip_into (f : int -> int -> int) (dst : t) (src : t) : unit =
-    for i = 0 to Bytes.length dst.b - 1 do
-      Bytes.set dst.b i
-        (Char.chr
-           (f (Char.code (Bytes.get dst.b i)) (Char.code (Bytes.get src.b i))
-           land 0xff))
+  let inter_into (dst : t) (src : t) : unit =
+    for k = 0 to Array.length dst.w - 1 do
+      dst.w.(k) <- dst.w.(k) land src.w.(k)
     done
 
-  let inter_into = zip_into ( land )
-  let union_into = zip_into ( lor )
-  let diff_into = zip_into (fun a b -> a land lnot b)
+  let union_into (dst : t) (src : t) : unit =
+    for k = 0 to Array.length dst.w - 1 do
+      dst.w.(k) <- dst.w.(k) lor src.w.(k)
+    done
 
-  (* Trailing garbage bits above [n] never escape: [mem] masks per bit and
-     [iter] stops at [n]. Equality must ignore them, so compare bit-wise. *)
+  let diff_into (dst : t) (src : t) : unit =
+    for k = 0 to Array.length dst.w - 1 do
+      dst.w.(k) <- dst.w.(k) land lnot src.w.(k)
+    done
+
   let equal (a : t) (b : t) : bool =
-    let r = ref true in
-    for i = 0 to a.n - 1 do
-      if mem a i <> mem b i then r := false
-    done;
-    !r
+    let full = a.n / word_bits in
+    let rec words k = k >= full || (a.w.(k) = b.w.(k) && words (k + 1)) in
+    words 0
+    && (a.n mod word_bits = 0
+       || (a.w.(full) lxor b.w.(full)) land (bit a.n - 1) = 0)
 
   let iter (f : int -> unit) (t : t) : unit =
-    for i = 0 to t.n - 1 do
-      if mem t i then f i
-    done
+    Array.iteri
+      (fun k word ->
+        if word <> 0 then
+          for j = 0 to min word_bits (t.n - (k * word_bits)) - 1 do
+            if word land (1 lsl j) <> 0 then f ((k * word_bits) + j)
+          done)
+      t.w
 end
 
 (* ------------------------------------------------------------------ *)

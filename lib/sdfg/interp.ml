@@ -511,13 +511,14 @@ let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
               | Some c -> c.dtype
               | None -> Sdfg.DFloat
             in
+            let identity = wcr_identity dtype w in
             let accu =
               Machine.alloc crt.machine ~storage:shared.storage
                 ~elems:shared.size ~elem_bytes:shared.elem_bytes
-                ~zero_init:(wcr_identity dtype w)
+                ~zero_init:identity
             in
             Hashtbl.replace crt.buffers nm accu;
-            (nm, w, accu))
+            (nm, w, identity, accu))
           reductions
       in
       (crt, accus)
@@ -560,14 +561,20 @@ let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
       | exception e -> failures.(c) <- Some e);
       if obs_on then chunk_t1.(c) <- Unix.gettimeofday ()
     in
+    (* An accumulator element still holding the identity is left out of the
+       merge. Combining it would change at most the sign of a zero, and
+       under an enclosing parallel map the shared element may belong to a
+       sibling chunk that is writing it concurrently: a read-combine-write
+       here could lose that chunk's update. *)
     let merge c =
       let crt, accus = chunks.(c) in
       List.iter
-        (fun (nm, w, (accu : Machine.buffer)) ->
+        (fun (nm, w, identity, (accu : Machine.buffer)) ->
           let shared = Hashtbl.find rt.buffers nm in
           for x = 0 to shared.size - 1 do
-            Machine.poke shared x
-              (combine_wcr w (Machine.peek shared x) (Machine.peek accu x))
+            let v = Machine.peek accu x in
+            if not (Value.equal v identity) then
+              Machine.poke shared x (combine_wcr w (Machine.peek shared x) v)
           done)
         accus;
       Metrics.add_into

@@ -188,6 +188,54 @@ let check_identity (w : Workload.t) () =
     "parallel run bit-identical to serial" None
     (Oracle.serial_par_divergence serial par)
 
+(* A reduction map merges each chunk's private accumulator into the shared
+   array after the chunk runs. Elements no iteration reduced into must come
+   out as the sequential program leaves them -- bit for bit, so a -0.0
+   stays -0.0 -- and must not be rewritten at all: under a parallel outer
+   map they belong to sibling chunks that may be writing them right then,
+   and rewriting one can lose that chunk's update. *)
+let reduction_src =
+  {|
+void kernel_red(double C[8][8], double A[8][8]) {
+  for (int i = 0; i < 8; i++)
+    for (int k = 0; k < 8; k++)
+      for (int j = 0; j < 4; j++)
+        C[i][j] += A[i][k];
+}
+|}
+
+let test_reduction_merge_untouched () =
+  let sdfg, report = compile_autopar ~src:reduction_src ~entry:"kernel_red" in
+  Alcotest.(check bool) "some loop became a sum reduction" true
+    (List.exists
+       (List.exists (fun (_, c) -> c = Sdfg.ParReduction Sdfg.WcrSum))
+       (converted_classes report));
+  let args () =
+    [
+      Pipelines.AFloatArr (Array.make 64 (-0.0), [| 8; 8 |]);
+      Pipelines.AFloatArr (Array.init 64 (fun x -> float_of_int (x mod 3)), [| 8; 8 |]);
+    ]
+  in
+  let reference =
+    Pipelines.run
+      (Pipelines.CMlir (Dcir_cfront.Polygeist.compile reduction_src))
+      ~entry:"kernel_red" (args ())
+  in
+  List.iter
+    (fun jobs ->
+      let r = Pipelines.run ~jobs (Pipelines.CSdfg sdfg) ~entry:"kernel_red" (args ()) in
+      List.iter2
+        (fun (_, (want : Dcir_machine.Value.t array)) (_, got) ->
+          Array.iteri
+            (fun x w ->
+              Alcotest.(check bool)
+                (Printf.sprintf "jobs=%d C[%d] bit-identical to the reference" jobs x)
+                true
+                (Dcir_machine.Value.equal w got.(x)))
+            want)
+        reference.outputs r.outputs)
+    [ 1; 3 ]
+
 let suite =
   ( "autopar",
     [
@@ -213,4 +261,6 @@ let suite =
         (check_identity Polybench.mvt);
       Alcotest.test_case "atax serial/parallel identity" `Quick
         (check_identity Polybench.atax);
+      Alcotest.test_case "reduction merge leaves other elements alone" `Quick
+        test_reduction_merge_untouched;
     ] )

@@ -154,6 +154,33 @@ void dead(double out[8]) {
     (Driver.eliminated_containers ())
     stats.eliminated_containers
 
+let test_counters_domain_local () =
+  (* [Driver.optimize] reads the elimination counters as a before/after
+     delta, so two domains optimizing at once must each count only their
+     own eliminations. *)
+  let sdfgs =
+    List.map
+      (fun (w : Dcir_workloads.Workload.t) -> compile_sdfg w.src ~entry:w.entry)
+      [ Dcir_workloads.Polybench.gemm; Dcir_workloads.Polybench.correlation ]
+  in
+  let eliminated sdfg =
+    (Driver.optimize (Sdfg.copy sdfg)).eliminated_containers
+  in
+  let solo = List.map eliminated sdfgs in
+  let runs = 50 in
+  let domains =
+    List.map
+      (fun sdfg -> Domain.spawn (fun () -> List.init runs (fun _ -> eliminated sdfg)))
+      sdfgs
+  in
+  List.iter2
+    (fun expected d ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d concurrent runs count %d each" runs expected)
+        (List.init runs (fun _ -> expected))
+        (Domain.join d))
+    solo domains
+
 let test_self_cycle_dead () =
   (* The Fig 2 pattern: an array only read to feed writes to itself. *)
   let src =
@@ -339,6 +366,8 @@ let suite =
       Alcotest.test_case "local storage promotion" `Quick test_local_storage;
       Alcotest.test_case "invariant loop collapse" `Quick test_invariant_collapse;
       Alcotest.test_case "simplify is idempotent" `Quick test_simplify_idempotent;
+      Alcotest.test_case "elimination counters are domain-local" `Quick
+        test_counters_domain_local;
       Alcotest.test_case "pass ablations preserve semantics" `Quick
         test_each_pass_preserves_semantics;
     ] )

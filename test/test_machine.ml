@@ -25,6 +25,30 @@ let test_cache_counters () =
   Cache.reset c;
   Alcotest.(check int) "reset" 0 c.accesses
 
+let test_cache_reset_lru () =
+  (* A reset must forget the LRU stamps along with the tags: otherwise the
+     2-way set below evicts the line it has just installed while its other
+     way is still invalid, and the final access misses. *)
+  let c = Cache.create ~name:"t" ~size_bytes:64 ~assoc:2 ~line_bytes:16 in
+  let run () = List.map (Cache.access c) [ 0; 32; 0 ] in
+  Alcotest.(check (list bool)) "cold" [ false; false; true ] (run ());
+  Cache.reset c;
+  Alcotest.(check (list bool)) "after reset" [ false; false; true ] (run ())
+
+let test_machine_create_alloc () =
+  (* The caches allocate a set on its first access: creating a machine
+     (every run and every parallel-map chunk does) must not allocate the
+     22 MiB L3's 360k tag and stamp slots up front. *)
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).major_words in
+  let m = Machine.create () in
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).major_words -. before in
+  ignore (Sys.opaque_identity m);
+  Alcotest.(check bool)
+    (Printf.sprintf "Machine.create: %.0f major words < 100k" words)
+    true (words < 100_000.)
+
 let test_hierarchy_costs () =
   let m = Machine.create () in
   let b =
@@ -131,6 +155,10 @@ let suite =
     [
       Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru;
       Alcotest.test_case "cache counters" `Quick test_cache_counters;
+      Alcotest.test_case "cache reset forgets LRU order" `Quick
+        test_cache_reset_lru;
+      Alcotest.test_case "machine creation allocates lazily" `Quick
+        test_machine_create_alloc;
       Alcotest.test_case "hierarchy costs" `Quick test_hierarchy_costs;
       Alcotest.test_case "register storage is free" `Quick test_register_free;
       Alcotest.test_case "allocation costs" `Quick test_alloc_costs;

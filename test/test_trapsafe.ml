@@ -488,6 +488,103 @@ let test_lcm_reduces_cycles () =
         (with_lcm < without_lcm))
     [ "floyd-warshall"; "cholesky"; "correlation" ]
 
+(* The word-wide bitset against a [bool array] model, at sizes around the
+   word boundaries. [Add]/[Remove] take (on [b]?, index); the set
+   operations take their direction ([true]: [b op= a]); [Copy] replaces
+   the destination with a copy of the source. *)
+type bits_op =
+  | Add of bool * int
+  | Remove of bool * int
+  | Inter of bool
+  | Union of bool
+  | Diff of bool
+  | Copy of bool
+
+let gen_bits_case : (int * bool * bool * bits_op list) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* n = oneofl [ 0; 1; 61; 62; 63; 64; 124; 125; 200 ] in
+  let* full_a = bool in
+  let* full_b = bool in
+  let index = int_bound (max 0 (n - 1)) in
+  let set_ops =
+    [ (1, map (fun d -> Inter d) bool); (1, map (fun d -> Union d) bool);
+      (1, map (fun d -> Diff d) bool); (1, map (fun d -> Copy d) bool) ]
+  in
+  let point_ops =
+    if n = 0 then []
+    else
+      [ (4, map2 (fun d i -> Add (d, i)) bool index);
+        (4, map2 (fun d i -> Remove (d, i)) bool index) ]
+  in
+  let* ops = list_size (int_range 0 80) (frequency (set_ops @ point_ops)) in
+  pure (n, full_a, full_b, ops)
+
+let print_bits_case ((n, fa, fb, ops) : int * bool * bool * bits_op list) =
+  let op = function
+    | Add (d, i) -> Printf.sprintf "add %b %d" d i
+    | Remove (d, i) -> Printf.sprintf "remove %b %d" d i
+    | Inter d -> Printf.sprintf "inter %b" d
+    | Union d -> Printf.sprintf "union %b" d
+    | Diff d -> Printf.sprintf "diff %b" d
+    | Copy d -> Printf.sprintf "copy %b" d
+  in
+  Printf.sprintf "n=%d full_a=%b full_b=%b [%s]" n fa fb
+    (String.concat "; " (List.map op ops))
+
+let prop_bits_model =
+  QCheck2.Test.make ~count:500 ~print:print_bits_case
+    ~name:"dataflow: word-wide Bits agree with a bool-array model"
+    gen_bits_case (fun (n, full_a, full_b, ops) ->
+      let a = ref (Df.Bits.create ~full:full_a n)
+      and b = ref (Df.Bits.create ~full:full_b n) in
+      let ma = ref (Array.make n full_a) and mb = ref (Array.make n full_b) in
+      let all = List.init n Fun.id in
+      let agree () =
+        let elems bits =
+          let acc = ref [] in
+          Df.Bits.iter (fun i -> acc := i :: !acc) bits;
+          List.rev !acc
+        in
+        let model m = List.filter (fun i -> m.(i)) all in
+        List.for_all
+          (fun i -> Df.Bits.mem !a i = !ma.(i) && Df.Bits.mem !b i = !mb.(i))
+          all
+        && elems !a = model !ma
+        && elems !b = model !mb
+        && Df.Bits.equal !a !b = (!ma = !mb)
+        && Df.Bits.equal !b !a = (!ma = !mb)
+      in
+      let apply op =
+        let dst, mdst, src, msrc =
+          match op with
+          | Add (d, _) | Remove (d, _) | Inter d | Union d | Diff d | Copy d ->
+              if d then (b, mb, a, ma) else (a, ma, b, mb)
+        in
+        let zip f = !mdst |> Array.iteri (fun i x -> !mdst.(i) <- f x !msrc.(i)) in
+        match op with
+        | Add (_, i) -> Df.Bits.add !dst i; !mdst.(i) <- true
+        | Remove (_, i) -> Df.Bits.remove !dst i; !mdst.(i) <- false
+        | Inter _ -> Df.Bits.inter_into !dst !src; zip ( && )
+        | Union _ -> Df.Bits.union_into !dst !src; zip ( || )
+        | Diff _ -> Df.Bits.diff_into !dst !src; zip (fun x y -> x && not y)
+        | Copy _ -> dst := Df.Bits.copy !src; mdst := Array.copy !msrc
+      in
+      agree () && List.for_all (fun op -> apply op; agree ()) ops)
+
+let test_bits_equal_masks_tail () =
+  (* [create ~full] sets the bits above [n] in the last word too; [equal]
+     must not see them. *)
+  List.iter
+    (fun n ->
+      let full = Df.Bits.create ~full:true n in
+      let built = Df.Bits.create ~full:false n in
+      for i = 0 to n - 1 do
+        Df.Bits.add built i
+      done;
+      Alcotest.(check bool) (Printf.sprintf "n=%d" n) true
+        (Df.Bits.equal full built && Df.Bits.equal built full))
+    [ 0; 1; 61; 62; 63; 64; 124; 125; 200 ]
+
 let suite =
   ( "trap-safety",
     [
@@ -505,6 +602,9 @@ let suite =
         test_dataflow_diamond;
       Alcotest.test_case "dataflow: transfer monotonicity" `Quick
         test_transfer_monotone;
+      QCheck_alcotest.to_alcotest prop_bits_model;
+      Alcotest.test_case "dataflow: Bits.equal ignores bits past n" `Quick
+        test_bits_equal_masks_tail;
       Alcotest.test_case "store-forward: two keys tracked" `Quick
         test_store_forward_two_keys;
       Alcotest.test_case "lcm: local load reuse" `Quick test_lcm_local_reuse;
