@@ -54,12 +54,11 @@ let run (sdfg : Sdfg.t) : bool =
                        update when the tasklet's write is the sole write to
                        the container here. *)
                     let other_writer =
-                      let node = Graph_util.node_lookup g in
                       List.exists
                         (fun (x : Sdfg.edge) ->
                           (x != oe) && x.e_memlet <> None
                           &&
-                          match (node x.e_dst).kind with
+                          match (Sdfg.node_by_id g x.e_dst).kind with
                           | Sdfg.Access c -> String.equal c om.data
                           | _ -> false)
                         (Sdfg.edges g)

@@ -66,19 +66,23 @@ module Bits = struct
 
   let equal (a : t) (b : t) : bool =
     let full = a.n / word_bits in
-    let rec words k = k >= full || (a.w.(k) = b.w.(k) && words (k + 1)) in
-    words 0
+    let same = ref true and k = ref 0 in
+    while !same && !k < full do
+      same := a.w.(!k) = b.w.(!k);
+      incr k
+    done;
+    !same
     && (a.n mod word_bits = 0
        || (a.w.(full) lxor b.w.(full)) land (bit a.n - 1) = 0)
 
   let iter (f : int -> unit) (t : t) : unit =
-    Array.iteri
-      (fun k word ->
-        if word <> 0 then
-          for j = 0 to min word_bits (t.n - (k * word_bits)) - 1 do
-            if word land (1 lsl j) <> 0 then f ((k * word_bits) + j)
-          done)
-      t.w
+    for k = 0 to Array.length t.w - 1 do
+      let word = t.w.(k) in
+      if word <> 0 then
+        for j = 0 to min word_bits (t.n - (k * word_bits)) - 1 do
+          if word land (1 lsl j) <> 0 then f ((k * word_bits) + j)
+        done
+    done
 end
 
 (* ------------------------------------------------------------------ *)

@@ -213,7 +213,8 @@ let test_reduction_merge_untouched () =
   let args () =
     [
       Pipelines.AFloatArr (Array.make 64 (-0.0), [| 8; 8 |]);
-      Pipelines.AFloatArr (Array.init 64 (fun x -> float_of_int (x mod 3)), [| 8; 8 |]);
+      Pipelines.AFloatArr
+        (Array.init 64 (fun x -> float_of_int (x mod 3)), [| 8; 8 |]);
     ]
   in
   let reference =
@@ -223,13 +224,17 @@ let test_reduction_merge_untouched () =
   in
   List.iter
     (fun jobs ->
-      let r = Pipelines.run ~jobs (Pipelines.CSdfg sdfg) ~entry:"kernel_red" (args ()) in
+      let r =
+        Pipelines.run ~jobs (Pipelines.CSdfg sdfg) ~entry:"kernel_red"
+          (args ())
+      in
       List.iter2
         (fun (_, (want : Dcir_machine.Value.t array)) (_, got) ->
           Array.iteri
             (fun x w ->
               Alcotest.(check bool)
-                (Printf.sprintf "jobs=%d C[%d] bit-identical to the reference" jobs x)
+                (Printf.sprintf "jobs=%d C[%d] bit-identical to the reference"
+                   jobs x)
                 true
                 (Dcir_machine.Value.equal w got.(x)))
             want)

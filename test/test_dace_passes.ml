@@ -170,7 +170,8 @@ let test_counters_domain_local () =
   let runs = 50 in
   let domains =
     List.map
-      (fun sdfg -> Domain.spawn (fun () -> List.init runs (fun _ -> eliminated sdfg)))
+      (fun sdfg ->
+        Domain.spawn (fun () -> List.init runs (fun _ -> eliminated sdfg)))
       sdfgs
   in
   List.iter2

@@ -560,7 +560,9 @@ let prop_bits_model =
           | Add (d, _) | Remove (d, _) | Inter d | Union d | Diff d | Copy d ->
               if d then (b, mb, a, ma) else (a, ma, b, mb)
         in
-        let zip f = !mdst |> Array.iteri (fun i x -> !mdst.(i) <- f x !msrc.(i)) in
+        let zip f =
+          Array.iteri (fun i x -> !mdst.(i) <- f x !msrc.(i)) !mdst
+        in
         match op with
         | Add (_, i) -> Df.Bits.add !dst i; !mdst.(i) <- true
         | Remove (_, i) -> Df.Bits.remove !dst i; !mdst.(i) <- false
