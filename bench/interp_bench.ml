@@ -11,7 +11,8 @@
     environments, index lists). Any metric divergence is a bug, and any
     slowdown defeats its purpose — both are hard failures here and in
     [validate_report]. [--sweep] widens the subject list to the full
-    Polybench suite (dcir pipeline).
+    Polybench suite through the dcir and gcc pipelines, so both compiled
+    tiers are covered.
 
     Part two compiles kernels with [~autopar:true] (loop→map conversion)
     and runs the result serially and with [--jobs N] worker domains. The
@@ -212,8 +213,11 @@ let () =
   let subjects : (Pipelines.kind * Workload.t) list =
     if !sweep then
       (* The acceptance sweep: every Polybench kernel through the dcir
-         pipeline, both tiers. *)
-      List.map (fun w -> (Pipelines.Dcir, w)) Polybench.all
+         pipeline (SDFG products, the bytecode VM) and the gcc pipeline
+         (MLIR products, the closure compiler), both tiers each. *)
+      List.concat_map
+        (fun w -> [ (Pipelines.Dcir, w); (Pipelines.Gcc, w) ])
+        Polybench.all
     else
       [
         (Pipelines.Dcir, Polybench.gemm);

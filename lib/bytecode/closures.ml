@@ -4,10 +4,14 @@
     general tasklet bodies that do not fit a specialized opcode compile
     once, at lowering time, into closures over the
     {!Dcir_sdfg.Interp.runtime}. Each closure drives the tree walker's
-    own charge helpers ([sym_env], [linearize], [buffer_of],
+    own charge helpers ([sym_id], [linearize], [buffer_of],
     [apply_binop], ...) in the tree walker's evaluation order, so a
     closure is exact by construction: same charges, same traps, same
-    results. *)
+    results.
+
+    Symbol names resolve at compile time, through the [sym] interner the
+    lowering passes in, to ids of the run's {!Dcir_sdfg.Symtab}; a
+    closure reads a symbol by indexing, never by hashing its name. *)
 
 open Dcir_symbolic
 open Dcir_machine
@@ -20,52 +24,56 @@ type iexpr = runtime -> int
 
 type crange = iexpr * iexpr * iexpr  (** (lo, hi, step) *)
 
+type syms = string -> int
+(** the lowering's interner: symbol name -> id in the run's table *)
+
 (* Compiled symbolic expression; mirrors Expr.eval's left-to-right
    evaluation (the symbol environment may charge for scalar-container
    reads) and raises Expr.Unbound_symbol like the interpreter. *)
-let rec compile_expr (e : Expr.t) : iexpr =
-  match e with
-  | Expr.Int n -> fun _ -> n
-  | Expr.Sym s -> (
-      fun rt ->
-        match sym_env rt s with
-        | Some v -> v
-        | None -> raise (Expr.Unbound_symbol s))
-  | Expr.Add xs ->
-      let cs = List.map compile_expr xs in
-      fun rt -> List.fold_left (fun acc c -> acc + c rt) 0 cs
-  | Expr.Mul xs ->
-      let cs = List.map compile_expr xs in
-      fun rt -> List.fold_left (fun acc c -> acc * c rt) 1 cs
-  | Expr.Div (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
-      fun rt ->
-        let x = ca rt in
-        let y = cb rt in
-        if y = 0 then invalid_arg "Expr.eval: division by zero"
-        else if (x < 0) <> (y < 0) && x mod y <> 0 then (x / y) - 1
-        else x / y
-  | Expr.Mod (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
-      fun rt ->
-        let x = ca rt in
-        let y = cb rt in
-        if y = 0 then invalid_arg "Expr.eval: modulo by zero"
-        else
-          let m = x mod y in
-          if m < 0 then m + abs y else m
-  | Expr.Min (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
-      fun rt ->
-        let x = ca rt in
-        let y = cb rt in
-        min x y
-  | Expr.Max (a, b) ->
-      let ca = compile_expr a and cb = compile_expr b in
-      fun rt ->
-        let x = ca rt in
-        let y = cb rt in
-        max x y
+let compile_expr (sym : syms) : Expr.t -> iexpr =
+  let rec compile_expr (e : Expr.t) : iexpr =
+    match e with
+    | Expr.Int n -> fun _ -> n
+    | Expr.Sym s ->
+        let id = sym s in
+        fun rt -> sym_id rt id s
+    | Expr.Add xs ->
+        let cs = List.map compile_expr xs in
+        fun rt -> List.fold_left (fun acc c -> acc + c rt) 0 cs
+    | Expr.Mul xs ->
+        let cs = List.map compile_expr xs in
+        fun rt -> List.fold_left (fun acc c -> acc * c rt) 1 cs
+    | Expr.Div (a, b) ->
+        let ca = compile_expr a and cb = compile_expr b in
+        fun rt ->
+          let x = ca rt in
+          let y = cb rt in
+          if y = 0 then invalid_arg "Expr.eval: division by zero"
+          else if (x < 0) <> (y < 0) && x mod y <> 0 then (x / y) - 1
+          else x / y
+    | Expr.Mod (a, b) ->
+        let ca = compile_expr a and cb = compile_expr b in
+        fun rt ->
+          let x = ca rt in
+          let y = cb rt in
+          if y = 0 then invalid_arg "Expr.eval: modulo by zero"
+          else
+            let m = x mod y in
+            if m < 0 then m + abs y else m
+    | Expr.Min (a, b) ->
+        let ca = compile_expr a and cb = compile_expr b in
+        fun rt ->
+          let x = ca rt in
+          let y = cb rt in
+          min x y
+    | Expr.Max (a, b) ->
+        let ca = compile_expr a and cb = compile_expr b in
+        fun rt ->
+          let x = ca rt in
+          let y = cb rt in
+          max x y
+  in
+  compile_expr
 
 (* Wrapper matching [eval_expr]'s trap. *)
 let ceval (c : iexpr) (rt : runtime) : int =
@@ -73,7 +81,8 @@ let ceval (c : iexpr) (rt : runtime) : int =
   | v -> v
   | exception Expr.Unbound_symbol s -> trap "unbound symbol '%s'" s
 
-let compile_bexpr (b : Bexpr.t) : runtime -> bool =
+let compile_bexpr (sym : syms) (b : Bexpr.t) : runtime -> bool =
+  let compile_expr = compile_expr sym in
   let rec go (b : Bexpr.t) : runtime -> bool =
     match b with
     | Bexpr.Bool v -> fun _ -> v
@@ -104,8 +113,8 @@ let compile_bexpr (b : Bexpr.t) : runtime -> bool =
   in
   go b
 
-let compile_range_dim (d : Range.dim) : crange =
-  (compile_expr d.lo, compile_expr d.hi, compile_expr d.step)
+let compile_range_dim (sym : syms) (d : Range.dim) : crange =
+  (compile_expr sym d.lo, compile_expr sym d.hi, compile_expr sym d.step)
 
 (* Evaluation order (lo, hi, step) mirrors [eval_range_dim]. *)
 let eval_crange (rt : runtime) ((clo, chi, cstep) : crange) : int * int * int =
@@ -120,88 +129,93 @@ type cbind = CBScalar of int | CBArray of string
 
 (* Compiled tasklet expression over the frame's value array. Mirrors [eval_texpr]
    arm by arm (same charge points, same traps, same evaluation order). *)
-let rec compile_texpr (benv : (string * cbind) list) (e : Texpr.t) :
-    runtime -> Value.t array -> Value.t =
-  match e with
-  | Texpr.TFloat f ->
-      let v = Value.VFloat f in
-      fun _ _ -> v
-  | Texpr.TInt n ->
-      let v = Value.VInt n in
-      fun _ _ -> v
-  | Texpr.TSym s -> (
-      fun rt _ ->
-        match sym_env rt s with
-        | Some v -> VInt v
-        | None -> trap "tasklet references unbound symbol '%s'" s)
-  | Texpr.TIn c -> (
-      match List.assoc_opt c benv with
-      | Some (CBScalar i) -> fun _ slots -> slots.(i)
-      | Some (CBArray _) ->
-          fun _ _ -> trap "connector '%s' is an array, not a scalar" c
-      | None -> fun _ _ -> trap "unbound input connector '%s'" c)
-  | Texpr.TIndex (c, idxs) -> (
-      match List.assoc_opt c benv with
-      | Some (CBArray data) ->
-          let cidxs = List.map (compile_texpr benv) idxs in
-          fun rt slots ->
-            let indices =
-              List.map (fun ci -> Value.as_int (ci rt slots)) cidxs
-            in
-            let lin = linearize rt data indices in
-            Machine.load rt.machine (buffer_of rt data) lin
-      | Some (CBScalar _) ->
-          fun _ _ -> trap "connector '%s' is scalar; cannot index" c
-      | None -> fun _ _ -> trap "unbound input connector '%s'" c)
-  | Texpr.TBin (op, a, b) ->
-      let ca = compile_texpr benv a and cb = compile_texpr benv b in
-      fun rt slots ->
-        let va = ca rt slots in
-        let vb = cb rt slots in
-        apply_binop rt.machine op va vb
-  | Texpr.TCmp (op, a, b) ->
-      let ca = compile_texpr benv a and cb = compile_texpr benv b in
-      fun rt slots ->
-        let va = ca rt slots in
-        let vb = cb rt slots in
-        apply_cmpop rt.machine op va vb
-  | Texpr.TSelect (c, a, b) ->
-      let cc = compile_texpr benv c in
-      let ca = compile_texpr benv a in
-      let cb = compile_texpr benv b in
-      fun rt slots ->
-        Machine.charge_op rt.machine Int_alu;
-        if Value.as_bool (cc rt slots) then ca rt slots else cb rt slots
-  | Texpr.TUn (`Neg, a) -> (
-      let ca = compile_texpr benv a in
-      fun rt slots ->
-        match ca rt slots with
-        | VFloat f ->
-            Machine.charge_op rt.machine Fp_add;
-            VFloat (-.f)
-        | VInt n ->
-            Machine.charge_op rt.machine Int_alu;
-            VInt (-n))
-  | Texpr.TUn (`Not, a) ->
-      let ca = compile_texpr benv a in
-      fun rt slots ->
-        Machine.charge_op rt.machine Int_alu;
-        Value.of_bool (not (Value.as_bool (ca rt slots)))
-  | Texpr.TUn (`ToFloat, a) ->
-      let ca = compile_texpr benv a in
-      fun rt slots ->
-        Machine.charge_op rt.machine Move;
-        VFloat (Value.as_float (ca rt slots))
-  | Texpr.TUn (`ToInt, a) ->
-      let ca = compile_texpr benv a in
-      fun rt slots ->
-        Machine.charge_op rt.machine Move;
-        apply_toint (ca rt slots)
-  | Texpr.TCall (fname, args) ->
-      let cargs = List.map (compile_texpr benv) args in
-      fun rt slots ->
-        let vargs = List.map (fun c -> Value.as_float (c rt slots)) cargs in
-        apply_call rt.machine fname vargs
+let compile_texpr (sym : syms) (benv : (string * cbind) list) :
+    Texpr.t -> runtime -> Value.t array -> Value.t =
+  let rec compile_texpr (e : Texpr.t) : runtime -> Value.t array -> Value.t =
+    match e with
+    | Texpr.TFloat f ->
+        let v = Value.VFloat f in
+        fun _ _ -> v
+    | Texpr.TInt n ->
+        let v = Value.VInt n in
+        fun _ _ -> v
+    | Texpr.TSym s -> (
+        let id = sym s in
+        fun rt _ ->
+          match sym_id rt id s with
+          | v -> VInt v
+          | exception Expr.Unbound_symbol _ ->
+              trap "tasklet references unbound symbol '%s'" s)
+    | Texpr.TIn c -> (
+        match List.assoc_opt c benv with
+        | Some (CBScalar i) -> fun _ slots -> slots.(i)
+        | Some (CBArray _) ->
+            fun _ _ -> trap "connector '%s' is an array, not a scalar" c
+        | None -> fun _ _ -> trap "unbound input connector '%s'" c)
+    | Texpr.TIndex (c, idxs) -> (
+        match List.assoc_opt c benv with
+        | Some (CBArray data) ->
+            let cidxs = List.map compile_texpr idxs in
+            fun rt slots ->
+              let indices =
+                List.map (fun ci -> Value.as_int (ci rt slots)) cidxs
+              in
+              let lin = linearize rt data indices in
+              Machine.load rt.machine (buffer_of rt data) lin
+        | Some (CBScalar _) ->
+            fun _ _ -> trap "connector '%s' is scalar; cannot index" c
+        | None -> fun _ _ -> trap "unbound input connector '%s'" c)
+    | Texpr.TBin (op, a, b) ->
+        let ca = compile_texpr a and cb = compile_texpr b in
+        fun rt slots ->
+          let va = ca rt slots in
+          let vb = cb rt slots in
+          apply_binop rt.machine op va vb
+    | Texpr.TCmp (op, a, b) ->
+        let ca = compile_texpr a and cb = compile_texpr b in
+        fun rt slots ->
+          let va = ca rt slots in
+          let vb = cb rt slots in
+          apply_cmpop rt.machine op va vb
+    | Texpr.TSelect (c, a, b) ->
+        let cc = compile_texpr c in
+        let ca = compile_texpr a in
+        let cb = compile_texpr b in
+        fun rt slots ->
+          Machine.charge_op rt.machine Int_alu;
+          if Value.as_bool (cc rt slots) then ca rt slots else cb rt slots
+    | Texpr.TUn (`Neg, a) -> (
+        let ca = compile_texpr a in
+        fun rt slots ->
+          match ca rt slots with
+          | VFloat f ->
+              Machine.charge_op rt.machine Fp_add;
+              VFloat (-.f)
+          | VInt n ->
+              Machine.charge_op rt.machine Int_alu;
+              VInt (-n))
+    | Texpr.TUn (`Not, a) ->
+        let ca = compile_texpr a in
+        fun rt slots ->
+          Machine.charge_op rt.machine Int_alu;
+          Value.of_bool (not (Value.as_bool (ca rt slots)))
+    | Texpr.TUn (`ToFloat, a) ->
+        let ca = compile_texpr a in
+        fun rt slots ->
+          Machine.charge_op rt.machine Move;
+          VFloat (Value.as_float (ca rt slots))
+    | Texpr.TUn (`ToInt, a) ->
+        let ca = compile_texpr a in
+        fun rt slots ->
+          Machine.charge_op rt.machine Move;
+          apply_toint (ca rt slots)
+    | Texpr.TCall (fname, args) ->
+        let cargs = List.map compile_texpr args in
+        fun rt slots ->
+          let vargs = List.map (fun c -> Value.as_float (c rt slots)) cargs in
+          apply_call rt.machine fname vargs
+  in
+  compile_texpr
 
 (** A general memlet copy (any rank, any subset shape), with its ranges
     compiled. *)

@@ -12,7 +12,14 @@
     - [saves] — saved symbol bindings around serial map loops;
     - [snaps] — metric snapshots for profile attribution;
     - [bufs]  — per-container (buffer, dims) pairs resolved once per
-      frame, eliminating repeated hashtable lookups on the hot path.
+      frame, eliminating repeated hashtable lookups on the hot path;
+    - [lasts] — the most recent value of each tasklet output that a
+      direct value edge reads, with [lset] marking the ones set.
+
+    Symbols are ids into the run's {!Dcir_sdfg.Symtab}: the lowering
+    interns every name the program and its [ParMap] bodies read or bind
+    and records the names in [p_syms], and {!Vm.run} builds the table
+    from them, so no instruction hashes a name.
 
     Interstate control flow is pre-resolved into branch targets: every
     [EdgeCond] carries the pc of the next alternative and every taken
@@ -58,16 +65,16 @@ type instr =
       dst : string;
       if_false : int;  (** pc of the next alternative edge / fallthrough *)
     }
-  | EdgeAssigns of { base : int; items : (string * iexpr) array }
+  | EdgeAssigns of { base : int; items : (int * iexpr) array }
       (** evaluate all RHS with pre-assignment values (staged in
           [ints.(base+i)]), then commit *)
   (* -- serial map loops -------------------------------------------- *)
   | EvalRange of { lo : int; hi : int; step : int; r : crange }
-  | SaveSym of { slot : int; sym : string }
-  | RestoreSym of { slot : int; sym : string }
+  | SaveSym of { slot : int; sym : int }
+  | RestoreSym of { slot : int; sym : int }
   | LoopInit of { iv : int; lo : int }
   | LoopHead of { iv : int; hi : int; exit_ : int }
-  | LoopIter of { sym : string; iv : int }
+  | LoopIter of { sym : int; iv : int }
       (** per-iteration charge (Int_alu + Branch) and symbol binding *)
   | LoopNext of { iv : int; step : int; head : int }
   (* -- certified parallel maps ------------------------------------- *)
@@ -100,8 +107,9 @@ type instr =
   | TaskRec of { slot : int; name : string }
   | LoadIdx of { dst : int; data : string; cslot : int; idxs : iexpr array }
       (** fill one connector slot from a single-element subset *)
-  | LoadLast of { dst : int; key : string; tname : string }
-      (** fill from a direct tasklet-to-tasklet value edge *)
+  | LoadLast of { dst : int; last : int; key : string; tname : string }
+      (** fill from a direct tasklet-to-tasklet value edge: [lasts.(last)],
+          the output ["nid:conn"] = [key] *)
   | Eval of { dst : int; f : Interp.runtime -> Value.t array -> Value.t }
       (** general tasklet assignment: closure-compiled body over [vals] *)
   | Bin of { dst : int; op : Texpr.binop; a : int; b : int }
@@ -109,7 +117,7 @@ type instr =
       (** explicit trap-carrying division *)
   | RemT of { dst : int; a : int; b : int }
       (** explicit trap-carrying remainder *)
-  | SetOut of { key : string; src : int }
+  | SetOut of { last : int; src : int }
   | StoreIdx of {
       src : int;
       data : string;
@@ -122,7 +130,7 @@ type instr =
       op : Texpr.binop;
       a : int;
       b : int;
-      key : string;
+      last : int;
       data : string;
       cslot : int;
       wcr : Sdfg.wcr option;
@@ -134,7 +142,7 @@ type instr =
       modul : Dcir_mlir.Ir.modul;
       entry : string;
       nid : int;
-      syms : string list;
+      syms : (int * string) list;
       args : oarg array;
       keys : string array;
       obase : int;
@@ -150,6 +158,10 @@ and program = {
   p_nsaves : int;
   p_nsnaps : int;
   p_ncslots : int;
+  p_nlasts : int;
+  p_syms : string array;
+      (** interned symbol names, name [i] = id [i]; [ParMap] bodies share
+          the enclosing program's numbering *)
 }
 
 (** Preallocated activation frame: sized once at [Vm.exec] entry, reused
@@ -160,6 +172,8 @@ type frame = {
   saves : int option array;
   snaps : (float * int * int) option array;
   bufs : (Machine.buffer * int array) option array;
+  lasts : Value.t array;
+  lset : bool array;
 }
 
 let make_frame (p : program) : frame =
@@ -169,6 +183,8 @@ let make_frame (p : program) : frame =
     saves = Array.make (max 1 p.p_nsaves) None;
     snaps = Array.make (max 1 p.p_nsnaps) None;
     bufs = Array.make (max 1 p.p_ncslots) None;
+    lasts = Array.make (max 1 p.p_nlasts) (Value.VInt 0);
+    lset = Array.make (max 1 p.p_nlasts) false;
   }
 
 let opcode_name : instr -> string = function

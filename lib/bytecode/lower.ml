@@ -11,7 +11,10 @@
       [LoopHead] / [LoopIter] / [LoopNext]);
     - interstate conditions are pre-evaluated into branch targets: each
       state's edge tests chain via [if_false] pcs and taken edges [Jmp]
-      straight to the destination state's entry pc.
+      straight to the destination state's entry pc;
+    - every symbol name resolves to an id of the run's symbol table, and
+      every tasklet output a value edge reads to a slot of the frame's
+      [lasts] array, so execution hashes no names.
 
     States lower eagerly, but the tree walker only inspects a dataflow
     graph when execution reaches it, so a malformed graph (e.g. a cycle)
@@ -22,6 +25,7 @@ module Interp = Dcir_sdfg.Interp
 module Sdfg = Dcir_sdfg.Sdfg
 module Texpr = Dcir_sdfg.Texpr
 module Range = Dcir_symbolic.Range
+module Symtab = Dcir_sdfg.Symtab
 open Isa
 
 (* ------------------------------------------------------------------ *)
@@ -29,6 +33,12 @@ open Isa
    every pc is known. *)
 
 type builder = {
+  syms : Symtab.t;
+      (** interns symbol names; shared by a program and its nested
+          [ParMap] bodies, so a chunk's copy of the run's table keeps the
+          ids *)
+  lasts : (string, int) Hashtbl.t;  (** "nid:conn" -> [lasts] slot *)
+  mutable nlasts : int;
   mutable rev : instr list;
   mutable len : int;
   mutable patches : (int * (unit -> instr)) list;
@@ -40,8 +50,11 @@ type builder = {
   mutable ncslots : int;
 }
 
-let new_builder () : builder =
+let new_builder (syms : Symtab.t) : builder =
   {
+    syms;
+    lasts = Hashtbl.create 8;
+    nlasts = 0;
     rev = [];
     len = 0;
     patches = [];
@@ -95,6 +108,19 @@ let alloc_snap (b : builder) : int =
   b.nsnaps <- s + 1;
   s
 
+let sym (b : builder) (name : string) : int = Symtab.intern b.syms name
+
+(* One [lasts] slot per tasklet output key per program: every write and
+   read of "nid:conn" in one frame meets in the same slot. *)
+let last_slot (b : builder) (key : string) : int =
+  match Hashtbl.find_opt b.lasts key with
+  | Some s -> s
+  | None ->
+      let s = b.nlasts in
+      b.nlasts <- s + 1;
+      Hashtbl.replace b.lasts key s;
+      s
+
 (* One frame-cached (buffer, dims) slot per container name per program. *)
 let cslot (b : builder) (name : string) : int =
   match Hashtbl.find_opt b.cslots name with
@@ -116,6 +142,8 @@ let finish (b : builder) (sdfg : Sdfg.t) : program =
     p_nsaves = b.nsaves;
     p_nsnaps = b.nsnaps;
     p_ncslots = b.ncslots;
+    p_nlasts = b.nlasts;
+    p_syms = Symtab.names b.syms;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -125,9 +153,9 @@ let finish (b : builder) (sdfg : Sdfg.t) : program =
    holds absolute frame-slot indices, so [Closures.compile_texpr] bodies
    evaluate directly over the frame's value array. *)
 
-let lower_index_exprs (subset : Range.t) : iexpr array =
+let lower_index_exprs (b : builder) (subset : Range.t) : iexpr array =
   Array.of_list
-    (List.map (fun (d : Range.dim) -> Closures.compile_expr d.lo) subset)
+    (List.map (fun (d : Range.dim) -> Closures.compile_expr (sym b) d.lo) subset)
 
 let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
     (t : Sdfg.tasklet) : unit =
@@ -150,7 +178,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
                     dst = slot;
                     data = m.data;
                     cslot = cslot b m.data;
-                    idxs = lower_index_exprs m.subset;
+                    idxs = lower_index_exprs b m.subset;
                   }
               else
                 TrapNow
@@ -168,7 +196,10 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
           | Some src_conn ->
               let key = Printf.sprintf "%d:%s" e.e_src src_conn in
               let slot = alloc_val b in
-              ignore (emit b (LoadLast { dst = slot; key; tname = t.tname }));
+              ignore
+                (emit b
+                   (LoadLast
+                      { dst = slot; last = last_slot b key; key; tname = t.tname }));
               benv := (conn, Closures.CBScalar slot) :: !benv
           | None -> ())
       | _ -> ())
@@ -193,8 +224,8 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
                       | Texpr.BDiv -> DivT { dst; a; b = bb }
                       | Texpr.BMod -> RemT { dst; a; b = bb }
                       | _ -> Bin { dst; op; a; b = bb })
-                  | _ -> Eval { dst; f = Closures.compile_texpr benv e })
-              | _ -> Eval { dst; f = Closures.compile_texpr benv e })
+                  | _ -> Eval { dst; f = Closures.compile_texpr (sym b) benv e })
+              | _ -> Eval { dst; f = Closures.compile_texpr (sym b) benv e })
             assigns
         in
         (instrs, List.map fst assigns, obase)
@@ -225,7 +256,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
                 modul;
                 entry = f.Dcir_mlir.Ir.fname;
                 nid = n.nid;
-                syms = t.t_syms;
+                syms = List.map (fun s -> (sym b s, s)) t.t_syms;
                 args;
                 keys;
                 obase;
@@ -238,7 +269,9 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
     List.map (fun c -> Printf.sprintf "%d:%s" n.nid c) outnames
   in
   let setouts =
-    List.mapi (fun i key -> SetOut { key; src = obase + i }) outkeys
+    List.mapi
+      (fun i key -> SetOut { last = last_slot b key; src = obase + i })
+      outkeys
   in
   (* Writes, per out-edge in edge order; [Interp.write_outputs]
      semantics, with every trap deferred to execution. *)
@@ -266,7 +299,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
                         data = m.data;
                         cslot = cslot b m.data;
                         wcr = m.wcr;
-                        idxs = lower_index_exprs m.subset;
+                        idxs = lower_index_exprs b m.subset;
                       }
                   else
                     TrapNow
@@ -277,7 +310,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
   in
   (* Peephole: a single two-operand assignment with a single indexed
      write fuses into one load-op-store dispatch. Same effects, same
-     order (result slot, then last_outputs, then the store). *)
+     order (result slot, then the [lasts] slot, then the store). *)
   let fuse_parts = function
     | Bin { dst; op; a; b } -> Some (dst, op, a, b)
     | DivT { dst; a; b } -> Some (dst, Texpr.BDiv, a, b)
@@ -286,7 +319,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
   in
   (match (body_instrs, setouts, writes) with
   | ( [ bi ],
-      [ SetOut { key; src } ],
+      [ SetOut { last; src } ],
       [ StoreIdx { src = wsrc; data; cslot = cs; wcr; idxs } ] )
     when (match fuse_parts bi with
          | Some (dst, _, _, _) -> src = dst && wsrc = dst
@@ -295,7 +328,8 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
         match fuse_parts bi with Some p -> p | None -> assert false
       in
       ignore
-        (emit b (FusedBin { dst; op; a; b = bb; key; data; cslot = cs; wcr; idxs }))
+        (emit b
+           (FusedBin { dst; op; a; b = bb; last; data; cslot = cs; wcr; idxs }))
   | _ ->
       List.iter (fun i -> ignore (emit b i)) body_instrs;
       List.iter (fun i -> ignore (emit b i)) setouts;
@@ -366,8 +400,8 @@ and lower_copy (b : builder) ~(src : string) ~(dst : string)
             dst;
             dslot = cslot b dst;
             wcr;
-            sr = Closures.compile_range_dim sd;
-            dr = Closures.compile_range_dim dd;
+            sr = Closures.compile_range_dim (sym b) sd;
+            dr = Closures.compile_range_dim (sym b) dd;
           }
     | _ ->
         CopyND
@@ -375,8 +409,8 @@ and lower_copy (b : builder) ~(src : string) ~(dst : string)
             Closures.cc_src = src;
             cc_dst = dst;
             cc_wcr = wcr;
-            cc_src_dims = List.map Closures.compile_range_dim src_subset;
-            cc_dst_dims = List.map Closures.compile_range_dim dst_subset;
+            cc_src_dims = List.map (Closures.compile_range_dim (sym b)) src_subset;
+            cc_dst_dims = List.map (Closures.compile_range_dim (sym b)) dst_subset;
           }
   in
   ignore (emit b i)
@@ -384,10 +418,11 @@ and lower_copy (b : builder) ~(src : string) ~(dst : string)
 and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
   match mn.m_par with
   | Some cert when mn.m_params <> [] -> (
-      let ranges = List.map Closures.compile_range_dim mn.m_ranges in
+      let ranges = List.map (Closures.compile_range_dim (sym b)) mn.m_ranges in
+      List.iter (fun p -> ignore (sym b p)) mn.m_params;
       match force_topo mn.m_body with
       | () ->
-          let body = lower_body sdfg mn.m_body in
+          let body = lower_body b.syms sdfg mn.m_body in
           ignore (emit b (ParMap { cert; params = mn.m_params; ranges; body }))
       | exception e ->
           (* the tree walker evaluates the ranges before it sorts the
@@ -411,7 +446,8 @@ and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
             let lo = alloc_int b and hi = alloc_int b and step = alloc_int b in
             ignore
               (emit b
-                 (EvalRange { lo; hi; step; r = Closures.compile_range_dim rd }));
+                 (EvalRange
+                    { lo; hi; step; r = Closures.compile_range_dim (sym b) rd }));
             (lo, hi, step))
           mn.m_ranges
       in
@@ -419,7 +455,7 @@ and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
         List.map
           (fun p ->
             let slot = alloc_save b in
-            ignore (emit b (SaveSym { slot; sym = p }));
+            ignore (emit b (SaveSym { slot; sym = sym b p }));
             (p, slot))
           mn.m_params
       in
@@ -439,7 +475,7 @@ and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
               ignore
                 (emit_patch b (fun () ->
                      LoopHead { iv; hi; exit_ = !exit_ref }));
-              ignore (emit b (LoopIter { sym = p; iv }));
+              ignore (emit b (LoopIter { sym = sym b p; iv }));
               nest (k + 1) ps rs;
               ignore (emit b (LoopNext { iv; step; head }));
               exit_ref := b.len
@@ -447,11 +483,11 @@ and lower_map (b : builder) (sdfg : Sdfg.t) (mn : Sdfg.map_node) : unit =
       in
       nest 0 mn.m_params regs;
       List.iter
-        (fun (p, slot) -> ignore (emit b (RestoreSym { slot; sym = p })))
+        (fun (p, slot) -> ignore (emit b (RestoreSym { slot; sym = sym b p })))
         saves
 
-and lower_body (sdfg : Sdfg.t) (g : Sdfg.graph) : program =
-  let b = new_builder () in
+and lower_body (syms : Symtab.t) (sdfg : Sdfg.t) (g : Sdfg.graph) : program =
+  let b = new_builder syms in
   lower_graph b sdfg g;
   ignore (emit b Halt);
   finish b sdfg
@@ -470,7 +506,7 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
   Hashtbl.iter
     (fun _ (c : Sdfg.container) ->
       if c.alloc_state = Some s.s_label && c.storage = Sdfg.Heap then
-        allocs := (c, List.map Closures.compile_expr c.shape) :: !allocs)
+        allocs := (c, List.map (Closures.compile_expr (sym b)) c.shape) :: !allocs)
     sdfg.containers;
   List.iter
     (fun (c, shape) -> ignore (emit b (AllocState { c; shape })))
@@ -494,7 +530,7 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
   List.iter
     (fun (e : Sdfg.istate_edge) ->
       let skip = ref (-1) in
-      let cond = Closures.compile_bexpr e.ie_cond in
+      let cond = Closures.compile_bexpr (sym b) e.ie_cond in
       ignore
         (emit_patch b (fun () ->
              EdgeCond
@@ -505,7 +541,7 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
           let items =
             Array.of_list
               (List.map
-                 (fun (sym, ex) -> (sym, Closures.compile_expr ex))
+                 (fun (s, ex) -> (sym b s, Closures.compile_expr (sym b) ex))
                  assigns)
           in
           let base = alloc_ints b (Array.length items) in
@@ -516,7 +552,7 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
   emit_tail None
 
 let lower (sdfg : Sdfg.t) : program =
-  let b = new_builder () in
+  let b = new_builder (Symtab.create ()) in
   let state_pc : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let entry_ref = ref (-1) in
   ignore (emit_patch b (fun () -> Jmp !entry_ref));

@@ -16,6 +16,7 @@ open Dcir_machine
 module Interp = Dcir_sdfg.Interp
 module Sdfg = Dcir_sdfg.Sdfg
 module Expr = Dcir_symbolic.Expr
+module Symtab = Dcir_sdfg.Symtab
 open Isa
 
 (* Per-frame (buffer, dims) cache: the first touch goes through
@@ -138,7 +139,7 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
           fr.ints.(base + j) <- Closures.ceval (snd items.(j)) rt
         done;
         for j = 0 to n - 1 do
-          Hashtbl.replace rt.symbols (fst items.(j)) fr.ints.(base + j)
+          Symtab.set_id rt.symbols (fst items.(j)) fr.ints.(base + j)
         done
     (* -- serial map loops ------------------------------------------ *)
     | EvalRange { lo; hi; step; r } ->
@@ -147,18 +148,21 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
         fr.ints.(hi) <- h;
         fr.ints.(step) <- s
     | SaveSym { slot; sym } ->
-        fr.saves.(slot) <- Hashtbl.find_opt rt.symbols sym
+        fr.saves.(slot) <-
+          (if Symtab.is_bound rt.symbols sym then
+             Some (Symtab.get rt.symbols sym)
+           else None)
     | RestoreSym { slot; sym } -> (
         match fr.saves.(slot) with
-        | Some v -> Hashtbl.replace rt.symbols sym v
-        | None -> Hashtbl.remove rt.symbols sym)
+        | Some v -> Symtab.set_id rt.symbols sym v
+        | None -> Symtab.unset_id rt.symbols sym)
     | LoopInit { iv; lo } -> fr.ints.(iv) <- fr.ints.(lo)
     | LoopHead { iv; hi; exit_ } ->
         if fr.ints.(iv) > fr.ints.(hi) then pc := exit_
     | LoopIter { sym; iv } ->
         Machine.charge_op m Cost.Int_alu;
         Machine.charge_op m Cost.Branch;
-        Hashtbl.replace rt.symbols sym fr.ints.(iv)
+        Symtab.set_id rt.symbols sym fr.ints.(iv)
     | LoopNext { iv; step; head } ->
         fr.ints.(iv) <- fr.ints.(iv) + fr.ints.(step);
         pc := head
@@ -207,12 +211,11 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
     | LoadIdx { dst; data; cslot; idxs } ->
         let buf, lin = load_linear rt fr ~data ~cslot idxs in
         fr.vals.(dst) <- Machine.load m buf lin
-    | LoadLast { dst; key; tname } -> (
-        match Hashtbl.find_opt rt.last_outputs key with
-        | Some v -> fr.vals.(dst) <- v
-        | None ->
-            Interp.trap "tasklet '%s': value edge source %s not yet executed"
-              tname key)
+    | LoadLast { dst; last; key; tname } ->
+        if fr.lset.(last) then fr.vals.(dst) <- fr.lasts.(last)
+        else
+          Interp.trap "tasklet '%s': value edge source %s not yet executed"
+            tname key
     | Eval { dst; f } -> fr.vals.(dst) <- f rt fr.vals
     | Bin { dst; op; a; b } ->
         fr.vals.(dst) <- Interp.apply_binop m op fr.vals.(a) fr.vals.(b)
@@ -230,15 +233,17 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
             if y = 0 then Interp.trap "modulo by zero in tasklet"
             else fr.vals.(dst) <- Value.VInt (x mod y)
         | va, vb -> fr.vals.(dst) <- Interp.apply_binop m Texpr.BMod va vb)
-    | SetOut { key; src } ->
-        Hashtbl.replace rt.last_outputs key fr.vals.(src)
+    | SetOut { last; src } ->
+        fr.lasts.(last) <- fr.vals.(src);
+        fr.lset.(last) <- true
     | StoreIdx { src; data; cslot; wcr; idxs } ->
         let buf, lin = load_linear rt fr ~data ~cslot idxs in
         do_store rt buf lin wcr fr.vals.(src)
-    | FusedBin { dst; op; a; b; key; data; cslot; wcr; idxs } ->
+    | FusedBin { dst; op; a; b; last; data; cslot; wcr; idxs } ->
         let v = Interp.apply_binop m op fr.vals.(a) fr.vals.(b) in
         fr.vals.(dst) <- v;
-        Hashtbl.replace rt.last_outputs key v;
+        fr.lasts.(last) <- v;
+        fr.lset.(last) <- true;
         let buf, lin = load_linear rt fr ~data ~cslot idxs in
         do_store rt buf lin wcr v
     | CallOpaque { tname; overhead; modul; entry; nid; syms; args; keys; obase }
@@ -246,10 +251,10 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
         Machine.charge m overhead;
         let sym_args =
           List.map
-            (fun s ->
-              match Interp.sym_env rt s with
-              | Some v -> Dcir_mlir.Interp.Scalar (Value.VInt v)
-              | None ->
+            (fun (id, s) ->
+              match Interp.sym_id rt id s with
+              | v -> Dcir_mlir.Interp.Scalar (Value.VInt v)
+              | exception Expr.Unbound_symbol _ ->
                   Interp.trap "opaque tasklet '%s': unbound symbol '%s'" tname
                     s)
             syms
@@ -287,11 +292,12 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
   done
 
 (** [run p ~buffers ~symbols] executes a lowered program through
-    {!Interp.run}, which builds the runtime, binds the arguments and
-    computes the return value exactly as for the tree walker. *)
+    {!Interp.run}, which builds the runtime (its symbol table from the
+    program's interned names), binds the arguments and computes the
+    return value exactly as for the tree walker. *)
 let run ?(machine : Machine.t option)
     ?(profile : Dcir_obs.Obs.Profile.t option) ?(jobs : int = 1)
     (p : program) ~(buffers : (string * Machine.buffer * int array) list)
     ~(symbols : (string * int) list) () : Interp.result =
-  Interp.run ?machine ?profile ~jobs ~exec:(fun rt -> exec rt p) p.p_sdfg
-    ~buffers ~symbols ()
+  Interp.run ?machine ?profile ~jobs ~exec:(fun rt -> exec rt p)
+    ~names:p.p_syms p.p_sdfg ~buffers ~symbols ()

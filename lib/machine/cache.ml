@@ -8,6 +8,7 @@
 type t = {
   name : string;
   sets : int;
+  set_mask : int;  (** [sets - 1]; [sets] is a power of two *)
   assoc : int;
   line_bytes : int;
   ways : int array array;
@@ -23,13 +24,20 @@ type t = {
    them up front cost more than a small run itself. *)
 let untouched : int array = [||]
 
+(** Raises [Invalid_argument] unless the set count is a power of two,
+    which lets {!access} pick a set with a mask. *)
 let create ~(name : string) ~(size_bytes : int) ~(assoc : int)
     ~(line_bytes : int) : t =
   let lines = size_bytes / line_bytes in
   let sets = max 1 (lines / assoc) in
+  if sets land (sets - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Cache.create: %s has %d sets, not a power of two" name
+         sets);
   {
     name;
     sets;
+    set_mask = sets - 1;
     assoc;
     line_bytes;
     ways = Array.make sets untouched;
@@ -44,7 +52,7 @@ let access (c : t) (addr : int) : bool =
   c.tick <- c.tick + 1;
   c.accesses <- c.accesses + 1;
   let line = addr / c.line_bytes in
-  let set = line mod c.sets in
+  let set = line land c.set_mask in
   let assoc = c.assoc in
   let ways =
     match c.ways.(set) with
@@ -55,12 +63,13 @@ let access (c : t) (addr : int) : bool =
         w
     | w -> w
   in
-  let hit_way = ref (-1) in
-  for w = 0 to assoc - 1 do
-    if ways.(w) = line then hit_way := w
+  (* A line is installed only on a miss, so at most one way matches. *)
+  let w = ref 0 in
+  while !w < assoc && ways.(!w) <> line do
+    incr w
   done;
-  if !hit_way >= 0 then begin
-    ways.(assoc + !hit_way) <- c.tick;
+  if !w < assoc then begin
+    ways.(assoc + !w) <- c.tick;
     true
   end
   else begin

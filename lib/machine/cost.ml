@@ -66,6 +66,23 @@ let op_cost (cfg : config) (cls : op_class) : float =
   | Branch -> 1.0
   | Move -> 0.25
 
+(** Dense index of an op class, for per-class tables. *)
+let class_index : op_class -> int = function
+  | Int_alu -> 0
+  | Int_mul -> 1
+  | Int_div -> 2
+  | Fp_add -> 3
+  | Fp_mul -> 4
+  | Fp_div -> 5
+  | Fp_sqrt -> 6
+  | Math_call -> 7
+  | Branch -> 8
+  | Move -> 9
+
+let all_classes : op_class list =
+  [ Int_alu; Int_mul; Int_div; Fp_add; Fp_mul; Fp_div; Fp_sqrt; Math_call;
+    Branch; Move ]
+
 let pp_op_class (ppf : Format.formatter) (c : op_class) : unit =
   Fmt.string ppf
     (match c with

@@ -29,6 +29,8 @@ module Chaos = Dcir_resilience.Chaos
 
 type t = {
   cfg : Cost.config;
+  op_costs : float array;
+      (** [Cost.op_cost cfg] per {!Cost.class_index}, built once *)
   metrics : Metrics.t;
   budget : Budget.t;
       (** governs allocations here and interpreter steps upstream *)
@@ -49,8 +51,13 @@ let line_bytes = 64
 let page_bytes = 4096
 
 let create ?(cfg = Cost.default) ?(budget = Budget.create ()) () : t =
+  let op_costs = Array.make (List.length Cost.all_classes) 0.0 in
+  List.iter
+    (fun c -> op_costs.(Cost.class_index c) <- Cost.op_cost cfg c)
+    Cost.all_classes;
   {
     cfg;
+    op_costs;
     metrics = Metrics.create ();
     budget;
     l1 = Cache.create ~name:"L1" ~size_bytes:(32 * 1024) ~assoc:8 ~line_bytes;
@@ -88,36 +95,40 @@ let charge (m : t) (cycles : float) : unit =
   m.metrics.cycles <- m.metrics.cycles +. cycles
 
 let charge_op (m : t) (cls : Cost.op_class) : unit =
-  charge m (Cost.op_cost m.cfg cls);
   let mt = m.metrics in
+  mt.cycles <- mt.cycles +. m.op_costs.(Cost.class_index cls);
   match cls with
   | Int_alu | Int_mul | Int_div | Move -> mt.int_ops <- mt.int_ops + 1
   | Fp_add | Fp_mul | Fp_div | Fp_sqrt -> mt.fp_ops <- mt.fp_ops + 1
   | Math_call -> mt.math_calls <- mt.math_calls + 1
   | Branch -> mt.branches <- mt.branches + 1
 
-(* One cache-hierarchy probe for the line containing [addr]. *)
-let probe_line (m : t) (addr : int) : float =
+(* One cache-hierarchy probe for the line containing [addr], charging
+   the level that hits (no boxed float on the way back). *)
+let probe_line (m : t) (addr : int) : unit =
   let mt = m.metrics in
   mt.l1_accesses <- mt.l1_accesses + 1;
-  if Cache.access m.l1 addr then m.cfg.l1_hit
-  else begin
-    mt.l1_misses <- mt.l1_misses + 1;
-    if Cache.access m.l2 addr then m.cfg.l2_hit
+  let cost =
+    if Cache.access m.l1 addr then m.cfg.l1_hit
     else begin
-      mt.l2_misses <- mt.l2_misses + 1;
-      if Cache.access m.l3 addr then m.cfg.l3_hit
+      mt.l1_misses <- mt.l1_misses + 1;
+      if Cache.access m.l2 addr then m.cfg.l2_hit
       else begin
-        mt.l3_misses <- mt.l3_misses + 1;
-        m.cfg.dram
+        mt.l2_misses <- mt.l2_misses + 1;
+        if Cache.access m.l3 addr then m.cfg.l3_hit
+        else begin
+          mt.l3_misses <- mt.l3_misses + 1;
+          m.cfg.dram
+        end
       end
     end
-  end
+  in
+  mt.cycles <- mt.cycles +. cost
 
 let mem_access (m : t) ~(addr : int) ~(bytes : int) : unit =
   let first = addr / line_bytes and last = (addr + bytes - 1) / line_bytes in
   for line = first to last do
-    charge m (probe_line m (line * line_bytes))
+    probe_line m (line * line_bytes)
   done
 
 (* ------------------------------------------------------------------ *)

@@ -31,7 +31,7 @@ type kctrl =
 type cfunc = {
   cf_func : Ir.func;
   cf_body : (unit -> kctrl) array;
-  cf_rargs : Ir.value list;
+  cf_rslots : int array;  (** parameter slots, bound at call entry *)
 }
 
 type env = {
@@ -40,7 +40,14 @@ type env = {
       (** the machine's budget, cached; charged one step per executed op
           in both tree and compiled modes so the two trap identically *)
   modul : Ir.modul;
-  bindings : (int, rtval) Hashtbl.t;  (** vid -> runtime value *)
+  bindings : (int, rtval) Hashtbl.t;  (** tree mode: vid -> runtime value *)
+  mutable slots : rtval array;
+      (** compiled mode: slot -> runtime value. Grows when a function
+          compiles lazily, so closures read the field afresh and never
+          hold the array across a call. *)
+  slot_of : (int, int) Hashtbl.t;
+      (** compiled mode: vid -> slot, assigned when an op compiles; one
+          slot per vid for the whole env, as [bindings] has one entry *)
   mutable call_depth : int;
   profile : Dcir_obs.Obs.Profile.t option;
       (** when set, per-function inclusive cycles/loads/stores *)
@@ -393,6 +400,74 @@ and call_func (env : env) (f : Ir.func) (args : rtval list) : Value.t list =
 
 type mode = Tree | Compiled
 
+(* The never-set slot: physically distinct from every value a program
+   binds, so reading it raises the tree walker's unbound-value trap. *)
+let unset : rtval = Scalar (Value.VInt (Sys.opaque_identity 0))
+
+let new_env ?profile (machine : Machine.t) (m : Ir.modul) : env =
+  {
+    machine;
+    budget = Machine.budget machine;
+    modul = m;
+    bindings = Hashtbl.create 256;
+    slots = Array.make 64 unset;
+    slot_of = Hashtbl.create 64;
+    call_depth = 0;
+    profile;
+    cfuncs = Hashtbl.create 8;
+  }
+
+(* The slot of [v], assigned on first sight at compile time. *)
+let slot (env : env) (v : Ir.value) : int =
+  match Hashtbl.find_opt env.slot_of v.vid with
+  | Some k -> k
+  | None ->
+      let k = Hashtbl.length env.slot_of in
+      Hashtbl.add env.slot_of v.vid k;
+      let n = Array.length env.slots in
+      if k >= n then begin
+        let a = Array.make (2 * n) unset in
+        Array.blit env.slots 0 a 0 n;
+        env.slots <- a
+      end;
+      k
+
+(* Slot twins of [lookup]/[scalar]/[int_of]/[float_of]/[buffer]/[bind]:
+   same traps, same messages. *)
+let sget (env : env) (k : int) (v : Ir.value) : rtval =
+  let rv = env.slots.(k) in
+  if rv == unset then trap "unbound SSA value %s" (Printer.value_name v)
+  else rv
+
+let sset (env : env) (k : int) (rv : rtval) : unit = env.slots.(k) <- rv
+
+let sscalar (env : env) (k : int) (v : Ir.value) : Value.t =
+  match sget env k v with
+  | Scalar s -> s
+  | Buf _ -> trap "expected scalar, got memref (%s)" (Printer.value_name v)
+
+let sint (env : env) (k : int) (v : Ir.value) : int =
+  Value.as_int (sscalar env k v)
+
+let sfloat (env : env) (k : int) (v : Ir.value) : float =
+  Value.as_float (sscalar env k v)
+
+let sbuffer (env : env) (k : int) (v : Ir.value) : bufinfo =
+  match sget env k v with
+  | Buf b -> b
+  | Scalar _ -> trap "expected memref, got scalar (%s)" (Printer.value_name v)
+
+(* A value paired with its slot, resolved at compile time. *)
+type sv = { k : int; v : Ir.value }
+
+let sv (env : env) (v : Ir.value) : sv = { k = slot env v; v }
+
+(* Compiled [linearize b (List.map (int_of env) idxs)]: every index is
+   read, left to right, before [linearize]'s rank check and charges. *)
+let compile_linear (env : env) (idxs : Ir.value list) : bufinfo -> int =
+  let svs = List.map (sv env) idxs in
+  fun b -> linearize env b (List.map (fun a -> sint env a.k a.v) svs)
+
 (* Run a compiled op sequence until a terminator produces control.
    Charges one budget step per executed closure — the compiled-mode twin
    of the per-op charge in [exec_ops]/[exec_region_with_yield]. *)
@@ -419,37 +494,48 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
         | Some c -> fun () -> Machine.charge_op m c
         | None -> fun () -> ())
   in
+  (* Slots resolve in operand order, then result order, before the
+     closure exists; the closure only indexes [env.slots]. *)
+  let ops = List.map (sv env) o.operands in
+  let opnd i = List.nth ops i in
+  let res () = sv env (Ir.result o) in
   match o.name with
   | "func.return" ->
       if structured then fun () ->
         trap "func.return inside structured control flow"
       else
-        let operands = o.operands in
-        fun () -> KReturn (List.map (scalar_or_unit env) operands)
+        fun () ->
+          KReturn
+            (List.map
+               (fun a ->
+                 match sget env a.k a.v with
+                 | Scalar s -> s
+                 | Buf _ ->
+                     trap "returning a memref from a function is not supported")
+               ops)
   | "scf.yield" ->
-      if structured then
-        let operands = o.operands in
-        fun () -> KYield (List.map (lookup env) operands)
+      if structured then fun () ->
+        KYield (List.map (fun a -> sget env a.k a.v) ops)
       else fun () -> trap "scf.yield outside structured execution"
   | "arith.constant" -> (
-      let res = Ir.result o in
+      let r = res () in
       match Ir.attr o "value" with
       | Some (Attr.AInt n) ->
           let v = Scalar (VInt n) in
           fun () ->
-            bind env res v;
+            sset env r.k v;
             KContinue
       | Some (Attr.AFloat f) ->
           let v = Scalar (VFloat f) in
           fun () ->
-            bind env res v;
+            sset env r.k v;
             KContinue
       | _ -> fun () -> trap "arith.constant without value attr")
   | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi" | "arith.remsi"
   | "arith.andi" | "arith.ori" | "arith.xori" | "arith.maxsi" | "arith.minsi"
     ->
-      let x_v = List.nth o.operands 0 and y_v = List.nth o.operands 1 in
-      let res = Ir.result o in
+      let x = opnd 0 and y = opnd 1 in
+      let r = res () in
       let f : int -> int -> int =
         match o.name with
         | "arith.addi" -> ( + )
@@ -469,14 +555,14 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
       in
       fun () ->
         charge_class ();
-        let x = int_of env x_v in
-        let y = int_of env y_v in
-        bind env res (Scalar (VInt (f x y)));
+        let a = sint env x.k x.v in
+        let b = sint env y.k y.v in
+        sset env r.k (Scalar (VInt (f a b)));
         KContinue
   | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.maxf"
   | "arith.minf" ->
-      let x_v = List.nth o.operands 0 and y_v = List.nth o.operands 1 in
-      let res = Ir.result o in
+      let x = opnd 0 and y = opnd 1 in
+      let r = res () in
       let f : float -> float -> float =
         match o.name with
         | "arith.addf" -> ( +. )
@@ -488,86 +574,83 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
       in
       fun () ->
         charge_class ();
-        let x = float_of env x_v in
-        let y = float_of env y_v in
-        bind env res (Scalar (VFloat (f x y)));
+        let a = sfloat env x.k x.v in
+        let b = sfloat env y.k y.v in
+        sset env r.k (Scalar (VFloat (f a b)));
         KContinue
   | "arith.negf" ->
-      let x_v = List.hd o.operands in
-      let res = Ir.result o in
+      let x = opnd 0 in
+      let r = res () in
       fun () ->
         charge_class ();
-        bind env res (Scalar (VFloat (-.float_of env x_v)));
+        sset env r.k (Scalar (VFloat (-.sfloat env x.k x.v)));
         KContinue
   | "arith.cmpi" ->
       let pred = Option.value ~default:"eq" (Ir.str_attr o "predicate") in
-      let x_v = List.nth o.operands 0 and y_v = List.nth o.operands 1 in
-      let res = Ir.result o in
+      let x = opnd 0 and y = opnd 1 in
+      let r = res () in
       fun () ->
         charge_class ();
-        let x = int_of env x_v in
-        let y = int_of env y_v in
-        bind env res (Scalar (Value.of_bool (eval_cmpi pred x y)));
+        let a = sint env x.k x.v in
+        let b = sint env y.k y.v in
+        sset env r.k (Scalar (Value.of_bool (eval_cmpi pred a b)));
         KContinue
   | "arith.cmpf" ->
       let pred = Option.value ~default:"oeq" (Ir.str_attr o "predicate") in
-      let x_v = List.nth o.operands 0 and y_v = List.nth o.operands 1 in
-      let res = Ir.result o in
+      let x = opnd 0 and y = opnd 1 in
+      let r = res () in
       fun () ->
         charge_class ();
-        let x = float_of env x_v in
-        let y = float_of env y_v in
-        bind env res (Scalar (Value.of_bool (eval_cmpf pred x y)));
+        let a = sfloat env x.k x.v in
+        let b = sfloat env y.k y.v in
+        sset env r.k (Scalar (Value.of_bool (eval_cmpf pred a b)));
         KContinue
   | "arith.select" ->
-      let c_v = List.nth o.operands 0 in
-      let t_v = List.nth o.operands 1 in
-      let f_v = List.nth o.operands 2 in
-      let res = Ir.result o in
+      let c = opnd 0 and t = opnd 1 and f = opnd 2 in
+      let r = res () in
       fun () ->
         charge_class ();
-        let c = int_of env c_v in
-        bind env res (lookup env (if c <> 0 then t_v else f_v));
+        let cv = sint env c.k c.v in
+        let chosen = if cv <> 0 then t else f in
+        sset env r.k (sget env chosen.k chosen.v);
         KContinue
   | "arith.index_cast" | "arith.extf" | "arith.truncf" ->
-      let x_v = List.hd o.operands in
-      let res = Ir.result o in
+      let x = opnd 0 in
+      let r = res () in
       fun () ->
         charge_class ();
-        bind env res (lookup env x_v);
+        sset env r.k (sget env x.k x.v);
         KContinue
   | "arith.sitofp" ->
-      let x_v = List.hd o.operands in
-      let res = Ir.result o in
+      let x = opnd 0 in
+      let r = res () in
       fun () ->
         charge_class ();
-        bind env res (Scalar (VFloat (float_of_int (int_of env x_v))));
+        sset env r.k (Scalar (VFloat (float_of_int (sint env x.k x.v))));
         KContinue
   | "arith.fptosi" ->
-      let x_v = List.hd o.operands in
-      let res = Ir.result o in
+      let x = opnd 0 in
+      let r = res () in
       fun () ->
         charge_class ();
-        let f = float_of env x_v in
+        let f = sfloat env x.k x.v in
         let n =
           try Value.int_of_float_trunc f
           with Invalid_argument msg -> trap "%s" msg
         in
-        bind env res (Scalar (VInt n));
+        sset env r.k (Scalar (VInt n));
         KContinue
   | name when Math_d.is_math_op name ->
-      let operands = o.operands in
-      let res = Ir.result o in
+      let r = res () in
       fun () ->
         charge_class ();
-        let args = List.map (float_of env) operands in
-        bind env res (Scalar (VFloat (Math_d.eval name args)));
+        let args = List.map (fun a -> sfloat env a.k a.v) ops in
+        sset env r.k (Scalar (VFloat (Math_d.eval name args)));
         KContinue
   | "memref.alloc" | "memref.alloca" ->
-      let res = Ir.result o in
-      let elem = Types.elem_type res.vty in
-      let dim_tmpl = Types.dims res.vty in
-      let operands = o.operands in
+      let r = res () in
+      let elem = Types.elem_type r.v.vty in
+      let dim_tmpl = Types.dims r.v.vty in
       let storage =
         if String.equal o.name "memref.alloc" then Machine.Heap
         else Machine.Stack
@@ -575,7 +658,7 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
       let elem_bytes = Types.byte_width elem in
       let zero = zero_of elem in
       fun () ->
-        let dyn = ref (List.map (int_of env) operands) in
+        let dyn = ref (List.map (fun a -> sint env a.k a.v) ops) in
         let dims =
           List.map
             (function
@@ -593,62 +676,68 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
         let buf =
           Machine.alloc m ~storage ~elems ~elem_bytes ~zero_init:zero
         in
-        bind env res (Buf { buf; dims = Array.of_list dims });
+        sset env r.k (Buf { buf; dims = Array.of_list dims });
         KContinue
   | "memref.dealloc" ->
-      let x_v = List.hd o.operands in
+      let x = opnd 0 in
       fun () ->
-        let b = buffer env x_v in
+        let b = sbuffer env x.k x.v in
         Machine.free m b.buf;
         KContinue
   | "memref.load" ->
       let mr, idxs = Memref_d.load_parts o in
-      let res = Ir.result o in
+      let mr = sv env mr in
+      let lin = compile_linear env idxs in
+      let r = res () in
       fun () ->
-        let b = buffer env mr in
-        let lin = linearize env b (List.map (int_of env) idxs) in
-        bind env res (Scalar (Machine.load m b.buf lin));
+        let b = sbuffer env mr.k mr.v in
+        let l = lin b in
+        sset env r.k (Scalar (Machine.load m b.buf l));
         KContinue
   | "memref.store" ->
       let v, mr, idxs = Memref_d.store_parts o in
+      let v = sv env v and mr = sv env mr in
+      let lin = compile_linear env idxs in
       fun () ->
-        let b = buffer env mr in
-        let lin = linearize env b (List.map (int_of env) idxs) in
-        Machine.store m b.buf lin (scalar env v);
+        let b = sbuffer env mr.k mr.v in
+        let l = lin b in
+        let x = sscalar env v.k v.v in
+        Machine.store m b.buf l x;
         KContinue
   | "memref.dim" ->
-      let x_v = List.hd o.operands in
-      let k = Option.value ~default:0 (Ir.int_attr o "index") in
-      let res = Ir.result o in
+      let x = opnd 0 in
+      let d = Option.value ~default:0 (Ir.int_attr o "index") in
+      let r = res () in
       fun () ->
-        let b = buffer env x_v in
-        if k < 0 || k >= Array.length b.dims then
+        let b = sbuffer env x.k x.v in
+        if d < 0 || d >= Array.length b.dims then
           trap "memref.dim out of range";
-        bind env res (Scalar (VInt b.dims.(k)));
+        sset env r.k (Scalar (VInt b.dims.(d)));
         KContinue
   | "scf.for" ->
       let lb, ub, step = Scf_d.loop_bounds o in
+      let lb = sv env lb and ub = sv env ub and step = sv env step in
       let body = Scf_d.loop_body o in
       let iv, carried_args =
         match body.rargs with
-        | iv :: rest -> (iv, rest)
+        | iv :: rest -> (sv env iv, List.map (sv env) rest)
         | [] -> trap "scf.for: missing induction variable"
       in
-      let inits = Scf_d.loop_iter_inits o in
-      let results = o.results in
+      let inits = List.map (sv env) (Scf_d.loop_iter_inits o) in
+      let results = List.map (sv env) o.results in
       let cbody = compile_ops env ~structured:true body.rops in
       fun () ->
-        let lbv = int_of env lb in
-        let ubv = int_of env ub in
-        let stepv = int_of env step in
+        let lbv = sint env lb.k lb.v in
+        let ubv = sint env ub.k ub.v in
+        let stepv = sint env step.k step.v in
         if stepv <= 0 then trap "scf.for: non-positive step %d" stepv;
-        let carried = ref (List.map (lookup env) inits) in
+        let carried = ref (List.map (fun a -> sget env a.k a.v) inits) in
         let i = ref lbv in
         while !i < ubv do
           Machine.charge_op m Int_alu;
           Machine.charge_op m Branch;
-          bind env iv (Scalar (VInt !i));
-          List.iter2 (fun arg v -> bind env arg v) carried_args !carried;
+          sset env iv.k (Scalar (VInt !i));
+          List.iter2 (fun a v -> sset env a.k v) carried_args !carried;
           (match run_seq env cbody with
           | KYield vals -> carried := vals
           | KContinue ->
@@ -656,28 +745,27 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
           | KReturn _ -> assert false (* func.return compiles to a trap *));
           i := !i + stepv
         done;
-        List.iter2 (fun res v -> bind env res v) results !carried;
+        List.iter2 (fun a v -> sset env a.k v) results !carried;
         KContinue
   | "scf.if" ->
-      let c_v = List.hd o.operands in
+      let c = opnd 0 in
       let then_r, else_r = Scf_d.if_regions o in
+      let results = List.map (sv env) o.results in
       let cthen = compile_ops env ~structured:true then_r.rops in
       let celse = compile_ops env ~structured:true else_r.rops in
-      let results = o.results in
       fun () ->
         Machine.charge_op m Branch;
-        let c = int_of env c_v in
-        let chosen = if c <> 0 then cthen else celse in
+        let cv = sint env c.k c.v in
+        let chosen = if cv <> 0 then cthen else celse in
         (match run_seq env chosen with
-        | KYield vals -> List.iter2 (fun res v -> bind env res v) results vals
+        | KYield vals -> List.iter2 (fun a v -> sset env a.k v) results vals
         | KContinue ->
             if results <> [] then trap "scf.if: branch yielded no values"
         | KReturn _ -> assert false);
         KContinue
   | "func.call" ->
       let callee = Option.value ~default:"" (Func_d.callee o) in
-      let operands = o.operands in
-      let results = o.results in
+      let results = List.map (sv env) o.results in
       fun () -> (
         (* Resolved per call, like the tree walker; the compiled body is
            memoized in [env.cfuncs] (lazily, so recursion terminates). *)
@@ -685,10 +773,10 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
         | None -> trap "call to unknown function @%s" callee
         | Some f ->
             Machine.charge m 20.0;
-            List.iter (fun _ -> Machine.charge_op m Move) operands;
-            let args = List.map (lookup env) operands in
+            List.iter (fun _ -> Machine.charge_op m Move) ops;
+            let args = List.map (fun a -> sget env a.k a.v) ops in
             let rets = call_cfunc env (get_cfunc env f) args in
-            List.iter2 (fun res v -> bind env res (Scalar v)) results rets;
+            List.iter2 (fun a v -> sset env a.k (Scalar v)) results rets;
             KContinue)
   | name -> fun () -> trap "interpreter: unsupported operation %s" name
 
@@ -703,13 +791,14 @@ and get_cfunc (env : env) (f : Ir.func) : cfunc =
       let cf =
         match f.fbody with
         | None ->
-            { cf_func = f; cf_body = [||]; cf_rargs = [] }
+            { cf_func = f; cf_body = [||]; cf_rslots = [||] }
             (* external: trapped at call time, like the tree walker *)
         | Some r ->
+            let cf_rslots = Array.of_list (List.map (slot env) r.rargs) in
             {
               cf_func = f;
               cf_body = compile_ops env ~structured:false r.rops;
-              cf_rargs = r.rargs;
+              cf_rslots;
             }
       in
       Hashtbl.replace env.cfuncs f.fname cf;
@@ -722,10 +811,10 @@ and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
   match cf.cf_func.fbody with
   | None -> trap "call to external function @%s" cf.cf_func.fname
   | Some _ ->
-      if List.length cf.cf_rargs <> List.length args then
+      if Array.length cf.cf_rslots <> List.length args then
         trap "@%s: argument count mismatch" cf.cf_func.fname;
       env.call_depth <- env.call_depth + 1;
-      List.iter2 (fun p a -> bind env p a) cf.cf_rargs args;
+      List.iteri (fun i a -> sset env cf.cf_rslots.(i) a) args;
       let snap =
         match env.profile with
         | None -> None
@@ -754,7 +843,7 @@ and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
 (** A persistent execution context for repeated invocations of one entry
     function — used by the SDFG bytecode tier so opaque
     tasklets compile their MLIR body once per run instead of once per
-    invocation. Bindings are reused across invocations; this is safe
+    invocation. Slots are reused across invocations; this is safe
     because SSA dominance guarantees every value read is rebound first. *)
 type prepared = { p_env : env; p_entry : Ir.func }
 
@@ -762,20 +851,7 @@ let prepare ?(profile : Dcir_obs.Obs.Profile.t option)
     ~(machine : Machine.t) (m : Ir.modul) ~(entry : string) : prepared =
   match Ir.find_func m entry with
   | None -> trap "entry function @%s not found" entry
-  | Some f ->
-      {
-        p_env =
-          {
-            machine;
-            budget = Machine.budget machine;
-            modul = m;
-            bindings = Hashtbl.create 256;
-            call_depth = 0;
-            profile;
-            cfuncs = Hashtbl.create 8;
-          };
-        p_entry = f;
-      }
+  | Some f -> { p_env = new_env ?profile machine m; p_entry = f }
 
 let run_prepared (p : prepared) (args : rtval list) : Value.t list =
   call_cfunc p.p_env (get_cfunc p.p_env p.p_entry) args
@@ -794,17 +870,7 @@ let run ?(machine : Machine.t option)
   match Ir.find_func m entry with
   | None -> trap "entry function @%s not found" entry
   | Some f ->
-      let env =
-        {
-          machine;
-          budget = Machine.budget machine;
-          modul = m;
-          bindings = Hashtbl.create 256;
-          call_depth = 0;
-          profile;
-          cfuncs = Hashtbl.create 8;
-        }
-      in
+      let env = new_env ?profile machine m in
       let results =
         match mode with
         | Tree -> call_func env f args

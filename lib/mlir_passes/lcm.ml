@@ -32,7 +32,10 @@
     Realization is deliberately restricted to the phi-free case: an
     expression moves only when it has exactly one insertion edge with a
     structurally feasible splice point that dominates every deleted
-    occurrence. Everything else (multi-edge insertions needing a join of
+    occurrence, and no block on a path from that point to a deletion
+    kills the expression (a deletion reached around a loop back edge
+    after a kill would need the value recomputed there, not the inserted
+    one). Everything else (multi-edge insertions needing a join of
     temporaries) is left in place — sound, just not maximally lazy. *)
 
 open Dcir_mlir
@@ -343,6 +346,42 @@ let run_on_func (f : Ir.func) : bool =
             cfg.blocks;
           !acc
         in
+        (* The single inserted value replaces every deletion, so no path
+           from the insertion to a deletion may pass through a block that
+           kills the expression: there the deletion would need a value
+           computed after the kill, e.g. a load recomputed after a store
+           to its memref and carried around a loop back edge. Paths start
+           at [start]'s entry and end at a deletion's upward-exposed
+           occurrence; a path re-entering [reset] (the block the
+           insertion sits in) runs the insertion again, so it ends there. *)
+        let kill_on_path ~(x : int) ~(start : int) ~(reset : int)
+            (deletes : (int * Ir.op) list) : bool =
+          let fwd = Array.make nblocks false in
+          let rec visit b =
+            if not fwd.(b) then begin
+              fwd.(b) <- true;
+              List.iter
+                (fun s -> if s <> reset then visit s)
+                cfg.blocks.(b).Dataflow.succs
+            end
+          in
+          visit start;
+          let bwd = Array.make nblocks false in
+          let rec back b =
+            if not bwd.(b) then begin
+              bwd.(b) <- true;
+              if b <> reset then List.iter back cfg.blocks.(b).Dataflow.preds
+            end
+          in
+          List.iter (fun (db, _) -> back db) deletes;
+          Array.exists
+            (fun (blk : Dataflow.block) ->
+              let k = blk.Dataflow.bid in
+              fwd.(k)
+              && Bits.mem kill.(k) x
+              && List.exists (fun s -> s <> reset && bwd.(s)) blk.succs)
+            cfg.blocks
+        in
         let changed = ref false in
         let pending_inserts = ref [] in
         let pending_deletes = ref [] in
@@ -403,7 +442,10 @@ let run_on_func (f : Ir.func) : bool =
                       | `Start -> Bits.mem antin.(ib) x
                       | `End -> Bits.mem antout.(ib) x
                     in
-                    if dominated_ok && operands_ok && down_safe then begin
+                    if
+                      dominated_ok && operands_ok && down_safe
+                      && not (kill_on_path ~x ~start:j ~reset:ib deletes)
+                    then begin
                       let fresh =
                         Ir.new_op e.x_proto.Ir.name
                           ~operands:e.x_proto.Ir.operands

@@ -28,13 +28,16 @@ type runtime = {
   sdfg : Sdfg.t;
   buffers : (string, Machine.buffer) Hashtbl.t;
   dims : (string, int array) Hashtbl.t;
-  symbols : (string, int) Hashtbl.t;
+  symbols : Symtab.t;
+      (** the run's symbols; the bytecode tier indexes it by the ids its
+          program interned, the tree walker by name *)
   topo_cache : (int, Sdfg.node list) Hashtbl.t;
       (** keyed by the nid of the first node; per-graph order cache *)
   alloc_charged : (string, unit) Hashtbl.t;
   last_outputs : (string, Value.t) Hashtbl.t;
-      (** "nid:conn" -> value of the most recent execution, for direct
-          tasklet-to-tasklet value edges created by scalar elimination *)
+      (** tree walker: "nid:conn" -> value of the most recent execution,
+          for direct tasklet-to-tasklet value edges created by scalar
+          elimination (the bytecode tier keeps these in frame slots) *)
   budget : Dcir_resilience.Budget.t;
       (** the machine's budget, cached; every executed graph and state
           transition charges one step against it *)
@@ -70,20 +73,33 @@ let profile_record (rt : runtime) (snap : (float * int * int) option)
         ~loads:(mt.loads - l0) ~stores:(mt.stores - s0)
   | _ -> ()
 
+(* The fallback for a name that is not a bound symbol, shared by both
+   tiers: interstate conditions may read scalar containers directly
+   (data-dependent control flow before symbol promotion). *)
+let sym_scalar (rt : runtime) (s : string) : int option =
+  match Hashtbl.find_opt rt.buffers s with
+  | Some b when b.size = 1 ->
+      (* A real load: the read must hit the cache model and the loads
+         counter, not bypass them via [peek]. *)
+      Machine.charge_op rt.machine Move;
+      Some (Value.as_int (Machine.load rt.machine b 0))
+  | _ -> None
+
 let sym_env (rt : runtime) : string -> int option =
   fun s ->
-    match Hashtbl.find_opt rt.symbols s with
+    match Symtab.find_opt rt.symbols s with
     | Some v -> Some v
-    | None -> (
-        (* Interstate conditions may read scalar containers directly
-           (data-dependent control flow before symbol promotion). *)
-        match Hashtbl.find_opt rt.buffers s with
-        | Some b when b.size = 1 ->
-            (* A real load: the read must hit the cache model and the
-               loads counter, not bypass them via [peek]. *)
-            Machine.charge_op rt.machine Move;
-            Some (Value.as_int (Machine.load rt.machine b 0))
-        | _ -> None)
+    | None -> sym_scalar rt s
+
+(** [sym_env] for compiled code: symbol [s] by its interned [id];
+    raises [Expr.Unbound_symbol] like [Expr.eval]. *)
+let sym_id (rt : runtime) (id : int) (s : string) : int =
+  let t = rt.symbols in
+  if Symtab.is_bound t id then Symtab.get t id
+  else
+    match sym_scalar rt s with
+    | Some v -> v
+    | None -> raise (Expr.Unbound_symbol s)
 
 let eval_expr (rt : runtime) (e : Expr.t) : int =
   match Expr.eval (sym_env rt) e with
@@ -493,7 +509,7 @@ let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
           budget = Machine.budget cmachine;
           buffers;
           dims = cdims;
-          symbols = Hashtbl.copy rt.symbols;
+          symbols = Symtab.copy rt.symbols;
           topo_cache = Hashtbl.copy rt.topo_cache;
           alloc_charged = Hashtbl.copy rt.alloc_charged;
           last_outputs = Hashtbl.copy rt.last_outputs;
@@ -550,13 +566,14 @@ let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
             while !i <= h do
               Machine.charge_op crt.machine Int_alu;
               Machine.charge_op crt.machine Branch;
-              Hashtbl.replace crt.symbols p !i;
+              Symtab.set_id crt.symbols p !i;
               iter prest drest;
               i := !i + st
             done
         | _ -> trap "map params/ranges mismatch"
       in
-      (match iter (p0 :: ps) ((clo, chi, step) :: ds) with
+      let ids = List.map (Symtab.intern crt.symbols) (p0 :: ps) in
+      (match iter ids ((clo, chi, step) :: ds) with
       | () -> ()
       | exception e -> failures.(c) <- Some e);
       if obs_on then chunk_t1.(c) <- Unix.gettimeofday ()
@@ -839,7 +856,7 @@ and exec_map (rt : runtime) (mn : Sdfg.map_node) : unit =
 and exec_map_serial (rt : runtime) (mn : Sdfg.map_node) : unit =
   let dims = List.map (eval_range_dim rt) mn.m_ranges in
   let saved =
-    List.map (fun p -> (p, Hashtbl.find_opt rt.symbols p)) mn.m_params
+    List.map (fun p -> (p, Symtab.find_opt rt.symbols p)) mn.m_params
   in
   let rec iter params dims =
     match (params, dims) with
@@ -849,7 +866,7 @@ and exec_map_serial (rt : runtime) (mn : Sdfg.map_node) : unit =
         while !i <= hi do
           Machine.charge_op rt.machine Int_alu;
           Machine.charge_op rt.machine Branch;
-          Hashtbl.replace rt.symbols p !i;
+          Symtab.set rt.symbols p !i;
           iter ps ds;
           i := !i + step
         done
@@ -859,8 +876,8 @@ and exec_map_serial (rt : runtime) (mn : Sdfg.map_node) : unit =
   List.iter
     (fun (p, old) ->
       match old with
-      | Some v -> Hashtbl.replace rt.symbols p v
-      | None -> Hashtbl.remove rt.symbols p)
+      | Some v -> Symtab.set rt.symbols p v
+      | None -> Symtab.remove rt.symbols p)
     saved
 
 (* ------------------------------------------------------------------ *)
@@ -927,7 +944,7 @@ let run_tree (rt : runtime) : unit =
                 (sym, eval_expr rt ex))
               e.ie_assign
           in
-          List.iter (fun (sym, v) -> Hashtbl.replace rt.symbols sym v) values;
+          List.iter (fun (sym, v) -> Symtab.set rt.symbols sym v) values;
           Sdfg.find_state sdfg e.ie_dst
     in
     profile_record rt snap ~kind:"state" ~name:s.s_label;
@@ -948,10 +965,12 @@ type result = {
     transition costs, so the per-state entries partition the run's total —
     and per tasklet (inclusive). [exec] walks the state machine over the
     prepared runtime; it defaults to the tree walker, and the bytecode
-    tier passes its VM, which charges the machine identically. *)
+    tier passes its VM, which charges the machine identically, and the
+    symbol names its program interned ([names]: name [i] gets id [i]). *)
 let run ?(machine : Machine.t option)
     ?(profile : Dcir_obs.Obs.Profile.t option) ?(jobs : int = 1)
-    ?(exec : runtime -> unit = run_tree) (sdfg : Sdfg.t)
+    ?(exec : runtime -> unit = run_tree) ?(names : string array option)
+    (sdfg : Sdfg.t)
     ~(buffers : (string * Machine.buffer * int array) list)
     ~(symbols : (string * int) list) () : result =
   let machine = match machine with Some m -> m | None -> Machine.create () in
@@ -961,7 +980,7 @@ let run ?(machine : Machine.t option)
       sdfg;
       buffers = Hashtbl.create 32;
       dims = Hashtbl.create 32;
-      symbols = Hashtbl.create 32;
+      symbols = Symtab.create ?names ();
       topo_cache = Hashtbl.create 32;
       alloc_charged = Hashtbl.create 16;
       last_outputs = Hashtbl.create 32;
@@ -971,7 +990,7 @@ let run ?(machine : Machine.t option)
       jobs = max 1 jobs;
     }
   in
-  List.iter (fun (s, v) -> Hashtbl.replace rt.symbols s v) symbols;
+  List.iter (fun (s, v) -> Symtab.set rt.symbols s v) symbols;
   List.iter
     (fun (name, buf, dims) ->
       Hashtbl.replace rt.buffers name buf;

@@ -7,8 +7,9 @@
     and bit-identical machine metrics — the cost model is the paper's
     measurement apparatus, so a tier that changes cycle counts silently
     corrupts every figure.
-    These tests pin that contract on hand-built SDFGs, on the full
-    fixed-seed fuzz corpus, and on a Polybench subset, alongside the
+    These tests pin that contract on hand-built SDFGs and MLIR modules,
+    on the full fixed-seed fuzz corpus, and on a Polybench subset through
+    both compiled tiers, alongside the
     hot-path bug sweep: symbol reads of scalar containers must charge a
     load, float->int casts truncate toward zero and trap on NaN/inf in
     both interpreters, and SDFG construction must stay linear. *)
@@ -364,8 +365,9 @@ let check_tier_differential ~label kind ~src ~entry args =
 let test_fuzz_tier_differential () =
   (* Same corpus as the CI fuzz campaign: seed 42, 100 programs. Every
      case must execute identically — outputs AND machine metrics — under
-     tree walking and the compiled tier. The SDFG-native pipeline runs for
-     every case; the opaque-tasklet pipeline (dace) on every tenth. *)
+     tree walking and the compiled tier. The SDFG-native pipeline (the
+     bytecode VM) and the gcc pipeline (the MLIR closure compiler) run
+     for every case; the opaque-tasklet pipeline (dace) on every tenth. *)
   let seed = 42 and count = 100 in
   for i = 0 to count - 1 do
     let case = Dcir_fuzz.Gen.generate (Dcir_fuzz.Rng.derive seed i) in
@@ -373,6 +375,9 @@ let test_fuzz_tier_differential () =
     check_tier_differential
       ~label:(Printf.sprintf "fuzz case %d (seed %d) dcir" i case.seed)
       Pipelines.Dcir ~src:case.src ~entry:case.entry args;
+    check_tier_differential
+      ~label:(Printf.sprintf "fuzz case %d (seed %d) gcc" i case.seed)
+      Pipelines.Gcc ~src:case.src ~entry:case.entry args;
     if i mod 10 = 0 then
       check_tier_differential
         ~label:(Printf.sprintf "fuzz case %d (seed %d) dace" i case.seed)
@@ -388,7 +393,10 @@ let test_polybench_tier_differential () =
           check_tier_differential
             ~label:(w.name ^ " " ^ Pipelines.kind_name kind)
             kind ~src:w.src ~entry:w.entry (w.args ()))
-        [ Pipelines.Dcir; Pipelines.Dace ])
+        [
+          Pipelines.Dcir; Pipelines.Dace; Pipelines.Gcc; Pipelines.Clang;
+          Pipelines.Mlir;
+        ])
     [ Polybench.gesummv; Polybench.trisolv; Polybench.jacobi_1d ]
 
 (* Trap-timing parity on the shapes from test_trapsafe.ml: both tiers
@@ -521,6 +529,225 @@ let test_lazy_failure_timing () =
       (Map_body, "cyclic map body");
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Slot-resolved frames: the compiled tiers resolve names to frame slots
+   when they compile, so the edge cases of the names themselves must keep
+   the tree walkers' behaviour. *)
+
+(* Both MLIR modes on a fresh machine each: the results or the trap
+   message, and the machine metrics. *)
+let mlir_both (m : Dcir_mlir.Ir.modul) ~(entry : string)
+    (args : Dcir_mlir.Interp.rtval list) =
+  let run mode =
+    let machine = Machine.create () in
+    let out =
+      match Dcir_mlir.Interp.run ~machine ~mode m ~entry args with
+      | results, _ -> Ok results
+      | exception Dcir_mlir.Interp.Trap msg -> Error msg
+    in
+    (out, Machine.metrics machine)
+  in
+  (run Dcir_mlir.Interp.Tree, run Dcir_mlir.Interp.Compiled)
+
+let check_mlir_parity label m ~entry args =
+  let (ot, mt), (oc, mc) = mlir_both m ~entry args in
+  (match (ot, oc) with
+  | Ok a, Ok b ->
+      Alcotest.(check bool)
+        (label ^ ": same results") true
+        (List.length a = List.length b && List.for_all2 Value.equal a b)
+  | Error a, Error b -> Alcotest.(check string) (label ^ ": same trap") a b
+  | _ -> Alcotest.failf "%s: one mode trapped, the other did not" label);
+  check_metrics_equal label mt mc;
+  ot
+
+let test_mlir_use_before_def () =
+  let open Dcir_mlir in
+  (* [later] is used one op before it is defined: the read finds no
+     binding (a never-set slot) after the multiply has been charged. *)
+  let later = Arith.const_int Types.I64 2 in
+  let f =
+    Func_d.make_func ~name:"f" ~params:[ ("x", Types.I64) ] ~ret:[ Types.I64 ]
+      (fun ps ->
+        let one = Arith.const_int Types.I64 1 in
+        let a = Arith.addi (List.hd ps) (Ir.result one) in
+        let use = Arith.muli (Ir.result a) (Ir.result later) in
+        [ one; a; use; later; Func_d.return_ [ Ir.result use ] ])
+  in
+  let m = Ir.new_module () in
+  m.funcs <- [ f ];
+  match
+    check_mlir_parity "use before def" m ~entry:"f"
+      [ Interp.Scalar (Value.VInt 3) ]
+  with
+  | Error msg ->
+      Alcotest.(check bool) "traps on the unbound value" true
+        (Tutil.contains msg "unbound SSA value")
+  | Ok _ -> Alcotest.fail "use before def: expected a trap"
+
+let test_mlir_self_recursion () =
+  let open Dcir_mlir in
+  (* fact(n) = n <= 1 ? 1 : n * fact(n - 1). Both modes keep one binding
+     per SSA value for the whole run, so each level's call rebinds the
+     caller's [n], and the multiply after the call reads the innermost
+     level's n = 1: fact 6 evaluates to 1 in both, with the same charges. *)
+  let fact =
+    Func_d.make_func ~name:"fact" ~params:[ ("n", Types.I64) ]
+      ~ret:[ Types.I64 ]
+      (fun ps ->
+        let n = List.hd ps in
+        let one = Arith.const_int Types.I64 1 in
+        let le = Arith.cmpi "sle" n (Ir.result one) in
+        let dec = Arith.subi n (Ir.result one) in
+        let call = Func_d.call "fact" [ Ir.result dec ] [ Types.I64 ] in
+        let prod = Arith.muli n (Ir.result call) in
+        let sel =
+          Scf_d.if_ (Ir.result le) ~result_tys:[ Types.I64 ]
+            ~then_ops:[ Scf_d.yield [ Ir.result one ] ]
+            ~else_ops:[ dec; call; prod; Scf_d.yield [ Ir.result prod ] ]
+        in
+        [ one; le; sel; Func_d.return_ [ Ir.result sel ] ])
+  in
+  let m = Ir.new_module () in
+  m.funcs <- [ fact ];
+  match
+    check_mlir_parity "self-recursion" m ~entry:"fact"
+      [ Interp.Scalar (Value.VInt 6) ]
+  with
+  | Ok [ v ] ->
+      Alcotest.(check bool) "one binding per value" true
+        (Value.equal v (Value.VInt 1))
+  | _ -> Alcotest.fail "self-recursion: expected one result"
+
+(* Both SDFG tiers on a fresh machine each: the exception text (if any),
+   the metrics, and the int outputs read back with [peek]. *)
+let sdfg_both (sdfg : Sdfg.t) ~(outputs : (string * int) list) =
+  let run tier =
+    let machine = Machine.create () in
+    let bufs =
+      List.map
+        (fun (name, n) ->
+          ( name,
+            Machine.alloc machine ~storage:Machine.Heap ~elems:n ~elem_bytes:8
+              ~zero_init:(Value.VInt 0),
+            if n = 1 then [||] else [| n |] ))
+        outputs
+    in
+    let exn =
+      match run_tier tier ~machine sdfg ~buffers:bufs with
+      | _ -> None
+      | exception e -> Some (Printexc.to_string e)
+    in
+    let values =
+      List.concat_map
+        (fun (_, b, _) -> List.init b.Machine.size (Machine.peek b))
+        bufs
+    in
+    (exn, Machine.metrics machine, values)
+  in
+  let et, mt, vt = run Tree and eb, mb, vb = run Bytecode in
+  Alcotest.(check (option string)) "same exception" et eb;
+  check_metrics_equal (Sdfg.(sdfg.name)) mt mb;
+  Alcotest.(check bool) "same outputs" true (List.for_all2 Value.equal vt vb);
+  (et, vt)
+
+let test_value_edge_never_ran () =
+  (* A direct value edge out of an access node: no tasklet ever sets its
+     source "nid:conn", so both tiers raise "not yet executed" after the
+     first tasklet's store. *)
+  let sdfg = Sdfg.create "lastedge" in
+  ignore
+    (Sdfg.add_container sdfg ~transient:false ~dtype:Sdfg.DInt ~shape:[] "out");
+  sdfg.param_order <- [ "out" ];
+  let st = Sdfg.add_state sdfg "s" in
+  let g = st.s_graph in
+  let seven =
+    Sdfg.add_node g
+      (Sdfg.TaskletN (mk_tasklet "seven" [] [ "_o" ] [ ("_o", Texpr.TInt 7) ]))
+  in
+  let out = Sdfg.add_node g (Sdfg.Access "out") in
+  ignore (Sdfg.add_edge g ~src_conn:"_o" ~memlet:(memlet "out" []) seven out);
+  let reader =
+    Sdfg.add_node g
+      (Sdfg.TaskletN
+         (mk_tasklet "reader" [ "_in" ] [ "_r" ] [ ("_r", Texpr.TIn "_in") ]))
+  in
+  ignore (Sdfg.add_edge g ~src_conn:"_x" ~dst_conn:"_in" out reader);
+  let out2 = Sdfg.add_node g (Sdfg.Access "out") in
+  ignore (Sdfg.add_edge g ~src_conn:"_r" ~memlet:(memlet "out" []) reader out2);
+  match sdfg_both sdfg ~outputs:[ ("out", 1) ] with
+  | Some e, [ v ] ->
+      Alcotest.(check bool) "not yet executed" true
+        (Tutil.contains e "not yet executed");
+      Alcotest.(check bool) "the first store ran" true
+        (Value.equal v (Value.VInt 7))
+  | _ -> Alcotest.fail "value edge: expected a trap"
+
+(* A serial map over [i] in [0, 2] writing i to out[i], then a state
+   storing the symbol [i] to [res]. With [bound_before], an interstate
+   assignment binds i = 5 first, and the map restores it; without, the map
+   removes its binding and the read after it traps. *)
+let shadow_sdfg ~(bound_before : bool) : Sdfg.t =
+  let sdfg = Sdfg.create "shadow" in
+  ignore
+    (Sdfg.add_container sdfg ~transient:false ~dtype:Sdfg.DInt
+       ~shape:[ Expr.int 3 ] "out");
+  ignore
+    (Sdfg.add_container sdfg ~transient:false ~dtype:Sdfg.DInt ~shape:[] "res");
+  sdfg.param_order <- [ "out"; "res" ];
+  ignore (Sdfg.add_state sdfg "init");
+  let body = Sdfg.new_graph () in
+  let t =
+    Sdfg.add_node body
+      (Sdfg.TaskletN (mk_tasklet "iota" [] [ "_o" ] [ ("_o", Texpr.TSym "i") ]))
+  in
+  let o = Sdfg.add_node body (Sdfg.Access "out") in
+  ignore
+    (Sdfg.add_edge body ~src_conn:"_o"
+       ~memlet:(memlet "out" [ Range.index (Expr.sym "i") ])
+       t o);
+  let loop = Sdfg.add_state sdfg "loop" in
+  ignore
+    (Sdfg.add_node loop.s_graph
+       (Sdfg.MapN
+          {
+            m_params = [ "i" ];
+            m_ranges = [ Range.dim Expr.zero (Expr.int 2) ];
+            m_body = body;
+            m_par = None;
+          }));
+  let after = Sdfg.add_state sdfg "after" in
+  let g = after.s_graph in
+  let rd =
+    Sdfg.add_node g
+      (Sdfg.TaskletN (mk_tasklet "read" [] [ "_o" ] [ ("_o", Texpr.TSym "i") ]))
+  in
+  let r = Sdfg.add_node g (Sdfg.Access "res") in
+  ignore (Sdfg.add_edge g ~src_conn:"_o" ~memlet:(memlet "res" []) rd r);
+  Sdfg.add_istate_edge sdfg ~src:"init" ~dst:"loop"
+    ~assign:(if bound_before then [ ("i", Expr.int 5) ] else [])
+    ();
+  Sdfg.add_istate_edge sdfg ~src:"loop" ~dst:"after" ();
+  sdfg.start_state <- "init";
+  sdfg
+
+let test_map_symbol_shadowing () =
+  let outputs = [ ("out", 3); ("res", 1) ] in
+  (match sdfg_both (shadow_sdfg ~bound_before:true) ~outputs with
+  | None, vs ->
+      Alcotest.(check bool) "map ran, then i = 5 again" true
+        (List.for_all2 Value.equal vs
+           [ Value.VInt 0; Value.VInt 1; Value.VInt 2; Value.VInt 5 ])
+  | Some e, _ -> Alcotest.failf "restored symbol: unexpected %s" e);
+  match sdfg_both (shadow_sdfg ~bound_before:false) ~outputs with
+  | Some e, vs ->
+      Alcotest.(check bool) "unbound after the map" true
+        (Tutil.contains e "unbound symbol 'i'");
+      Alcotest.(check bool) "the map ran first" true
+        (List.for_all2 Value.equal vs
+           [ Value.VInt 0; Value.VInt 1; Value.VInt 2; Value.VInt 0 ])
+  | None, _ -> Alcotest.fail "removed symbol: expected a trap"
+
 let suite =
   ( "interp-plans",
     [
@@ -541,6 +768,14 @@ let suite =
         test_bytecode_trap_timing;
       Alcotest.test_case "lazy failure timing of malformed graphs" `Quick
         test_lazy_failure_timing;
+      Alcotest.test_case "MLIR use before def: same trap, same metrics" `Quick
+        test_mlir_use_before_def;
+      Alcotest.test_case "MLIR self-recursive call parity" `Quick
+        test_mlir_self_recursion;
+      Alcotest.test_case "value edge whose source never ran" `Quick
+        test_value_edge_never_ran;
+      Alcotest.test_case "serial map restores or removes its symbol" `Quick
+        test_map_symbol_shadowing;
       Alcotest.test_case "fuzz corpus plan-vs-tree differential" `Slow
         test_fuzz_tier_differential;
       Alcotest.test_case "polybench plan-vs-tree metric equality" `Slow

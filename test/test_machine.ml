@@ -35,6 +35,13 @@ let test_cache_reset_lru () =
   Cache.reset c;
   Alcotest.(check (list bool)) "after reset" [ false; false; true ] (run ())
 
+let test_cache_sets_power_of_two () =
+  (* 3 lines, direct-mapped: 3 sets, which a mask cannot index. *)
+  Alcotest.check_raises "3 sets"
+    (Invalid_argument "Cache.create: t has 3 sets, not a power of two")
+    (fun () ->
+      ignore (Cache.create ~name:"t" ~size_bytes:48 ~assoc:1 ~line_bytes:16))
+
 let test_machine_create_alloc () =
   (* The caches allocate a set on its first access: creating a machine
      (every run and every parallel-map chunk does) must not allocate the
@@ -122,6 +129,25 @@ let test_value_close () =
     (Value.close ~rtol:1e-9 (VFloat 1.0) (VFloat (1.0 +. 1e-12)));
   Alcotest.(check bool) "nan = nan" true (Value.close (VFloat nan) (VFloat nan))
 
+let test_op_cost_table () =
+  (* [Machine.create] builds its per-class cost table from [all_classes]
+     at [class_index]: the indices must be exactly 0..n-1, and each charge
+     must add the class's [Cost.op_cost]. *)
+  let n = List.length Cost.all_classes in
+  Alcotest.(check (list int)) "indices 0..n-1" (List.init n Fun.id)
+    (List.sort compare (List.map Cost.class_index Cost.all_classes));
+  let cfg = Cost.with_vector_math Cost.default in
+  let m = Machine.create ~cfg () in
+  List.iter
+    (fun cls ->
+      let before = (Machine.metrics m).cycles in
+      Machine.charge_op m cls;
+      Alcotest.(check (float 0.0))
+        (Fmt.str "%a" Cost.pp_op_class cls)
+        (Cost.op_cost cfg cls)
+        ((Machine.metrics m).cycles -. before))
+    Cost.all_classes
+
 let test_vector_math_cfg () =
   let scalar = Cost.op_cost Cost.default Cost.Math_call in
   let vec =
@@ -157,6 +183,8 @@ let suite =
       Alcotest.test_case "cache counters" `Quick test_cache_counters;
       Alcotest.test_case "cache reset forgets LRU order" `Quick
         test_cache_reset_lru;
+      Alcotest.test_case "cache set count is a power of two" `Quick
+        test_cache_sets_power_of_two;
       Alcotest.test_case "machine creation allocates lazily" `Quick
         test_machine_create_alloc;
       Alcotest.test_case "hierarchy costs" `Quick test_hierarchy_costs;
@@ -165,6 +193,8 @@ let suite =
       Alcotest.test_case "memory faults" `Quick test_faults;
       Alcotest.test_case "value comparison" `Quick test_value_close;
       Alcotest.test_case "vector math knob" `Quick test_vector_math_cfg;
+      Alcotest.test_case "op cost table matches Cost.op_cost" `Quick
+        test_op_cost_table;
       QCheck_alcotest.to_alcotest prop_cache_determinism;
       QCheck_alcotest.to_alcotest prop_repeated_access_hits;
     ] )

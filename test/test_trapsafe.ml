@@ -575,6 +575,46 @@ let prop_bits_model =
       in
       agree () && List.for_all (fun op -> apply op; agree ()) ops)
 
+(* Two gcc-pipeline miscompiles the fuzzer found (case seeds
+   2247413776766629073 and 3187361522204351327), shrunk. Inside a loop an
+   element is read, modified and stored, then loaded again. LCM hoisted the
+   first load (and the arithmetic on it) out of the loop and reused that
+   single value in every iteration, while the store stayed inside: from the
+   second iteration on the read missed the previous iteration's store. *)
+let src_lcm_rmw_1d =
+  {|
+void kernel(double A[3], double alpha) {
+  alpha = (-0.25);
+  double t8 = (cos((-1.0)) * (alpha * A[0]));
+  for (int i9 = (3 - 1); i9 >= 0; i9--) {
+    A[2] *= t8;
+    double t10 = (((i9 + i9) == (i9 % 6)) ? (0.75 * A[2]) : A[i9]);
+  }
+}
+|}
+
+let src_lcm_rmw_2d =
+  {|
+double kernel(double A[2][5], double B[4][2], double C[3][4], double alpha, double beta) {
+  for (int i3 = 0; i3 < 5; i3++) {
+    B[2][1] += (0.75 + (beta * (-2.0)));
+    C[1][3] -= ((B[1][1] * B[2][1]) / (fabs(alpha) + 1.0));
+  }
+  return alpha;
+}
+|}
+
+let test_lcm_loop_rmw () =
+  let arr dims =
+    let n = Array.fold_left ( * ) 1 dims in
+    Core.AFloatArr (Array.init n (fun i -> 0.5 +. (0.25 *. float_of_int i)), dims)
+  in
+  assert_parity ~what:"lcm-rmw-1d" ~src:src_lcm_rmw_1d ~entry:"kernel"
+    [ arr [| 3 |]; Core.AFloat 1.5 ];
+  assert_parity ~what:"lcm-rmw-2d" ~src:src_lcm_rmw_2d ~entry:"kernel"
+    [ arr [| 2; 5 |]; arr [| 4; 2 |]; arr [| 3; 4 |]; Core.AFloat (-1.5);
+      Core.AFloat 0.75 ]
+
 let suite =
   ( "trap-safety",
     [
@@ -596,6 +636,8 @@ let suite =
       Alcotest.test_case "store-forward: two keys tracked" `Quick
         test_store_forward_two_keys;
       Alcotest.test_case "lcm: local load reuse" `Quick test_lcm_local_reuse;
+      Alcotest.test_case "lcm: loop read-modify-write keeps its loads" `Quick
+        test_lcm_loop_rmw;
       Alcotest.test_case "lcm: reduces cycles on gap kernels" `Slow
         test_lcm_reduces_cycles;
     ] )
