@@ -1,24 +1,19 @@
 (** Smoke check for the machine-readable bench reports ([dune runtest]).
 
     Reads a JSON report produced by either [dcir bench W --json FILE]
-    (schema [dcir-bench/1], or [/2] which adds plan-cache telemetry) or
+    (schema [dcir-bench/2], which carries plan-cache telemetry) or
     [bench/main.exe ... --json FILE] (schema [dcir-bench-report/1]),
     validates that it parses, and that every "pipelines" array it
     contains has a row for each of the five pipelines.
     Decision-event streams ([dcir-events/1], from [dcir explain --events]
     or [dcir fuzz --coverage --events]) are gated on contiguous sequence
     numbers, codes drawn from the closed catalogue, and a non-empty
-    conflict witness on every autopar refusal. Bench-history envelopes
-    ([dcir-bench-history/1], from [bench/history.exe record]) are
-    unwrapped and their inner report validated; with
-    [--baseline BASE.json [--rtol R]] the report is additionally gated
-    against a recorded history snapshot and the run fails on any metric
-    regression past the tolerance. Also accepts interpreter micro-benchmark
-    reports ([dcir-interp-bench/4], from [bench/interp_bench.exe]) and
-    acts as the perf smoke test for the compiled tier: every row must be
-    bit-identical to the tree walker AND at least as fast — a compiled
-    tier slower than the tree it replaces is a regression, not noise. The
-    report's "parallel" array (serial vs multi-domain execution of
+    conflict witness on every autopar refusal. Also accepts interpreter
+    micro-benchmark reports ([dcir-interp-bench/4], from
+    [bench/interp_bench.exe]) and acts as the perf smoke test for the
+    compiled tier: every row must be bit-identical to the tree walker AND
+    at least as fast — a compiled tier slower than the tree it replaces
+    is a regression, not noise. The report's "parallel" array (serial vs multi-domain execution of
     auto-parallelized kernels) is gated on bit-identity only — never on
     speedup, because the executor's contract is determinism and the CI
     host may have a single core.
@@ -399,13 +394,9 @@ let check_bench ~(plan_cache : bool) (path : string) (j : Json.t) : unit =
 
 let dispatch (path : string) (j : Json.t) : unit =
   match Json.member "schema" j with
-  | Some (Json.Str ("dcir-bench/1" | "dcir-bench-report/1")) ->
+  | Some (Json.Str "dcir-bench-report/1") ->
       check_bench ~plan_cache:false path j
   | Some (Json.Str "dcir-bench/2") -> check_bench ~plan_cache:true path j
-  | Some (Json.Str "dcir-bench-history/1") -> (
-      match Json.member "report" j with
-      | Some r -> check_bench ~plan_cache:false path r
-      | None -> fail "history envelope missing \"report\"")
   | Some (Json.Str "dcir-interp-bench/4") ->
       check_interp_bench j;
       check_parallel_bench j
@@ -434,8 +425,8 @@ let strip_workers (j : Json.t) : Json.t =
 
 let usage () =
   fail
-    "usage: validate_report FILE.json [--baseline BASE.json] [--rtol R] \
-     [--same-serve OTHER.json] [--require-code CODE]"
+    "usage: validate_report FILE.json [--same-serve OTHER.json] \
+     [--require-code CODE]"
 
 let () =
   let path, opts =
@@ -443,20 +434,9 @@ let () =
     | _ :: path :: rest -> (path, rest)
     | _ -> usage ()
   in
-  let baseline = ref None
-  and rtol = ref 0.10
-  and same_serve = ref None
-  and require_codes = ref [] in
+  let same_serve = ref None and require_codes = ref [] in
   let rec parse_opts = function
     | [] -> ()
-    | "--baseline" :: base :: rest ->
-        baseline := Some base;
-        parse_opts rest
-    | "--rtol" :: r :: rest ->
-        (match float_of_string_opt r with
-        | Some f when f >= 0.0 -> rtol := f
-        | _ -> fail "bad --rtol %s" r);
-        parse_opts rest
     | "--same-serve" :: other :: rest ->
         same_serve := Some other;
         parse_opts rest
@@ -476,17 +456,6 @@ let () =
   in
   let j = parse path in
   dispatch path j;
-  (match !baseline with
-  | None -> ()
-  | Some base -> (
-      match
-        Report_compare.regressions ~rtol:!rtol ~baseline:(parse base)
-          ~report:j ()
-      with
-      | [] -> ()
-      | regs ->
-          List.iter (fun m -> prerr_endline ("validate_report: REGRESSION: " ^ m)) regs;
-          exit 1));
   (match !same_serve with
   | None -> ()
   | Some other ->
