@@ -20,9 +20,10 @@
     {b Checked execution} ([~checked:true]): before each pass the SDFG is
     snapshotted ({!Dcir_sdfg.Sdfg.copy}); after it,
     {!Dcir_sdfg.Validate.errors} re-checks the graph. If the pass raised or
-    left the SDFG invalid, it is rolled back, the incident is recorded (a
-    [dace.pass.rollbacks] {!Obs.Counter} plus a [rollback] span and a
-    {!Dcir_support.Diagnostics.incident} in [stats.incidents]), a
+    introduced a validation error (one the SDFG did not have before the
+    pass, wherever it is located), it is rolled back, the incident is
+    recorded (a [dace.pass.rollbacks] {!Obs.Counter} plus a [rollback] span
+    and a {!Dcir_support.Diagnostics.incident} in [stats.incidents]), a
     crash-reproducer file (pre-pass SDFG + the failing pass name) is
     written, and the pass's circuit breaker trips — open for a cooldown of
     fixpoint rounds, probationally re-admitted afterwards, re-closed after
@@ -131,18 +132,45 @@ let run_one ?(accum : accum option)
     | None -> ());
   c
 
+(* A validation error's message without the state (and map nesting)
+   it names, which ends at the first colon. A pass that moves a
+   pre-existing error into another state has not introduced it. *)
+let unlocated (d : Dcir_sdfg.Validate.diagnostic) : string =
+  match String.index_opt d.message ':' with
+  | Some i -> String.sub d.message i (String.length d.message - i)
+  | None -> d.message
+
+(* The errors a pass introduced: those of [after] whose unlocated
+   message occurs there more often than in [before]. On a valid input
+   that is every error of [after]. *)
+let introduced (before : Dcir_sdfg.Validate.diagnostic list)
+    (after : Dcir_sdfg.Validate.diagnostic list) :
+    Dcir_sdfg.Validate.diagnostic list =
+  let count = Hashtbl.create 8 in
+  let bump k n =
+    Hashtbl.replace count k
+      (n + Option.value ~default:0 (Hashtbl.find_opt count k))
+  in
+  List.iter (fun d -> bump (unlocated d) 1) after;
+  List.iter (fun d -> bump (unlocated d) (-1)) before;
+  List.filter (fun d -> Hashtbl.find count (unlocated d) > 0) after
+
 (* Run one pass under checked execution: snapshot the SDFG, run the pass,
-   re-validate. On a crash or a validation failure, roll back to the
-   snapshot and report the incident (the caller disables the pass). *)
+   re-validate. On a crash, or when the pass introduced a validation
+   error, roll back to the snapshot and report the incident (the caller
+   disables the pass). Errors already present before the pass -- a
+   translated SDFG whose sizes Fig 3 verification cannot prove -- are
+   not the pass's to answer for. *)
 let run_one_checked ?(accum : accum option) ~(round : int)
     ~(reproducer_dir : string)
     ((name, _) as pass : string * (Dcir_sdfg.Sdfg.t -> bool))
     (sdfg : Dcir_sdfg.Sdfg.t) : bool * Diag.incident option =
   let snapshot = Dcir_sdfg.Sdfg.copy sdfg in
+  let before = Dcir_sdfg.Validate.errors sdfg in
   let outcome =
     match run_one ?accum pass sdfg with
     | changed -> (
-        match Dcir_sdfg.Validate.errors sdfg with
+        match introduced before (Dcir_sdfg.Validate.errors sdfg) with
         | [] -> Ok changed
         | errs ->
             Error

@@ -189,6 +189,68 @@ let test_checked_dace_rollback () =
   Alcotest.(check int) "no further incidents" 1 (List.length acc.incidents);
   check_reproducer ~pass_name:"clear-containers" inc.Diag.reproducer
 
+(* Fig 3 size verification rejects the translated Fig 2 example before
+   any pass runs: the malloc'd arrays' sizes are not provable. Checked
+   mode must still accept passes that leave those errors as they are,
+   and still roll back one that adds an error of its own. *)
+let test_checked_dace_preexisting_errors () =
+  let w = Dcir_workloads.Case_studies.fig2_example in
+  let sdfg =
+    match
+      Pipelines.compile ~optimize_sdfg:false Pipelines.Dcir ~src:w.src
+        ~entry:w.entry
+    with
+    | Pipelines.CSdfg s -> s
+    | Pipelines.CMlir _ -> Alcotest.fail "expected an SDFG"
+  in
+  let errors () = List.length (Dcir_sdfg.Validate.errors sdfg) in
+  let invalid = errors () in
+  Alcotest.(check bool) "translated SDFG is already invalid" true (invalid > 0);
+  let acc = Driver.new_accum () in
+  let touch = ("touch", fun (_ : Sdfg.t) -> true) in
+  ignore (Driver.fixpoint ~max_rounds:1 ~accum:acc ~checked:true [ touch ] sdfg);
+  Alcotest.(check int) "a pass adding no error is not rolled back" 0
+    (List.length acc.incidents);
+  let before = Dcir_sdfg.Printer.to_string sdfg in
+  let bogus =
+    ( "bogus-access",
+      fun (s : Sdfg.t) ->
+        ignore
+          (Sdfg.add_node (List.hd (Sdfg.states s)).s_graph
+             (Sdfg.Access "__bogus__"));
+        true )
+  in
+  ignore (Driver.fixpoint ~accum:acc ~checked:true [ bogus ] sdfg);
+  Alcotest.(check (list string)) "the erring pass is rolled back"
+    [ "bogus-access" ]
+    (List.map (fun (i : Diag.incident) -> i.in_pass) acc.incidents);
+  let inc = List.hd acc.incidents in
+  Alcotest.(check bool) "the reason names only the new error" true
+    (Tutil.contains inc.reason "__bogus__"
+    && not (Tutil.contains inc.reason "cannot prove"));
+  Alcotest.(check string) "SDFG rolled back" before
+    (Dcir_sdfg.Printer.to_string sdfg);
+  Alcotest.(check int) "its pre-existing errors remain" invalid (errors ());
+  Option.iter Sys.remove inc.reproducer
+
+(* Checked execution changes nothing when every pass behaves, including
+   on the case studies whose translated SDFGs fail size verification. *)
+let test_checked_dace_case_studies () =
+  let digest = function
+    | Pipelines.CSdfg s ->
+        let module D = Dcir_support.Digest in
+        D.of_string (D.canonical (Dcir_sdfg.Printer.to_string s))
+    | Pipelines.CMlir _ -> Alcotest.fail "expected an SDFG"
+  in
+  List.iter
+    (fun (w : Dcir_workloads.Workload.t) ->
+      let compile checked =
+        digest
+          (Pipelines.compile ~checked Pipelines.Dcir ~src:w.src ~entry:w.entry)
+      in
+      Alcotest.(check string) w.name (compile false) (compile true))
+    Dcir_workloads.Case_studies.all
+
 let suite =
   ( "fuzz",
     [
@@ -205,4 +267,8 @@ let suite =
         test_checked_mlir_crash_recovered;
       Alcotest.test_case "checked DaCe rollback" `Quick
         test_checked_dace_rollback;
+      Alcotest.test_case "checked DaCe blames only new errors" `Quick
+        test_checked_dace_preexisting_errors;
+      Alcotest.test_case "checked DaCe matches unchecked on case studies"
+        `Quick test_checked_dace_case_studies;
     ] )
