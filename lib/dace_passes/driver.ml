@@ -22,8 +22,9 @@
     {!Dcir_sdfg.Validate.errors} re-checks the graph. If the pass raised or
     introduced a validation error (one the SDFG did not have before the
     pass, wherever it is located), it is rolled back, the incident is
-    recorded (a [dace.pass.rollbacks] {!Obs.Counter} plus a [rollback] span
-    and a {!Dcir_support.Diagnostics.incident} in [stats.incidents]), a
+    recorded (a [dace.pass.rollbacks] {!Dcir_obs.Metrics.Counter} plus a
+    [rollback] span and a {!Dcir_support.Diagnostics.incident} in
+    [stats.incidents]), a
     crash-reproducer file (pre-pass SDFG + the failing pass name) is
     written, and the pass's circuit breaker trips — open for a cooldown of
     fixpoint rounds, probationally re-admitted afterwards, re-closed after

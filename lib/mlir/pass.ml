@@ -13,10 +13,10 @@
     snapshotted ({!Ir.clone_module}); after it, {!Verifier.verify_module}
     re-checks the IR. If the pass raised or left the IR invalid, the module
     is rolled back to the snapshot, the incident is recorded (an
-    [mlir.pass.rollbacks] {!Obs.Counter} plus a [rollback] span and a
-    {!Dcir_support.Diagnostics.incident} in the stats), a crash-reproducer
-    file (pre-pass IR + the single-pass pipeline that triggers the fault,
-    MLIR-style) is written, and the pass's circuit breaker trips: it stays
+    [mlir.pass.rollbacks] {!Dcir_obs.Metrics.Counter} plus a [rollback]
+    span and a {!Dcir_support.Diagnostics.incident} in the stats), a
+    crash-reproducer file (pre-pass IR + the single-pass pipeline that
+    triggers the fault, MLIR-style) is written, and the pass's circuit breaker trips: it stays
     open for a cooldown of fixpoint rounds, is then probationally
     re-admitted, and re-closes only after clean applications
     ({!Dcir_resilience.Breaker}) — degraded output beats a crash. *)
@@ -140,7 +140,7 @@ let write_reproducer ?(ext = ".mlir") ~(dir : string) ~(prefix : string)
 
 let record_rollback ~(counter : string) ~(pass_name : string)
     ~(reason : string) (reproducer : string option) : unit =
-  Obs.Counter.incr (Obs.Counter.make counter);
+  Om.Counter.incr (Om.Counter.make counter);
   if Obs.enabled () then
     Obs.with_span ~cat:"rollback" ("rollback:" ^ pass_name) (fun () ->
         Obs.set_args

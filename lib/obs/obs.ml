@@ -1,18 +1,19 @@
 (** Structured pipeline telemetry — the observability substrate threaded
     through the pass drivers and interpreters.
 
-    Three facilities:
+    Two facilities:
 
     - {b Spans}: nested wall-clock scopes ([with_span]) recording name,
       category, duration, and arbitrary key/value args. Two sinks: a pretty
       tree report ([pp_report], the [-mlir-timing] role) and Chrome
       [trace_event] JSON ([write_trace], loadable in [about:tracing] /
       Perfetto).
-    - {b Counters}: named monotonic counters ([Counter]) for pass statistics
-      that outlive any single span.
     - {b Profiles}: runtime metric attribution ([Profile]) — cycles / loads /
       stores per SDFG state, tasklet, or MLIR function, filled in by the
       interpreters and rendered as a hot-spot table.
+
+    Counts that outlive any single span (pass rollbacks, plan-cache
+    traffic) live in the always-on {!Metrics} registry.
 
     Collection is {e disabled by default}: every hook is a cheap no-op until
     [enable] is called, so instrumented code pays nothing in normal runs.
@@ -201,48 +202,13 @@ let write_trace (path : string) : unit =
   output_char oc '\n';
   close_out oc
 
-(* ------------------------------------------------------------------ *)
-(* Counters *)
-
-module Counter = struct
-  type t = { c_name : string; mutable c_value : int }
-
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-  let order : string list ref = ref []
-
-  (** Find or create the counter named [name] (one instance per name). *)
-  let make (name : string) : t =
-    match Hashtbl.find_opt registry name with
-    | Some c -> c
-    | None ->
-        let c = { c_name = name; c_value = 0 } in
-        Hashtbl.replace registry name c;
-        order := name :: !order;
-        c
-
-  let name (c : t) : string = c.c_name
-  let value (c : t) : int = c.c_value
-  let incr ?(by = 1) (c : t) : unit = c.c_value <- c.c_value + by
-  let set (c : t) (v : int) : unit = c.c_value <- v
-
-  let reset_all () : unit =
-    Hashtbl.iter (fun _ c -> c.c_value <- 0) registry
-
-  (** All counters in creation order. *)
-  let all () : (string * int) list =
-    List.rev_map
-      (fun n -> (n, (Hashtbl.find registry n).c_value))
-      !order
-end
-
 (** Restore a fully fresh collector: span state cleared, the trace epoch
-    re-anchored, and every counter and metric value zeroed (registrations
-    — and handles held by callers — survive). Without the counter/epoch
-    part, telemetry from one [compile_resilient] ladder tier would leak
-    into the next. *)
+    re-anchored, and every metric value zeroed (registrations — and
+    handles held by callers — survive). Without the metrics/epoch part,
+    telemetry from one [compile_resilient] ladder tier would leak into
+    the next. *)
 let reset () : unit =
   reset_spans ();
-  Counter.reset_all ();
   Metrics.reset_all ()
 
 (** Trace time origin (seconds since Unix epoch); re-anchored by [reset]. *)

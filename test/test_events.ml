@@ -40,13 +40,11 @@ let test_histogram_validation () =
       ignore (Metrics.Histogram.make "test.hist.bad1" ~edges:[| 2.0; 1.0 |]))
 
 let test_obs_reset_fresh () =
-  (* Satellite fix: [Obs.reset] must restore a fully fresh collector —
-     span state, the legacy Obs counters, AND the metrics registry. *)
+  (* [Obs.reset] must restore a fully fresh collector — span state AND
+     the metrics registry. *)
   Obs.enable ();
   Fun.protect ~finally:Obs.disable (fun () ->
       Obs.reset ();
-      let legacy = Obs.Counter.make "test.reset.legacy" in
-      Obs.Counter.incr legacy ~by:7;
       let c = Metrics.Counter.make "test.reset.counter" in
       Metrics.Counter.incr c ~by:3;
       let h = Metrics.Histogram.make "test.reset.hist" ~edges:[| 1.0 |] in
@@ -55,7 +53,6 @@ let test_obs_reset_fresh () =
       let epoch_before = Obs.epoch_s () in
       Obs.reset ();
       Alcotest.(check int) "no spans survive" 0 (List.length (Obs.roots ()));
-      Alcotest.(check int) "legacy counter zeroed" 0 (Obs.Counter.value legacy);
       Alcotest.(check int) "metrics counter zeroed" 0 (Metrics.Counter.value c);
       Alcotest.(check int) "histogram zeroed" 0 (Metrics.Histogram.total h);
       Alcotest.(check bool) "epoch advanced" true
