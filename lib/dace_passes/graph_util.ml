@@ -16,9 +16,6 @@ let true_symbols (sdfg : Sdfg.t) : (string, unit) Hashtbl.t =
     (Sdfg.istate_edges sdfg);
   tbl
 
-let expr_analyzable (syms : (string, unit) Hashtbl.t) (e : Expr.t) : bool =
-  List.for_all (fun s -> Hashtbl.mem syms s) (Expr.free_syms e)
-
 let subset_analyzable (syms : (string, unit) Hashtbl.t) (r : Range.t) : bool =
   List.for_all (fun s -> Hashtbl.mem syms s) (Range.free_syms r)
 

@@ -17,9 +17,6 @@ let const_float (ty : Types.t) (f : float) : Ir.op =
 let const_value (o : Ir.op) : Attr.t option =
   if String.equal o.name "arith.constant" then Ir.attr o "value" else None
 
-let is_const_int (o : Ir.op) (n : int) : bool =
-  match const_value o with Some (Attr.AInt m) -> m = n | _ -> false
-
 (** Binary op with both operands and result of the same type. *)
 let binary (opname : string) (lhs : Ir.value) (rhs : Ir.value) : Ir.op =
   Ir.new_op opname ~operands:[ lhs; rhs ]

@@ -66,9 +66,6 @@ let attr (o : op) (key : string) : Attr.t option = List.assoc_opt key o.attrs
 let set_attr (o : op) (key : string) (v : Attr.t) : unit =
   o.attrs <- (key, v) :: List.remove_assoc key o.attrs
 
-let remove_attr (o : op) (key : string) : unit =
-  o.attrs <- List.remove_assoc key o.attrs
-
 let int_attr (o : op) (key : string) : int option =
   Option.bind (attr o key) Attr.as_int
 
@@ -118,11 +115,6 @@ let replace_in_op (o : op) ~(from_ : value) ~(to_ : value) : unit =
 let replace_uses_in_region (r : region) ~(from_ : value) ~(to_ : value) : unit
     =
   walk_region r (fun o -> replace_in_op o ~from_ ~to_)
-
-let replace_uses_in_func (fn : func) ~(from_ : value) ~(to_ : value) : unit =
-  match fn.fbody with
-  | None -> ()
-  | Some r -> replace_uses_in_region r ~from_ ~to_
 
 (** Count uses of [v] within region [r]. *)
 let count_uses (r : region) (v : value) : int =
@@ -248,12 +240,3 @@ let free_values (r : region) : value list =
           end)
         o.operands);
   List.rev !free
-
-(** The op (within this exact region's top level or nested) defining [v], if
-    any. *)
-let defining_op (r : region) (v : value) : op option =
-  let found = ref None in
-  walk_region r (fun o ->
-      if !found = None && List.exists (fun res -> res.vid = v.vid) o.results
-      then found := Some o);
-  !found

@@ -85,4 +85,3 @@ let pp_module (ppf : Format.formatter) (m : Ir.modul) : unit =
 
 let func_to_string (f : Ir.func) : string = Fmt.str "%a@." pp_func f
 let module_to_string (m : Ir.modul) : string = Fmt.str "%a@." pp_module m
-let op_to_string (o : Ir.op) : string = Fmt.str "%a" pp_op o

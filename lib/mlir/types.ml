@@ -26,7 +26,6 @@ let is_scalar = function
   | MemRef _ | SdfgArray _ | SdfgStream _ -> false
 
 let is_float = function F32 | F64 -> true | _ -> false
-let is_int = function I1 | I32 | I64 | Index -> true | _ -> false
 
 let elem_type = function
   | MemRef (t, _) | SdfgArray (t, _) | SdfgStream t -> t

@@ -190,9 +190,3 @@ let worker_kill_at () : int option =
   match Domain.DLS.get ambient with
   | Some { arm_plan = { kill_at; _ }; _ } -> kill_at
   | None -> None
-
-(** Whether the current plan poisons a successful result. *)
-let poison_armed () : bool =
-  match Domain.DLS.get ambient with
-  | Some { arm_plan = { poison; _ }; _ } -> poison
-  | None -> false

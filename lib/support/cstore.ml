@@ -39,7 +39,6 @@ let create ?(shards = 4) ~(capacity : int) () : 'a t =
 
 let capacity (t : 'a t) : int = t.capacity
 let length (t : 'a t) : int = t.count
-let shard_count (t : 'a t) : int = Array.length t.shard_tbl
 
 (* Shard slice of the total capacity: even split, remainder to the
    lowest-indexed shards (deterministic). *)

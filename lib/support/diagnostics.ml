@@ -67,10 +67,3 @@ type incident = {
   reproducer : string option;  (** path of the crash-reproducer file, if
                                    one was written *)
 }
-
-let pp_incident (ppf : Format.formatter) (i : incident) : unit =
-  Format.fprintf ppf "pass '%s' rolled back in round %d: %s%s" i.in_pass
-    i.in_round (one_line i.reason)
-    (match i.reproducer with
-    | Some path -> Printf.sprintf " (reproducer: %s)" path
-    | None -> "")

@@ -115,9 +115,6 @@ let canonical (s : string) : string =
   done;
   Buffer.contents buf
 
-(** Number of hex characters in a digest. *)
-let hex_length = 32
-
 (** [shard_of d ~shards] — deterministic shard index in [0, shards) for
     digest [d], taken from the digest's own bits rather than any
     process-dependent hash. Accepts arbitrary strings (non-digest keys

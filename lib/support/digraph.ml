@@ -30,7 +30,6 @@ let create ~(n : int) (edges : (int * int) list) : t =
 
 let succ g u = g.succ.(u)
 let pred g u = g.pred.(u)
-let num_nodes g = g.n
 
 (** [topo_sort g] returns nodes in a topological order. Cycles raise
     [Invalid_argument]; state machines may be cyclic, so callers that accept

@@ -15,7 +15,6 @@ type t =
   | Not of t
 
 let true_ = Bool true
-let false_ = Bool false
 let cmp op a b = Cmp (op, a, b)
 let eq a b = Cmp (Eq, a, b)
 let ne a b = Cmp (Ne, a, b)

@@ -27,9 +27,6 @@ let of_indices (idxs : Expr.t list) : t = List.map index idxs
 
 let is_index (d : dim) : bool = Expr.equal d.lo d.hi
 
-let as_indices (s : t) : Expr.t list option =
-  if List.for_all is_index s then Some (List.map (fun d -> d.lo) s) else None
-
 (** Number of elements covered by one dimension: [(hi - lo) / step + 1]. *)
 let dim_size (d : dim) : Expr.t =
   Expr.add (Expr.div (Expr.sub d.hi d.lo) d.step) Expr.one

@@ -91,7 +91,6 @@ void mish(double x[3000], double out[3000]) {
     (the paper's "eliminating two arrays ... explains the performance
     increase", at multi-mass scale). *)
 let milc_n = 10000
-let milc_iters = 10
 
 let milc =
   w "milc" "MILC multi-mass CG snippet (dead shifted-mass fields)"

@@ -41,9 +41,6 @@ let fcube (d0 : int) (d1 : int) (d2 : int) (f : int -> int -> int -> float) :
 let fvec (n : int) (f : int -> float) : Dcir_core.Pipelines.arg =
   Dcir_core.Pipelines.AFloatArr (farray n f, [| n |])
 
-let ivec (n : int) (f : int -> int) : Dcir_core.Pipelines.arg =
-  Dcir_core.Pipelines.AIntArr (Array.init n f, [| n |])
-
 let imatrix (rows : int) (cols : int) (f : int -> int -> int) :
     Dcir_core.Pipelines.arg =
   let data = Array.init (rows * cols) (fun k -> f (k / cols) (k mod cols)) in
