@@ -13,10 +13,10 @@
     [bench/interp_bench.exe]) and acts as the perf smoke test for the
     compiled tier: every row must be bit-identical to the tree walker AND
     at least as fast — a compiled tier slower than the tree it replaces
-    is a regression, not noise. The report's "parallel" array (serial vs multi-domain execution of
-    auto-parallelized kernels) is gated on bit-identity only — never on
-    speedup, because the executor's contract is determinism and the CI
-    host may have a single core.
+    is a regression, not noise. The report's "parallel" array (serial vs
+    multi-domain execution of auto-parallelized kernels) is gated on
+    bit-identity only — never on speedup, because the executor's contract
+    is determinism and the CI host may have a single core.
     Incident journals from chaos campaigns ([dcir-incidents/1], from
     [dcir fuzz --chaos --journal FILE]) are gated on record-stream shape
     and on the chaos oracle: all four fault kinds exercised, no case

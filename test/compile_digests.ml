@@ -100,22 +100,27 @@ let compiled name how c =
   (Printf.sprintf "%s %s %s" name how (digest c), Some c)
 
 let workload (w : Dcir_workloads.Workload.t) : group =
-  let dcir ?tier ?checked how =
-    compiled w.name how
-      (Pipelines.compile ?tier ?checked Pipelines.Dcir ~src:w.src
-         ~entry:w.entry)
+  let compile ?tier ?checked kind =
+    Pipelines.compile ?tier ?checked kind ~src:w.src ~entry:w.entry
   in
   let o2 =
     List.map
       (fun kind ->
-        compiled w.name
-          (Pipelines.kind_name kind ^ "-O2")
-          (Pipelines.compile kind ~src:w.src ~entry:w.entry))
+        compiled w.name (Pipelines.kind_name kind ^ "-O2") (compile kind))
       Pipelines.all_kinds
   in
-  let o1 = dcir ~tier:Pipelines.O1 "dcir-O1" in
-  let checked = dcir ~checked:true "dcir-checked" in
-  { src = w.src; entry = w.entry; args = w.args; products = o2 @ [ o1; checked ] }
+  let o1 =
+    compiled w.name "dcir-O1" (compile ~tier:Pipelines.O1 Pipelines.Dcir)
+  in
+  let checked =
+    compiled w.name "dcir-checked" (compile ~checked:true Pipelines.Dcir)
+  in
+  {
+    src = w.src;
+    entry = w.entry;
+    args = w.args;
+    products = o2 @ [ o1; checked ];
+  }
 
 let generated (i : int) : group =
   let case = Dcir_fuzz.Gen.generate (Dcir_fuzz.Rng.derive 0x901d i) in
@@ -134,11 +139,18 @@ let generated (i : int) : group =
             (Pipelines.classify_exn e),
           None )
   in
-  { src = case.src; entry = case.entry; args = case.args; products = [ product ] }
+  {
+    src = case.src;
+    entry = case.entry;
+    args = case.args;
+    products = [ product ];
+  }
 
-(* Every product is compiled before any is run. Which rewrites a pass
-   picks can depend on the process-global serials, so the compiles keep
-   one fixed order that no reference compile interleaves. *)
+(* Every product is compiled before any is run. The printed IR indents
+   nested regions from the column where they open, which depends on the
+   width of the process-global serials; canonicalization renumbers the
+   serials but keeps that indentation. So the compiles keep one fixed
+   order that no reference compile interleaves. *)
 let () =
   let workloads =
     List.map workload

@@ -208,7 +208,8 @@ let test_checked_dace_preexisting_errors () =
   Alcotest.(check bool) "translated SDFG is already invalid" true (invalid > 0);
   let acc = Driver.new_accum () in
   let touch = ("touch", fun (_ : Sdfg.t) -> true) in
-  ignore (Driver.fixpoint ~max_rounds:1 ~accum:acc ~checked:true [ touch ] sdfg);
+  ignore
+    (Driver.fixpoint ~max_rounds:1 ~accum:acc ~checked:true [ touch ] sdfg);
   Alcotest.(check int) "a pass adding no error is not rolled back" 0
     (List.length acc.incidents);
   let before = Dcir_sdfg.Printer.to_string sdfg in

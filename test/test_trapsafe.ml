@@ -465,8 +465,8 @@ int q(int a[4], int i, int j) {
   Alcotest.(check int) "two loads after" 2 (count_ops after "memref.load")
 
 (* LCM strictly reduces executed cycles on the Fig 6 gap kernels it
-   targets (and the full-suite report_compare gate in bench/ ensures it
-   regresses none). *)
+   targets (and the exact per-product costs in compile_digests.expected
+   show any kernel it regresses). *)
 let test_lcm_reduces_cycles () =
   List.iter
     (fun wname ->
