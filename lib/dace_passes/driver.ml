@@ -24,11 +24,11 @@
     pass, wherever it is located), it is rolled back, the incident is
     recorded (a [dace.pass.rollbacks] {!Dcir_obs.Metrics.Counter} plus a
     [rollback] span and a {!Dcir_support.Diagnostics.incident} in
-    [stats.incidents]), a
-    crash-reproducer file (pre-pass SDFG + the failing pass name) is
-    written, and the pass's circuit breaker trips — open for a cooldown of
-    fixpoint rounds, probationally re-admitted afterwards, re-closed after
-    clean applications ({!Dcir_resilience.Breaker}). *)
+    [stats.incidents]), a crash-reproducer file (pre-pass SDFG + the
+    failing pass name) is written, and the pass's circuit breaker trips —
+    open for a cooldown of fixpoint rounds, probationally re-admitted
+    afterwards, re-closed after clean applications
+    ({!Dcir_resilience.Breaker}). *)
 
 module Obs = Dcir_obs.Obs
 module Json = Dcir_obs.Json
