@@ -1,8 +1,8 @@
 (** Smoke check for the machine-readable bench reports ([dune runtest]).
 
     Reads a JSON report produced by either [dcir bench W --json FILE]
-    (schema [dcir-bench/2], which carries plan-cache telemetry) or
-    [bench/main.exe ... --json FILE] (schema [dcir-bench-report/1]),
+    (schema [dcir-bench/3]) or [bench/main.exe ... --json FILE] (schema
+    [dcir-bench-report/1]),
     validates that it parses, and that every "pipelines" array it
     contains has a row for each of the five pipelines.
     Decision-event streams ([dcir-events/1], from [dcir explain --events]
@@ -21,7 +21,7 @@
     [dcir fuzz --chaos --journal FILE]) are gated on record-stream shape
     and on the chaos oracle: all four fault kinds exercised, no case
     ending in a wrong answer or an escaped exception.
-    Serving journals ([dcir-serve-journal/2], from [dcir serve]) are
+    Serving journals ([dcir-serve-journal/3], from [dcir serve]) are
     gated on contiguous sequence numbers, catalogued SRV-* codes,
     attributable rejections/sheds, well-formed responses and a
     self-consistent summary.
@@ -222,23 +222,7 @@ let check_incidents (j : Json.t) : unit =
          incidents)
   end
 
-(* Plan-cache telemetry carried by [dcir-bench/2] reports and serving
-   journal summaries: all four fields present, integer, non-negative. *)
-let check_plan_cache (j : Json.t) : unit =
-  let fields =
-    match Json.member "plan_cache" j with
-    | Some (Json.Obj fields) -> fields
-    | _ -> fail "dcir-bench/2 report missing \"plan_cache\" object"
-  in
-  List.iter
-    (fun key ->
-      match List.assoc_opt key fields with
-      | Some (Json.Int n) when n >= 0 -> ()
-      | Some v -> fail "plan_cache.%s is %s, not a count" key (Json.to_string v)
-      | None -> fail "plan_cache missing %S" key)
-    [ "hits"; "misses"; "evictions"; "size" ]
-
-(* Serving journals ([dcir-serve-journal/2], from [dcir serve]). The
+(* Serving journals ([dcir-serve-journal/3], from [dcir serve]). The
    journal is the serving engine's decision record, so the gate holds it
    to the same standard as the event stream: contiguous sequence
    numbers, every code drawn from the closed catalogue, every rejection
@@ -339,7 +323,7 @@ let check_serve_journal (j : Json.t) : unit =
   expect "failed" (status_count "failed");
   expect "retries" (code_count "SRV-RETRY");
   expect "shed" (code_count "SRV-SHED");
-  (match List.assoc_opt "codes" summary with
+  match List.assoc_opt "codes" summary with
   | Some (Json.Obj codes) ->
       List.iter
         (fun (c, v) ->
@@ -347,10 +331,7 @@ let check_serve_journal (j : Json.t) : unit =
             fail "summary codes say %s %s, entries have %d" c
               (Json.to_string v) (code_count c))
         codes
-  | _ -> fail "summary missing \"codes\" object");
-  match List.assoc_opt "plan_cache" summary with
-  | Some pc -> check_plan_cache (Json.Obj [ ("plan_cache", pc) ])
-  | None -> fail "summary missing \"plan_cache\""
+  | _ -> fail "summary missing \"codes\" object"
 
 (* Decision-event streams ([dcir-events/1]): contiguous sequence numbers
    starting at 0, every code in the closed catalogue, and a non-empty
@@ -386,23 +367,21 @@ let check_events (j : Json.t) : unit =
         | _ -> fail "event %d: APAR-REFUSE without a conflict witness" i)
     events
 
-let check_bench ~(plan_cache : bool) (path : string) (j : Json.t) : unit =
-  (match pipelines_arrays j with
+let check_bench (path : string) (j : Json.t) : unit =
+  match pipelines_arrays j with
   | [] -> fail "no \"pipelines\" arrays found in %s" path
-  | arrs -> List.iter check_pipelines arrs);
-  if plan_cache then check_plan_cache j
+  | arrs -> List.iter check_pipelines arrs
 
 let dispatch (path : string) (j : Json.t) : unit =
   match Json.member "schema" j with
-  | Some (Json.Str "dcir-bench-report/1") ->
-      check_bench ~plan_cache:false path j
-  | Some (Json.Str "dcir-bench/2") -> check_bench ~plan_cache:true path j
+  | Some (Json.Str ("dcir-bench-report/1" | "dcir-bench/3")) ->
+      check_bench path j
   | Some (Json.Str "dcir-interp-bench/4") ->
       check_interp_bench j;
       check_parallel_bench j
   | Some (Json.Str "dcir-incidents/1") -> check_incidents j
   | Some (Json.Str "dcir-events/1") -> check_events j
-  | Some (Json.Str "dcir-serve-journal/2") -> check_serve_journal j
+  | Some (Json.Str "dcir-serve-journal/3") -> check_serve_journal j
   | Some s -> fail "unexpected schema %s" (Json.to_string s)
   | None -> fail "missing \"schema\" field"
 
@@ -463,7 +442,7 @@ let () =
       List.iter
         (fun (p, doc) ->
           match Json.member "schema" doc with
-          | Some (Json.Str "dcir-serve-journal/2") -> ()
+          | Some (Json.Str "dcir-serve-journal/3") -> ()
           | _ -> fail "--same-serve: %s is not a serve journal" p)
         [ (path, j); (other, oj) ];
       if

@@ -322,8 +322,8 @@ let explain_cmd =
   let doc =
     "Compile (and run) a program, narrating every optimization decision: \
      passes admitted/skipped, loops certified or refused (with the conflict \
-     witness), breaker and degradation-ladder activity, budget spend, and \
-     plan-cache traffic. Each line carries its stable event code."
+     witness), breaker and degradation-ladder activity, and budget spend. \
+     Each line carries its stable event code."
   in
   let size_arg =
     Arg.(value & opt float 16.0
@@ -470,15 +470,12 @@ let bench_cmd =
             let report =
               Json.Obj
                 [
-                  ("schema", Json.Str "dcir-bench/2");
+                  ("schema", Json.Str "dcir-bench/3");
                   ("workload", Json.Str w.name);
                   ("description", Json.Str w.description);
                   ("entry", Json.Str w.entry);
                   ( "pipelines",
                     Json.List (List.map Pipelines.measurement_json ms) );
-                  (* Plan-cache telemetry across this invocation's runs,
-                     from the always-on metrics registry (schema /2). *)
-                  ("plan_cache", Json.Obj (Pipelines.plan_cache_stats ()));
                 ]
             in
             (try
@@ -584,7 +581,7 @@ let fuzz_cmd =
          & info [ "journal" ] ~docv:"FILE"
              ~doc:"With $(b,--chaos): write the incident journal (schema \
                    dcir-incidents/1) as JSON; with $(b,--serve): write the \
-                   serve response journal (schema dcir-serve-journal/2). \
+                   serve response journal (schema dcir-serve-journal/3). \
                    Same seed, same bytes.")
   in
   let coverage_arg =
@@ -759,10 +756,10 @@ let serve_cmd =
         "Reads a request batch (JSON, schema dcir-serve-requests/1) from \
          $(i,FILE) (or stdin when $(i,FILE) is $(b,-)) and processes every \
          request through admission control, per-tenant quotas and circuit \
-         breakers, budget-step deadlines, retry-with-degradation, and the \
-         content-addressed plan cache. The response journal (schema \
-         dcir-serve-journal/2) is deterministic: the same request file, \
-         seed and configuration produce byte-identical output.";
+         breakers, budget-step deadlines and retry-with-degradation. The \
+         response journal (schema dcir-serve-journal/3) is deterministic: \
+         the same request file, seed and configuration produce \
+         byte-identical output.";
     ]
   in
   let file_arg =
@@ -785,12 +782,6 @@ let serve_cmd =
          & info [ "queue" ] ~docv:"N"
              ~doc:"Admission queue capacity; overload sheds the \
                    lowest-priority, oldest request")
-  in
-  let plan_cache_arg =
-    Arg.(value & opt int Pipelines.default_plan_cache_capacity
-         & info [ "plan-cache" ] ~docv:"N"
-             ~doc:"Content-addressed plan store capacity (0 disables \
-                   caching)")
   in
   let tenant_steps_arg =
     Arg.(value & opt int Budget.default.Budget.max_steps
@@ -845,7 +836,7 @@ let serve_cmd =
              ~doc:"Deterministic watchdog: stop any single attempt after \
                    N budget steps and journal it as SRV-WORKER-WATCHDOG")
   in
-  let run file journal seed queue plan_cache tenant_steps tenant_fuel
+  let run file journal seed queue tenant_steps tenant_fuel
       trip_after cooldown probation retries deadline workers watchdog interp =
     let text =
       if file = "-" then In_channel.input_all stdin else read_file file
@@ -867,7 +858,6 @@ let serve_cmd =
           {
             Dcir_serve.Engine.cfg_seed = seed;
             cfg_queue = queue;
-            cfg_plan_cache = plan_cache;
             cfg_limits =
               {
                 Budget.default with
@@ -906,9 +896,9 @@ let serve_cmd =
     Term.(
       ret
         (const run $ file_arg $ journal_arg $ seed_arg $ queue_arg
-       $ plan_cache_arg $ tenant_steps_arg $ tenant_fuel_arg $ trip_after_arg
-       $ cooldown_arg $ probation_arg $ retries_arg $ deadline_arg
-       $ workers_arg $ watchdog_arg $ interp_arg))
+       $ tenant_steps_arg $ tenant_fuel_arg $ trip_after_arg $ cooldown_arg
+       $ probation_arg $ retries_arg $ deadline_arg $ workers_arg
+       $ watchdog_arg $ interp_arg))
 
 let list_cmd =
   let doc = "List the available workloads." in

@@ -219,22 +219,6 @@ let pp (ppf : Format.formatter) (x : t) : unit =
               "  [TIER-LAND] landed at tier %s (requested %s, dropped %d \
                optimization(s))@."
               (s "landed") (s "requested") (i "dropped")
-      | "PLAN-HIT" ->
-          flush ();
-          Format.fprintf ppf
-            "    [PLAN-HIT] bytecode program reused (cache size %d)@." (i "size")
-      | "PLAN-MISS" ->
-          flush ();
-          Format.fprintf ppf
-            "    [PLAN-MISS] bytecode program lowered, %d instruction(s) \
-             (cache size %d)@."
-            (i "instrs") (i "size")
-      | "PLAN-EVICT" ->
-          flush ();
-          Format.fprintf ppf
-            "    [PLAN-EVICT] oldest bytecode program evicted (cache size \
-             %d)@."
-            (i "size")
       | "EXEC-MODE" ->
           flush ();
           Format.fprintf ppf
@@ -253,9 +237,7 @@ let pp (ppf : Format.formatter) (x : t) : unit =
   (* Decision totals, computed from the stream itself. *)
   let count code = List.length (Events.with_code x.ex_events code) in
   Format.fprintf ppf
-    "summary: %d loop(s) certified, %d refused; %d rollback(s); plan cache \
-     %d hit(s) / %d miss(es) / %d eviction(s)@."
+    "summary: %d loop(s) certified, %d refused; %d rollback(s)@."
     (count "APAR-CERT") (count "APAR-REFUSE") (count "PASS-ROLLBACK")
-    (count "PLAN-HIT") (count "PLAN-MISS") (count "PLAN-EVICT")
 
 let to_string (x : t) : string = Format.asprintf "%a" pp x

@@ -24,7 +24,6 @@ module Sdfg = Dcir_sdfg.Sdfg
 module Obs = Dcir_obs.Obs
 module Json = Dcir_obs.Json
 module Events = Dcir_obs.Events
-module Om = Dcir_obs.Metrics
 module Budget = Dcir_resilience.Budget
 module Chaos = Dcir_resilience.Chaos
 module Journal = Dcir_resilience.Journal
@@ -555,157 +554,10 @@ let snapshot_outputs (bufs : (arg * Machine.buffer option) list) :
     differ only in host-side wall-clock. *)
 type interp_mode = [ `Tree | `Compiled ]
 
-(* Lowered bytecode programs are reusable across runs — bench
-   repetitions, and (the compile-once/run-many payoff of the shared
-   representation) across independent requests of a serving session. The
-   store is content-addressed: programs are keyed by a digest of the
-   printed SDFG ({!Dcir_support.Digest} over {!Dcir_sdfg.Printer}), so two
-   structurally identical SDFGs — e.g. the same source submitted by two
-   tenants — share one program. Sharded buckets + LRU eviction with a
-   configurable capacity live in {!Dcir_support.Cstore}. *)
-
-module Cstore = Dcir_support.Cstore
-module Cdigest = Dcir_support.Digest
 module Isa = Dcir_bytecode.Isa
 
-let default_plan_cache_capacity = 16
-
-let plan_store : Isa.program Cstore.t ref =
-  ref (Cstore.create ~capacity:default_plan_cache_capacity ())
-
-(* Printing a large SDFG on every lookup would tax the hot bench path, so
-   digests are memoized by physical identity, bounded like the store
-   itself. A mutated SDFG keeps its stale digest; passes never mutate an
-   SDFG after compilation. *)
-let digest_memo : (Sdfg.t * string) list ref = ref []
-let digest_memo_cap = 32
-
-let digest_of_sdfg (sdfg : Sdfg.t) : string =
-  match
-    List.find_opt (fun (s, _) -> s == sdfg) !digest_memo
-  with
-  | Some (_, d) -> d
-  | None ->
-      (* Canonicalize before hashing: printed node ids come from a
-         process-global counter, so the raw text depends on compilation
-         history; the digest must be a pure function of structure. *)
-      let d =
-        Cdigest.of_string
-          (Cdigest.canonical (Dcir_sdfg.Printer.to_string sdfg))
-      in
-      digest_memo :=
-        (sdfg, d)
-        :: (if List.length !digest_memo >= digest_memo_cap then
-              List.filteri (fun i _ -> i < digest_memo_cap - 1) !digest_memo
-            else !digest_memo);
-      d
-
-(* Cache telemetry: always-on counters (surfaced by `dcir bench --json`
-   and the `dcir serve` journal) plus per-lookup decision events. *)
-let pc_hits = Om.Counter.make "plan_cache.hits"
-let pc_misses = Om.Counter.make "plan_cache.misses"
-let pc_evictions = Om.Counter.make "plan_cache.evictions"
-let pc_size = Om.Gauge.make "plan_cache.size"
-
-(** Resize the program store (used by [dcir serve --plan-cache]); drops
-    every cached program. Capacity 0 disables caching entirely. *)
-let set_plan_cache_capacity ?shards (capacity : int) : unit =
-  plan_store := Cstore.create ?shards ~capacity ();
-  digest_memo := [];
-  Om.Gauge.set pc_size 0
-
-(** Drop all cached programs and digest memos without changing
-    capacity. *)
-let reset_plan_cache () : unit =
-  Cstore.clear !plan_store;
-  digest_memo := [];
-  Om.Gauge.set pc_size 0
-
-let plan_cache_stats () : (string * Json.t) list =
-  [
-    ("hits", Json.Int (Om.Counter.value pc_hits));
-    ("misses", Json.Int (Om.Counter.value pc_misses));
-    ("evictions", Json.Int (Om.Counter.value pc_evictions));
-    ("size", Json.Int (Om.Gauge.value pc_size));
-  ]
-
-(* --- Private artifact capture (multi-domain serving) ----------------
-   The program store and its counters are committed journal state: hits,
-   misses and evictions must be a pure function of request commit order,
-   never of worker scheduling. A serve worker domain therefore runs with
-   capture enabled: {!plan_for} lowers privately (no store lookup, no
-   counters, no events) and logs a {!warm} op; at commit time the
-   supervisor calls {!replay_warm} in commit order, which re-enters the
-   normal store path with the lowered program in hand — replicating the
-   exact hit/miss/evict sequence of the sequential engine without
-   lowering again. *)
-
-type warm = Sdfg.t * Isa.program
-
-let private_capture : warm list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-(** Start capturing store traffic on this domain. *)
-let begin_private_capture () : unit =
-  Domain.DLS.set private_capture (Some (ref []))
-
-(** Stop capturing; returns the warm ops in program order. *)
-let end_private_capture () : warm list =
-  match Domain.DLS.get private_capture with
-  | None -> []
-  | Some acc ->
-      Domain.DLS.set private_capture None;
-      List.rev !acc
-
-(** The lowered bytecode program for [sdfg], through the
-    content-addressed store: a hit may return a program lowered from a
-    {e different} (but print-identical) SDFG — callers execute
-    [program.p_sdfg], which the cached-vs-fresh differential test pins to
-    bit-identical outputs and machine metrics. [precompiled] (supervisor
-    replay) supplies the program to store on a miss instead of
-    lowering. *)
-let plan_for ?(precompiled : Isa.program option) (sdfg : Sdfg.t) : Isa.program
-    =
-  let lower () =
-    match precompiled with
-    | Some p -> p
-    | None -> Dcir_bytecode.Lower.lower sdfg
-  in
-  match Domain.DLS.get private_capture with
-  | Some acc ->
-      let p = lower () in
-      acc := (sdfg, p) :: !acc;
-      p
-  | None -> (
-      let key = digest_of_sdfg sdfg in
-      match Cstore.find !plan_store key with
-      | Some p ->
-          Om.Counter.incr pc_hits;
-          Events.emit ~code:"PLAN-HIT"
-            [ ("size", Json.Int (Cstore.length !plan_store)) ];
-          p
-      | None ->
-          Om.Counter.incr pc_misses;
-          let p = lower () in
-          let evicted = Cstore.add !plan_store key p in
-          List.iter
-            (fun _ ->
-              Om.Counter.incr pc_evictions;
-              Events.emit ~code:"PLAN-EVICT"
-                [ ("size", Json.Int (Cstore.length !plan_store)) ])
-            evicted;
-          Om.Gauge.set pc_size (Cstore.length !plan_store);
-          Events.emit ~code:"PLAN-MISS"
-            [
-              ("size", Json.Int (Cstore.length !plan_store));
-              ("instrs", Json.Int (Isa.size p));
-            ];
-          p)
-
-(** Replay one captured warm op through the normal store path (commit
-    order), reusing the worker's lowered program on a miss. *)
-let replay_warm ((sdfg, p) : warm) : unit =
-  ignore (plan_for ~precompiled:p sdfg)
+(** The bytecode program for [sdfg], lowered afresh on every call. *)
+let plan_for (sdfg : Sdfg.t) : Isa.program = Dcir_bytecode.Lower.lower sdfg
 
 let run ?(cfg = Cost.default) ?(budget : Budget.t option)
     ?(profile : Obs.Profile.t option)
@@ -775,18 +627,13 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
         outputs = snapshot_outputs bufs;
         metrics = Machine.metrics machine;
       }
-  | CSdfg fresh_sdfg ->
-      (* Resolve the bytecode program first: a content-addressed store
-         hit may substitute a print-identical SDFG lowered earlier, and
-         all argument binding below must target the SDFG the program
-         closes over. Tree mode always walks the SDFG it was handed. *)
+  | CSdfg sdfg ->
+      (* Lower before binding arguments, so that a lowering failure
+         leaves the machine untouched. *)
       let program =
         match interp_mode with
         | `Tree -> None
-        | `Compiled -> Some (plan_for fresh_sdfg)
-      in
-      let sdfg =
-        match program with Some p -> p.Isa.p_sdfg | None -> fresh_sdfg
+        | `Compiled -> Some (plan_for sdfg)
       in
       if List.length sdfg.param_order <> List.length args then
         raise

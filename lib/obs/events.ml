@@ -1,8 +1,8 @@
 (** Structured decision-event stream (JSON schema [dcir-events/1]).
 
     Every consequential decision the compiler makes — pass admitted or
-    skipped, loop certified or refused, breaker tripped, tier degraded,
-    plan cached — is recorded as one event: a stable upper-case code, a
+    skipped, loop certified or refused, breaker tripped, tier degraded —
+    is recorded as one event: a stable upper-case code, a
     monotonically increasing sequence number, and a flat field list. No
     timestamps, no heap addresses, no absolute paths: two runs with the
     same inputs and seed must produce byte-identical streams, which is
@@ -45,16 +45,13 @@ let catalogue : (string * string) list =
     ("APAR-CERT", "autopar: loop certified parallel (map conversion)");
     ("APAR-REFUSE", "autopar: loop refused, with the conflict witness");
     ("BUDGET-SPEND", "resource budget spent by a phase (fuel/steps/allocs)");
-    ("PLAN-HIT", "bytecode program cache hit");
-    ("PLAN-MISS", "bytecode program cache miss (program lowered)");
-    ("PLAN-EVICT", "bytecode program cache eviction (LRU bound)");
     ("EXEC-MODE", "interpreter mode chosen for a run (tree/compiled, jobs)");
     ("CHAOS-INJECT", "chaos harness injected a fault");
     ("CHAOS-CASE", "chaos campaign: generated case summary");
     ("CHAOS-OUTCOME", "chaos campaign: per-case verdict");
     ("NOTE", "uncategorized incident-journal note");
     (* Serving engine (dcir serve) — mirrored from the response journal
-       (schema dcir-serve-journal/2, see Dcir_serve.Sjournal). *)
+       (schema dcir-serve-journal/3, see Dcir_serve.Sjournal). *)
     ("SRV-ADMIT", "serve: request admitted to the queue");
     ("SRV-REJECT", "serve: request rejected fast (breaker/quota/malformed)");
     ("SRV-SHED", "serve: request shed from a full admission queue");

@@ -4,7 +4,7 @@
     Unlike spans ({!Obs.with_span}), which are gated behind [Obs.enable],
     metrics are cheap enough (an int/float store) to update
     unconditionally, and every value fed to them in this codebase is
-    {e deterministic} — counted decisions (plan-cache hits, fixpoint
+    {e deterministic} — counted decisions (pass rollbacks, fixpoint
     rounds, fuel spent), never wall clocks — so a metrics snapshot is
     byte-reproducible for a given command and seed.
 

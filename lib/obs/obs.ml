@@ -12,8 +12,8 @@
       stores per SDFG state, tasklet, or MLIR function, filled in by the
       interpreters and rendered as a hot-spot table.
 
-    Counts that outlive any single span (pass rollbacks, plan-cache
-    traffic) live in the always-on {!Metrics} registry.
+    Counts that outlive any single span (pass rollbacks) live in the
+    always-on {!Metrics} registry.
 
     Collection is {e disabled by default}: every hook is a cheap no-op until
     [enable] is called, so instrumented code pays nothing in normal runs.

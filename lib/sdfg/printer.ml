@@ -46,10 +46,10 @@ let rec pp_graph ?(indent = "  ") ppf (g : Sdfg.graph) =
               Fmt.pf ppf "%s    %s = %a@." indent out Texpr.pp e)
             assigns
       | Sdfg.TaskletN { code = Opaque f; _ } ->
-          (* Print the full unit body: the printed SDFG is the content
-             store's identity, so two tasklets may look alike only when
-             they compute the same thing — the serial-numbered unit name
-             alone says nothing about semantics. *)
+          (* Print the full unit body: the printed SDFG is what a digest
+             identifies, so two tasklets may look alike only when they
+             compute the same thing — the serial-numbered unit name alone
+             says nothing about semantics. *)
           Fmt.pf ppf "%s%s: <opaque unit @%s>@." indent (node_label n)
             f.Dcir_mlir.Ir.fname;
           List.iter

@@ -42,7 +42,6 @@ module Diag = Dcir_support.Diagnostics
 type config = {
   cfg_seed : int;  (** recorded in the journal header *)
   cfg_queue : int;  (** admission queue capacity *)
-  cfg_plan_cache : int;  (** artifact store capacity (0 disables) *)
   cfg_limits : Budget.limits;  (** per-tenant quota across requests *)
   cfg_breaker : Breaker.config;  (** per-tenant breaker thresholds *)
   cfg_retries : int;  (** default retry bound per request *)
@@ -53,9 +52,9 @@ type config = {
   cfg_interp : Pipelines.interp_mode;  (** execution tier for run requests *)
   cfg_workers : int;
       (** worker domains; 1 = in-process sequential drain. Any N
-          produces the same journal entries, responses and store
-          telemetry as N = 1 — the worker count itself is recorded in
-          the config header so journals are self-describing. *)
+          produces the same journal entries and responses as N = 1 — the
+          worker count itself is recorded in the config header so
+          journals are self-describing. *)
   cfg_watchdog : int option;
       (** budget-step watchdog: caps any single attempt's step spend
           below the tenant's remaining quota, so one runaway request
@@ -68,7 +67,6 @@ let default_config : config =
   {
     cfg_seed = 0;
     cfg_queue = 64;
-    cfg_plan_cache = Pipelines.default_plan_cache_capacity;
     cfg_limits = Budget.default;
     cfg_breaker = Breaker.default_config;
     cfg_retries = 2;
@@ -82,7 +80,6 @@ let default_config : config =
 let config_fields (c : config) : (string * Json.t) list =
   [
     ("queue", Json.Int c.cfg_queue);
-    ("plan_cache", Json.Int c.cfg_plan_cache);
     ("tenant_steps", Json.Int c.cfg_limits.Budget.max_steps);
     ("tenant_fuel", Json.Int c.cfg_limits.Budget.max_fuel);
     ("tenant_allocs", Json.Int c.cfg_limits.Budget.max_allocs);
@@ -108,7 +105,10 @@ type report = {
   rp_results : (string * Pipelines.run_result) list;
       (** request id -> in-memory result for successful [run] requests —
           not serialized; the chaos campaign's correctness oracle *)
-  rp_plan_cache : (string * Json.t) list;  (** store telemetry delta *)
+  rp_plan_cache : (string * Json.t) list;
+      (** always [[]]: compiled runs lower their own SDFG, so there is no
+          program store to count. The field stays because the cost
+          ledger still looks store counts up in it by name; they read 0. *)
   rp_placements : (string * int * int) list;
       (** (request id, attempt, worker domain) per pool execution,
           sorted — not serialized (domain choice is scheduling, not a
@@ -119,7 +119,7 @@ type report = {
 
 let to_json (r : report) : Json.t =
   Sjournal.to_json ~seed:r.rp_seed ~config:r.rp_config
-    ~responses:r.rp_responses ~plan_cache:r.rp_plan_cache r.rp_journal
+    ~responses:r.rp_responses r.rp_journal
 
 (** [to_json] minus the self-describing ["workers"] config field: the
     engine's determinism contract is that every worker count produces
@@ -127,11 +127,11 @@ let to_json (r : report) : Json.t =
 let replay_json (r : report) : Json.t =
   Sjournal.to_json ~seed:r.rp_seed
     ~config:(List.remove_assoc "workers" r.rp_config)
-    ~responses:r.rp_responses ~plan_cache:r.rp_plan_cache r.rp_journal
+    ~responses:r.rp_responses r.rp_journal
 
 let write (r : report) (path : string) : unit =
   Sjournal.write ~seed:r.rp_seed ~config:r.rp_config
-    ~responses:r.rp_responses ~plan_cache:r.rp_plan_cache r.rp_journal path
+    ~responses:r.rp_responses r.rp_journal path
 
 (* ---- internals --------------------------------------------------- *)
 
@@ -154,19 +154,12 @@ let find_workload (name : string) : Dcir_workloads.Workload.t option =
     (fun (w : Dcir_workloads.Workload.t) -> w.name = name)
     (Lazy.force workloads)
 
-let pc_counts () : int * int * int =
-  let get k =
-    match List.assoc_opt k (Pipelines.plan_cache_stats ()) with
-    | Some (Json.Int n) -> n
-    | _ -> 0
-  in
-  (get "hits", get "misses", get "evictions")
-
-let artifact_digest : Pipelines.compiled -> string = function
-  | Pipelines.CSdfg sdfg -> Pipelines.digest_of_sdfg sdfg
-  | Pipelines.CMlir m ->
-      Dcir_support.Digest.of_string
-        (Dcir_support.Digest.canonical (Dcir_mlir.Printer.module_to_string m))
+let artifact_digest (c : Pipelines.compiled) : string =
+  Dcir_support.Digest.of_string
+    (Dcir_support.Digest.canonical
+       (match c with
+       | Pipelines.CSdfg sdfg -> Dcir_sdfg.Printer.to_string sdfg
+       | Pipelines.CMlir m -> Dcir_mlir.Printer.module_to_string m))
 
 (* Frontend rejections — poison requests — are never retried: the input
    is invalid, and no amount of tier degradation or backoff changes
@@ -182,9 +175,8 @@ let is_frontend_error : exn -> bool = function
   | _ -> false
 
 (* Everything one dequeue step decides, as data: the journal entries it
-   would record (in order), the response it would return, whether it
-   re-enters the retry queue, and the artifact-store traffic it captured.
-   Computing the step this way lets a worker domain run it speculatively
+   would record (in order), the response it would return, and whether it
+   re-enters the retry queue. Computing the step this way lets a worker domain run it speculatively
    while the supervisor — or the sequential drain, which shares the same
    commit function — applies the effects in commit order. *)
 type step_fx = {
@@ -194,7 +186,6 @@ type step_fx = {
   fx_retry : (string * Json.t) list option;
       (* [SRV-RETRY] fields minus the backoff depth, which only the
          commit-time queue can compute *)
-  fx_warm : Pipelines.warm list;
 }
 
 (* A compilation shared by same-source requests within one pool batch:
@@ -211,11 +202,6 @@ type coalesced = {
 
 let run ?(config = default_config) (requests : (Request.t, Request.rejected) result list)
     : report =
-  (* A fresh, empty store of the configured capacity: cache hits and
-     misses are part of the journal's determinism contract, so the run
-     must not inherit plans from earlier in the process. *)
-  Pipelines.set_plan_cache_capacity config.cfg_plan_cache;
-  let pc_hits0, pc_misses0, pc_evictions0 = pc_counts () in
   let journal = Sjournal.create () in
   let tenants : (string, Tenant.t) Hashtbl.t = Hashtbl.create 8 in
   let tenant_of (name : string) : Tenant.t =
@@ -407,10 +393,8 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
   (* One dequeue step as an effect record. Mutates only the entry's job
      and its tenant — the pool's one-in-flight-per-tenant dispatch rule
      makes that safe on a worker domain, because every earlier step of
-     the tenant is already committed. [capture] (pool workers) runs the
-     artifact stores in private-capture mode; the supervisor replays the
-     captured traffic in commit order. *)
-  let process_step ~(capture : bool) (entry : job Admission.entry) : step_fx =
+     the tenant is already committed. *)
+  let process_step (entry : job Admission.entry) : step_fx =
     let job = entry.Admission.qe_item in
     let rq = job.jb_rq in
     let id = rq.Request.rq_id and tn_name = rq.Request.rq_tenant in
@@ -433,13 +417,12 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
             ("to", Json.Str after);
           ]
     in
-    let fin ?response ?result ?retry ?(warm = []) () : step_fx =
+    let fin ?response ?result ?retry () : step_fx =
       {
         fx_entries = List.rev !rev_entries;
         fx_response = response;
         fx_result = result;
         fx_retry = retry;
-        fx_warm = warm;
       }
     in
     let deadline =
@@ -519,7 +502,6 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                   max_allocs = limits.Budget.max_allocs }
               ()
           in
-          if capture then Pipelines.begin_private_capture ();
           let outcome =
             match
               Fun.protect
@@ -547,7 +529,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                   in
                   let compiled, report =
                     compile_attempt
-                      ~coalesce:(capture && Option.is_none armed_plan)
+                      ~coalesce:(use_pool && Option.is_none armed_plan)
                       job ~kind:rq.Request.rq_kind ~entry_name budget
                   in
                   (match Chaos.worker_kill_at () with
@@ -556,13 +538,6 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                   | _ -> ());
                   match rq.Request.rq_op with
                   | Request.Compile ->
-                      (* Warm the program store: the artifact digest is the
-                         store key, so a later run of the same program
-                         hits. Invisible to the tenant — the compile was
-                         already paid for above either way. *)
-                      (match compiled with
-                      | Pipelines.CSdfg sdfg -> ignore (Pipelines.plan_for sdfg)
-                      | Pipelines.CMlir _ -> ());
                       (report, None, Some (artifact_digest compiled))
                   | Request.Run ->
                       let args =
@@ -581,7 +556,6 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
             | v -> Ok v
             | exception e -> Error e
           in
-          let warm = if capture then Pipelines.end_private_capture () else [] in
           Tenant.charge tenant budget;
           (* A poisoned attempt reports success with a corrupted result
              envelope; the commit path discards it and retries, exactly
@@ -643,7 +617,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                             r.Pipelines.return_value);
                     rs_digest = digest;
                   }
-                ?result ~warm ()
+                ?result ()
           | Error e ->
               (* Worker-incident attribution precedes the retry/fail
                  record, so every injected kill and tripped watchdog is
@@ -689,7 +663,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                       ("tier", Json.Str (Pipelines.tier_name next));
                       ("attempt", Json.Int job.jb_attempts);
                     ]
-                  ~warm ()
+                  ()
               end
               else begin
                 add "SRV-FAIL"
@@ -705,16 +679,15 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                   ~response:
                     (mk_failed ~id ~tenant:tn_name ~code
                        ~attempts:job.jb_attempts)
-                  ~warm ()
+                  ()
               end)
   in
-  (* Apply one step's effects: replay captured store traffic, append the
-     journal entries, re-insert on retry (the backoff depth is a
-     function of the committed queue, so only commit can compute it),
-     then the result and response. Both drains share this function — the
-     journal is the same bytes either way. *)
+  (* Apply one step's effects: append the journal entries, re-insert on
+     retry (the backoff depth is a function of the committed queue, so
+     only commit can compute it), then the result and response. Both
+     drains share this function — the journal is the same bytes either
+     way. *)
   let commit (entry : job Admission.entry) (fx : step_fx) : unit =
-    List.iter Pipelines.replay_warm fx.fx_warm;
     List.iter
       (fun (code, fields) -> Sjournal.record journal ~code fields)
       fx.fx_entries;
@@ -747,7 +720,7 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
     Pool.drain ~workers:config.cfg_workers ~queue
       ~group_of:(fun (j : job) -> j.jb_rq.Request.rq_tenant)
       ~exec:(fun ~domain entry ->
-        let fx = process_step ~capture:true entry in
+        let fx = process_step entry in
         Mutex.protect placements_mutex (fun () ->
             placements :=
               ( entry.Admission.qe_item.jb_rq.Request.rq_id,
@@ -781,7 +754,6 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                  ~attempts:job.jb_attempts);
           fx_result = None;
           fx_retry = None;
-          fx_warm = [];
         })
       ~commit:(fun entry fx ->
         commit entry fx;
@@ -792,30 +764,18 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
       match Admission.pop queue with
       | None -> ()
       | Some entry ->
-          commit entry (process_step ~capture:false entry);
+          commit entry (process_step entry);
           drain ()
     in
     drain ()
   end;
-  let pc_hits1, pc_misses1, pc_evictions1 = pc_counts () in
-  let size =
-    match List.assoc_opt "size" (Pipelines.plan_cache_stats ()) with
-    | Some (Json.Int n) -> Json.Int n
-    | _ -> Json.Int 0
-  in
   {
     rp_seed = config.cfg_seed;
     rp_config = config_fields config;
     rp_journal = journal;
     rp_responses = List.rev !rev_responses;
     rp_results = List.rev !results;
-    rp_plan_cache =
-      [
-        ("hits", Json.Int (pc_hits1 - pc_hits0));
-        ("misses", Json.Int (pc_misses1 - pc_misses0));
-        ("evictions", Json.Int (pc_evictions1 - pc_evictions0));
-        ("size", size);
-      ];
+    rp_plan_cache = [];
     rp_placements = List.sort compare !placements;
     rp_coalesced = Atomic.get coalesced_count;
   }

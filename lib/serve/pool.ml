@@ -9,7 +9,7 @@
       state) and hands back an effect record;
     - the {b supervisor} (the calling domain) owns every piece of
       committed state — the admission queue, the journal, the response
-      list, the artifact stores — and applies effect records strictly in
+      list — and applies effect records strictly in
       queue pop order, exactly the order the sequential engine commits.
 
     Dispatch rule: an entry may run ahead of its commit slot iff it is

@@ -1,11 +1,10 @@
-(** Serve response journal (JSON schema [dcir-serve-journal/2]).
+(** Serve response journal (JSON schema [dcir-serve-journal/3]).
 
     The journal is the serving engine's complete, replayable decision
     record: one sequenced entry per admission-control and scheduling
     decision ([SRV-*] codes, the same closed catalogue registered in
     {!Dcir_obs.Events}), the per-request responses in completion order,
-    and a summary with per-code counts and the plan-cache telemetry
-    delta. No timestamps, no ordering dependent on other tenants'
+    and a summary with per-code counts. No timestamps, no ordering dependent on other tenants'
     internals: the same request file under the same seed and
     configuration produces a byte-identical journal (enforced by a [cmp]
     rule under [dune runtest]), and [validate_report.exe] gates the
@@ -89,12 +88,10 @@ let entry_json (e : entry) : Json.t =
 let count_status (responses : response list) (s : status) : int =
   List.length (List.filter (fun r -> r.rs_status = s) responses)
 
-(** The [dcir-serve-journal/2] document. [config] fields are spliced
-    into the header (queue capacity, breaker thresholds, ...);
-    [plan_cache] is the store telemetry delta for this serve run. *)
+(** The [dcir-serve-journal/3] document. [config] fields are spliced
+    into the header (queue capacity, breaker thresholds, ...). *)
 let to_json ~(seed : int) ~(config : (string * Json.t) list)
-    ~(responses : response list) ~(plan_cache : (string * Json.t) list)
-    (t : t) : Json.t =
+    ~(responses : response list) (t : t) : Json.t =
   let codes =
     (* Per-code counts over the codes that actually occur, sorted. *)
     List.sort_uniq compare (List.map (fun e -> e.sj_code) (entries t))
@@ -102,7 +99,7 @@ let to_json ~(seed : int) ~(config : (string * Json.t) list)
   in
   Json.Obj
     [
-      ("schema", Json.Str "dcir-serve-journal/2");
+      ("schema", Json.Str "dcir-serve-journal/3");
       ("seed", Json.Int seed);
       ("config", Json.Obj config);
       ("entries", Json.List (List.map entry_json (entries t)));
@@ -117,18 +114,17 @@ let to_json ~(seed : int) ~(config : (string * Json.t) list)
             ("retries", Json.Int (count_code t "SRV-RETRY"));
             ("shed", Json.Int (count_code t "SRV-SHED"));
             ("codes", Json.Obj codes);
-            ("plan_cache", Json.Obj plan_cache);
           ] );
     ]
 
-let to_string ~seed ~config ~responses ~plan_cache (t : t) : string =
-  Json.to_string (to_json ~seed ~config ~responses ~plan_cache t)
+let to_string ~seed ~config ~responses (t : t) : string =
+  Json.to_string (to_json ~seed ~config ~responses t)
 
 (* Atomic (temp file + rename): a serve process killed mid-write must
    never leave a torn journal where a previous good one stood. *)
-let write ~seed ~config ~responses ~plan_cache (t : t) (path : string) : unit =
+let write ~seed ~config ~responses (t : t) (path : string) : unit =
   Dcir_support.Atomic_io.write path (fun oc ->
-      output_string oc (to_string ~seed ~config ~responses ~plan_cache t);
+      output_string oc (to_string ~seed ~config ~responses t);
       output_char oc '\n')
 
 (** A tenant's responses, rendered — the unit of the isolation oracle:

@@ -1,12 +1,11 @@
-(** Deterministic content digests for the artifact store.
+(** Deterministic content digests of printed programs.
 
     A digest is a pure function of the input bytes — no host state, no
     randomization, no dependence on word size beyond the fixed 64-bit
     arithmetic of [Int64] — so the same printed program hashes to the
-    same key on every machine and every run. That stability is what makes
-    the content-addressed plan store ({!Cstore}) reproducible: cache hits
-    and misses are part of the deterministic decision record, not an
-    accident of process layout.
+    same digest on every machine and every run. [dcir serve] journals one
+    per compile response, and [test/compile_digests.expected] pins one
+    per compile product.
 
     The construction is two independent FNV-1a-style 64-bit lanes (with
     distinct offset bases and an extra avalanche mix borrowed from
@@ -14,7 +13,7 @@
     a cryptographic hash — the threat model is accidental collision
     between distinct printed programs, not an adversary forging keys —
     and 128 bits of well-mixed state makes accidental collision
-    negligible at any plausible store size. *)
+    negligible at any plausible number of programs. *)
 
 (* FNV-1a primes/offsets (64-bit), second lane offset is the first with
    the bits of pi folded in so the lanes decorrelate from the start. *)
@@ -51,9 +50,8 @@ let of_string (s : string) : string =
     ids, MLIR value ids, tasklet serials), so the {e same} source
     compiled at two different points of a process prints with different
     serials. Canonicalizing before digesting makes the digest a pure
-    function of the artifact's structure — the property the
-    content-addressed store needs to deduplicate identical programs
-    across requests and tenants. The rewrite is a bijective rename
+    function of the artifact's structure, so identical programs get one
+    digest across requests and tenants. The rewrite is a bijective rename
     within one text (prefixes are preserved; distinct tokens stay
     distinct), so two texts share a canonical form only when they are
     identical up to consistent renaming of numbered identifiers.
@@ -114,25 +112,3 @@ let canonical (s : string) : string =
     end
   done;
   Buffer.contents buf
-
-(** [shard_of d ~shards] — deterministic shard index in [0, shards) for
-    digest [d], taken from the digest's own bits rather than any
-    process-dependent hash. Accepts arbitrary strings (non-digest keys
-    fall back to a byte fold) so {!Cstore} can shard any key space. *)
-let shard_of (d : string) ~(shards : int) : int =
-  if shards <= 1 then 0
-  else
-    let v =
-      (* First 8 hex chars when they parse; else fold the raw bytes. *)
-      match
-        if String.length d >= 8 then
-          int_of_string_opt ("0x" ^ String.sub d 0 8)
-        else None
-      with
-      | Some v -> v
-      | None ->
-          let h = ref 0 in
-          String.iter (fun c -> h := ((!h * 131) + Char.code c) land 0x3FFFFFFF) d;
-          !h
-    in
-    abs v mod shards

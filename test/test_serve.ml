@@ -1,15 +1,13 @@
-(** The serving layer: content digests, the sharded LRU artifact store,
-    the admission queue, and the batch engine itself. The invariants
-    under test are the serving contract: digests are pure functions of
-    program structure (canonicalized against process-global counters),
-    store telemetry is a deterministic function of the operation
-    sequence, a cache hit is invisible in outputs and metrics, a
-    tenant's responses are byte-identical whether it shares the engine
-    with a noisy neighbor or runs alone, and the whole journal replays
+(** The serving layer: content digests, the admission queue, and the
+    batch engine itself. The invariants under test are the serving
+    contract: digests are pure functions of program structure
+    (canonicalized against process-global counters), recompiling and
+    rerunning a program is invisible in outputs and metrics, a tenant's
+    responses are byte-identical whether it shares the engine with a
+    noisy neighbor or runs alone, and the whole journal replays
     byte-for-byte from its seed. *)
 
 module Cdigest = Dcir_support.Digest
-module Cstore = Dcir_support.Cstore
 module Pipelines = Dcir_core.Pipelines
 module Budget = Dcir_resilience.Budget
 module Breaker = Dcir_resilience.Breaker
@@ -50,8 +48,8 @@ let test_digest_canonical () =
   (* Names without a digit suffix are untouched. *)
   Alcotest.(check string) "plain names" "gemm(A, B)"
     (Cdigest.canonical "gemm(A, B)");
-  (* The property the store needs: same structure, different serials,
-     same canonical form — hence same digest. *)
+  (* Same structure, different serials: same canonical form, hence same
+     digest. *)
   Alcotest.(check string) "alpha-equivalent serials agree"
     (Cdigest.of_string (Cdigest.canonical "#4 [#4 -> #5]"))
     (Cdigest.of_string (Cdigest.canonical "#90 [#90 -> #91]"))
@@ -61,9 +59,7 @@ let test_digest_canonical () =
 let test_digest_position_independent () =
   let src = "int dbl(int n) { return n + n; }" in
   let digest () =
-    match Pipelines.compile Pipelines.Dcir ~src ~entry:"dbl" with
-    | Pipelines.CSdfg sdfg -> Pipelines.digest_of_sdfg sdfg
-    | Pipelines.CMlir _ -> Alcotest.fail "expected an SDFG"
+    Engine.artifact_digest (Pipelines.compile Pipelines.Dcir ~src ~entry:"dbl")
   in
   let d1 = digest () in
   (* Burn some node ids with an unrelated compilation in between. *)
@@ -72,50 +68,10 @@ let test_digest_position_independent () =
        ~src:"double tri(double x) { return x * 3.0; }" ~entry:"tri");
   Alcotest.(check string) "digest survives process history" d1 (digest ())
 
-(* ------------------------------------------------------------------ *)
-(* The artifact store *)
-
-let test_store_lru_determinism () =
-  let trajectory () =
-    let s = Cstore.create ~shards:1 ~capacity:2 () in
-    let evicted = ref [] in
-    let add k v = evicted := !evicted @ List.map fst (Cstore.add s k v) in
-    add "k1" 1;
-    add "k2" 2;
-    ignore (Cstore.find s "k1") (* k1 now most recent *);
-    add "k3" 3 (* must evict k2, the LRU *);
-    (!evicted, Cstore.keys s)
-  in
-  let evicted, keys = trajectory () in
-  Alcotest.(check (list string)) "LRU victim" [ "k2" ] evicted;
-  Alcotest.(check (list string)) "survivors" [ "k1"; "k3" ] keys;
-  (* Same operation sequence, same trajectory — determinism is the
-     contract, not an accident. *)
-  Alcotest.(check bool) "replay identical" true (trajectory () = (evicted, keys))
-
-let test_store_capacity_edges () =
-  (* Capacity 1: every insertion evicts the previous occupant. *)
-  let s1 = Cstore.create ~capacity:1 () in
-  Alcotest.(check (list string)) "first insert evicts nothing" []
-    (List.map fst (Cstore.add s1 "a" 1));
-  Alcotest.(check (list string)) "second evicts first" [ "a" ]
-    (List.map fst (Cstore.add s1 "b" 2));
-  Alcotest.(check bool) "only b lives" true
-    (Cstore.find s1 "b" = Some 2 && Cstore.find s1 "a" = None);
-  (* Capacity 0 disables the store: nothing stored, every find misses,
-     no eviction ever reported. *)
-  let s0 = Cstore.create ~capacity:0 () in
-  Alcotest.(check (list string)) "zero-capacity add evicts nothing" []
-    (List.map fst (Cstore.add s0 "a" 1));
-  Alcotest.(check bool) "zero-capacity find misses" true
-    (Cstore.find s0 "a" = None);
-  Alcotest.(check int) "zero-capacity stays empty" 0 (Cstore.length s0)
-
-(* The differential that justifies caching at all: a plan served from
-   the store is bit-identical to a fresh compile — outputs AND metrics —
-   and the hit is visible in the telemetry. *)
-let test_cached_vs_fresh_identical () =
-  Pipelines.reset_plan_cache ();
+(* Compiling and running the same source twice gives bit-identical
+   outputs and metrics: nothing a run leaves behind in the process
+   changes the next one. *)
+let test_rerun_identical () =
   let src =
     "double scale(double a[32], double s) { for (int i = 0; i < 32; i++) { \
      a[i] = a[i] * s; } return a[0]; }"
@@ -126,26 +82,18 @@ let test_cached_vs_fresh_identical () =
       Pipelines.AFloat 3.0;
     ]
   in
-  let stat k =
-    match List.assoc_opt k (Pipelines.plan_cache_stats ()) with
-    | Some (Json.Int n) -> n
-    | _ -> Alcotest.fail ("plan_cache_stats missing " ^ k)
-  in
   let go () =
     let compiled = Pipelines.compile Pipelines.Dcir ~src ~entry:"scale" in
     Pipelines.run compiled ~entry:"scale" (args ())
   in
-  let fresh = go () in
-  let hits_before = stat "hits" in
-  let cached = go () in
-  Alcotest.(check int) "second run hits the store" (hits_before + 1)
-    (stat "hits");
-  (* Bit-identical, not merely close: same plan, same arithmetic. *)
+  let first = go () in
+  let again = go () in
+  (* Bit-identical, not merely close: same program, same arithmetic. *)
   Alcotest.(check bool) "return values identical" true
-    (fresh.Pipelines.return_value = cached.Pipelines.return_value);
+    (first.Pipelines.return_value = again.Pipelines.return_value);
   Alcotest.(check bool) "outputs identical" true
-    (fresh.Pipelines.outputs = cached.Pipelines.outputs);
-  let m1 = fresh.Pipelines.metrics and m2 = cached.Pipelines.metrics in
+    (first.Pipelines.outputs = again.Pipelines.outputs);
+  let m1 = first.Pipelines.metrics and m2 = again.Pipelines.metrics in
   Alcotest.(check (float 0.0)) "cycles identical"
     m1.Dcir_machine.Metrics.cycles m2.Dcir_machine.Metrics.cycles;
   Alcotest.(check int) "loads identical" m1.Dcir_machine.Metrics.loads
@@ -454,8 +402,8 @@ let test_worker_crash_retry () =
 
 (* Identical compile requests coalesce: the first worker's artifact is
    fanned to the rest, each charged as if it had compiled it itself.
-   The journal still shows the sequential engine's one PLAN-MISS and k
-   PLAN-HITs, and every response carries the same artifact digest. *)
+   The journal is the sequential engine's, and every response carries
+   the same artifact digest. *)
 let test_pool_coalescing () =
   let requests =
     List.map
@@ -466,7 +414,6 @@ let test_pool_coalescing () =
              ~tenant:"T" ~op:Request.Compile tiny))
   in
   let run workers =
-    Pipelines.reset_plan_cache ();
     Engine.run
       ~config:{ Engine.default_config with Engine.cfg_workers = workers }
       requests
@@ -477,18 +424,6 @@ let test_pool_coalescing () =
     (replay_string w4);
   Alcotest.(check int) "three of four compiles coalesced" 3
     w4.Engine.rp_coalesced;
-  let pc key (report : Engine.report) =
-    match
-      Option.bind
-        (Json.member "summary" (Engine.to_json report))
-        (fun s ->
-          Option.bind (Json.member "plan_cache" s) (Json.member key))
-    with
-    | Some (Json.Int n) -> n
-    | _ -> Alcotest.fail ("journal summary missing plan_cache." ^ key)
-  in
-  Alcotest.(check int) "one miss" 1 (pc "misses" w4);
-  Alcotest.(check int) "k hits" 3 (pc "hits" w4);
   (match w4.Engine.rp_responses with
   | first :: rest ->
       Alcotest.(check bool) "digest present" true
@@ -573,12 +508,8 @@ let suite =
       Alcotest.test_case "digest canonicalization" `Quick test_digest_canonical;
       Alcotest.test_case "digest position independence" `Quick
         test_digest_position_independent;
-      Alcotest.test_case "store LRU determinism" `Quick
-        test_store_lru_determinism;
-      Alcotest.test_case "store capacity edges" `Quick
-        test_store_capacity_edges;
-      Alcotest.test_case "cached vs fresh bit-identical" `Quick
-        test_cached_vs_fresh_identical;
+      Alcotest.test_case "recompile and rerun is bit-identical" `Quick
+        test_rerun_identical;
       Alcotest.test_case "admission shedding" `Quick test_admission_shed;
       Alcotest.test_case "retry backoff depth" `Quick test_admission_backoff;
       Alcotest.test_case "tenant isolation" `Quick test_tenant_isolation;
