@@ -258,12 +258,12 @@ let synth_args (src : string) (entry : string) (scale : float) :
       | Dcir_cfront.C_ast.TVoid -> Pipelines.AInt 0)
     f.params
 
+let size_arg =
+  Arg.(value & opt float 16.0
+       & info [ "size" ] ~docv:"N" ~doc:"Value for scalar int arguments")
+
 let run_cmd =
   let doc = "Compile and execute on the simulated machine; print metrics." in
-  let size_arg =
-    Arg.(value & opt float 16.0
-         & info [ "size" ] ~docv:"N" ~doc:"Value for scalar int arguments")
-  in
   let run file entry pipeline size parallel jobs interp max_steps max_fuel
       degrade verbose timing trace profile =
     setup_obs ~verbose ~timing ~trace;
@@ -324,10 +324,6 @@ let explain_cmd =
      passes admitted/skipped, loops certified or refused (with the conflict \
      witness), breaker and degradation-ladder activity, and budget spend. \
      Each line carries its stable event code."
-  in
-  let size_arg =
-    Arg.(value & opt float 16.0
-         & info [ "size" ] ~docv:"N" ~doc:"Value for scalar int arguments")
   in
   let events_arg =
     Arg.(value & opt (some string) None
