@@ -46,13 +46,18 @@ let rec pp_op (ppf : Format.formatter) (o : Ir.op) : unit =
     (Fmt.list ~sep:(Fmt.any ", ") (fun ppf v -> Types.pp ppf v.Ir.vty))
     o.results
 
+(* A region's body is indented 2 spaces deeper than the op that holds it,
+   not from the column where its "{" falls: that column depends on how
+   wide the serials printed before it are. *)
 and pp_region (ppf : Format.formatter) (r : Ir.region) : unit =
-  Fmt.pf ppf "{@[<v 2>";
-  if r.rargs <> [] then
-    Fmt.pf ppf "@,^bb(%a):"
+  Fmt.pf ppf "{@;<0 2>@[<v 0>";
+  if r.rargs <> [] then begin
+    Fmt.pf ppf "^bb(%a):"
       (Fmt.list ~sep:(Fmt.any ", ") pp_typed_value)
       r.rargs;
-  List.iter (fun o -> Fmt.pf ppf "@,%a" pp_op o) r.rops;
+    if r.rops <> [] then Fmt.cut ppf ()
+  end;
+  Fmt.list ~sep:Fmt.cut pp_op ppf r.rops;
   Fmt.pf ppf "@]@,}"
 
 let pp_func (ppf : Format.formatter) (f : Ir.func) : unit =

@@ -55,18 +55,32 @@ let test_digest_canonical () =
     (Cdigest.of_string (Cdigest.canonical "#90 [#90 -> #91]"))
 
 (* Compiling the same source twice in one process must yield the same
-   digest even though printed node ids come from a global counter. *)
+   digest even though printed ids come from process-global counters: an
+   SDFG product, and an MLIR product with nested loop regions, whose
+   layout must not depend on how wide those ids print. *)
 let test_digest_position_independent () =
-  let src = "int dbl(int n) { return n + n; }" in
-  let digest () =
-    Engine.artifact_digest (Pipelines.compile Pipelines.Dcir ~src ~entry:"dbl")
+  let digest kind ~src ~entry =
+    Engine.artifact_digest (Pipelines.compile kind ~src ~entry)
   in
-  let d1 = digest () in
-  (* Burn some node ids with an unrelated compilation in between. *)
+  let dbl () =
+    digest Pipelines.Dcir ~src:"int dbl(int n) { return n + n; }" ~entry:"dbl"
+  in
+  let corr () =
+    let w = Dcir_workloads.Polybench.correlation in
+    digest Pipelines.Gcc ~src:w.src ~entry:w.entry
+  in
+  let d1 = dbl () and c1 = corr () in
+  (* An unrelated compile, then skip the value ids ahead to the next
+     power of ten, so that every id printed from here on is one digit
+     wider than those in the first products. *)
   ignore
     (Pipelines.compile Pipelines.Dcir
        ~src:"double tri(double x) { return x * 3.0; }" ~entry:"tri");
-  Alcotest.(check string) "digest survives process history" d1 (digest ())
+  let next = Atomic.get Dcir_mlir.Ir.value_counter in
+  let rec pow10 p = if p > next then p else pow10 (10 * p) in
+  ignore (Atomic.fetch_and_add Dcir_mlir.Ir.value_counter (pow10 1 - next));
+  Alcotest.(check string) "SDFG digest survives process history" d1 (dbl ());
+  Alcotest.(check string) "MLIR digest survives process history" c1 (corr ())
 
 (* Compiling and running the same source twice gives bit-identical
    outputs and metrics: nothing a run leaves behind in the process
