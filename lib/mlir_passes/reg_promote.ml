@@ -53,60 +53,51 @@ let find_candidates (o : Ir.op) : candidate list =
       (Ir.defined_values body);
     let invariant (v : Ir.value) = not (Hashtbl.mem defined_inside v.vid) in
     let recursive = recursive_access_count body in
-    (* Group top-level accesses per memref. *)
+    (* Group top-level accesses per memref, keeping the memrefs in order
+       of first access: that order decides the preloads and iter_args,
+       so it must not depend on the memrefs' ids. *)
     let groups : (int, (string * Ir.value list * bool) list) Hashtbl.t =
       Hashtbl.create 8
     in
+    let first_accessed = ref [] in
     List.iter
       (fun (op : Ir.op) ->
-        let note mr idxs is_store =
-          Hashtbl.replace groups mr
+        let note (mr : Ir.value) idxs is_store =
+          if not (Hashtbl.mem groups mr.vid) then
+            first_accessed := mr :: !first_accessed;
+          Hashtbl.replace groups mr.vid
             ((idx_key idxs, idxs, is_store)
-            :: Option.value ~default:[] (Hashtbl.find_opt groups mr))
+            :: Option.value ~default:[] (Hashtbl.find_opt groups mr.vid))
         in
         match op.name with
         | "memref.load" ->
             let mr, idxs = Memref_d.load_parts op in
-            note mr.vid idxs false
+            note mr idxs false
         | "memref.store" ->
             let _, mr, idxs = Memref_d.store_parts op in
-            note mr.vid idxs true
+            note mr idxs true
         | _ -> ())
       body.rops;
-    Hashtbl.fold
-      (fun mr_vid accesses acc ->
-        let top_count = List.length accesses in
-        let rec_count =
-          Option.value ~default:0 (Hashtbl.find_opt recursive mr_vid)
-        in
-        match accesses with
-        | (key0, idxs0, _) :: _
-          when top_count = rec_count
-               && List.for_all (fun (k, _, _) -> String.equal k key0) accesses
-               && List.for_all invariant idxs0 ->
-            (* Find the memref value itself from one access op. *)
-            let mr_val = ref None in
-            List.iter
-              (fun (op : Ir.op) ->
-                match op.name with
-                | "memref.load" when (List.hd op.operands).vid = mr_vid ->
-                    mr_val := Some (List.hd op.operands)
-                | "memref.store" when (List.nth op.operands 1).vid = mr_vid ->
-                    mr_val := Some (List.nth op.operands 1)
-                | _ -> ())
-              body.rops;
-            (match !mr_val with
-            | Some mr when invariant mr ->
-                {
-                  mr;
-                  idxs = idxs0;
-                  elem_ty = Types.elem_type mr.vty;
-                  has_store = List.exists (fun (_, _, s) -> s) accesses;
-                }
-                :: acc
-            | _ -> acc)
-        | _ -> acc)
-      groups []
+    List.rev !first_accessed
+    |> List.filter_map (fun (mr : Ir.value) ->
+           let accesses = Hashtbl.find groups mr.vid in
+           let rec_count =
+             Option.value ~default:0 (Hashtbl.find_opt recursive mr.vid)
+           in
+           match accesses with
+           | (key0, idxs0, _) :: _
+             when List.length accesses = rec_count
+                  && List.for_all (fun (k, _, _) -> String.equal k key0) accesses
+                  && List.for_all invariant idxs0
+                  && invariant mr ->
+               Some
+                 {
+                   mr;
+                   idxs = idxs0;
+                   elem_ty = Types.elem_type mr.vty;
+                   has_store = List.exists (fun (_, _, s) -> s) accesses;
+                 }
+           | _ -> None)
     |> List.filter (fun c -> c.has_store)
     (* Read-only invariant references are LICM's job. *)
   end

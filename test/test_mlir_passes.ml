@@ -203,6 +203,25 @@ void f(double c[8][8], double a[8][8], double b[8][8]) {
       end);
   Alcotest.(check bool) "no store in innermost loop" false !inner_has_store
 
+(* Promoted references come out in the order the loop body first touches
+   them, whatever ids earlier compiles drew: gesummv's gcc product, which
+   promotes tmp[i] and y[i] in its inner loop, prints the same after each
+   of several unrelated compiles. *)
+let test_reg_promote_order () =
+  let w = Dcir_workloads.Polybench.gesummv in
+  let canonical () =
+    match Dcir_core.Pipelines.compile Gcc ~src:w.src ~entry:w.entry with
+    | CMlir m -> Dcir_support.Digest.canonical (Printer.module_to_string m)
+    | CSdfg _ -> Alcotest.fail "expected an MLIR product"
+  in
+  let first = canonical () in
+  for i = 1 to 8 do
+    ignore (Polygeist.compile "double tri(double x) { return x * 3.0; }");
+    Alcotest.(check string)
+      (Printf.sprintf "same product after %d unrelated compile(s)" i)
+      first (canonical ())
+  done
+
 let test_store_forward () =
   let src =
     {|
@@ -295,6 +314,8 @@ let suite =
       Alcotest.test_case "loop fusion merges" `Quick test_loop_fusion;
       Alcotest.test_case "loop fusion rejects offsets" `Quick test_loop_fusion_rejects_carried;
       Alcotest.test_case "register promotion" `Quick test_reg_promote;
+      Alcotest.test_case "register promotion order is history-free" `Quick
+        test_reg_promote_order;
       Alcotest.test_case "store forwarding" `Quick test_store_forward;
       QCheck_alcotest.to_alcotest prop_pipelines_agree;
     ] )
