@@ -64,19 +64,18 @@ let agrees (r : Pipelines.run_result) (reference : Pipelines.run_result) :
          i = j && Array.length x = Array.length y && Array.for_all2 close x y)
        r.outputs reference.outputs
 
-(* The unoptimized reference run of [src], and a printer for the cost
-   columns of any product of it. *)
-let cost_of ~src ~entry ~args : Pipelines.compiled -> string =
-  let reference =
-    run ~entry ~args (Pipelines.CMlir (Dcir_cfront.Polygeist.compile src))
-  in
-  fun c ->
+(* The line of product [c]: its name and digest, then whether it agrees
+   with [reference] (the run of the unoptimized product) and its costs. *)
+let line ~entry ~args ~reference (name : string) (c : Pipelines.compiled) :
+    string =
+  let d = digest c in
+  let costs =
     match run ~entry ~args c with
     | Error code -> "trap " ^ code
     | Ok (r, budget) ->
         let m = r.metrics in
         let ok =
-          match reference with
+          match Lazy.force reference with
           | Ok (ref_r, _) -> agrees r ref_r
           | Error _ -> false
         in
@@ -86,84 +85,49 @@ let cost_of ~src ~entry ~args : Pipelines.compiled -> string =
           (if ok then "ok" else "WRONG")
           m.cycles m.loads m.stores m.l1_misses m.l2_misses m.l3_misses
           m.heap_allocs m.heap_bytes budget.steps
+  in
+  Printf.sprintf "%s %s %s" name d costs
 
-(* The products of one source: each with the start of its line (name,
-   product, digest), or only that line when its compile failed. *)
-type group = {
-  src : string;
-  entry : string;
-  args : unit -> Pipelines.arg list;
-  products : (string * Pipelines.compiled option) list;
-}
+let reference_run ~src ~entry ~args =
+  lazy (run ~entry ~args (Pipelines.CMlir (Dcir_cfront.Polygeist.compile src)))
 
-let compiled name how c =
-  (Printf.sprintf "%s %s %s" name how (digest c), Some c)
-
-let workload (w : Dcir_workloads.Workload.t) : group =
+let workload (w : Dcir_workloads.Workload.t) : unit =
+  let reference = reference_run ~src:w.src ~entry:w.entry ~args:w.args in
+  let product how c =
+    print_endline
+      (line ~entry:w.entry ~args:w.args ~reference (w.name ^ " " ^ how) c)
+  in
   let compile ?tier ?checked kind =
     Pipelines.compile ?tier ?checked kind ~src:w.src ~entry:w.entry
   in
-  let o2 =
-    List.map
-      (fun kind ->
-        compiled w.name (Pipelines.kind_name kind ^ "-O2") (compile kind))
-      Pipelines.all_kinds
-  in
-  let o1 =
-    compiled w.name "dcir-O1" (compile ~tier:Pipelines.O1 Pipelines.Dcir)
-  in
-  let checked =
-    compiled w.name "dcir-checked" (compile ~checked:true Pipelines.Dcir)
-  in
-  {
-    src = w.src;
-    entry = w.entry;
-    args = w.args;
-    products = o2 @ [ o1; checked ];
-  }
-
-let generated (i : int) : group =
-  let case = Dcir_fuzz.Gen.generate (Dcir_fuzz.Rng.derive 0x901d i) in
-  let name = Printf.sprintf "gen%03d" i in
-  let product =
-    match
-      Pipelines.compile_resilient ~autopar:true Pipelines.Dcir ~src:case.src
-        ~entry:case.entry
-    with
-    | c, r ->
-        compiled name
-          ("dcir-resilient-autopar " ^ Pipelines.tier_name r.res_landed)
-          c
-    | exception e ->
-        ( Printf.sprintf "%s dcir-resilient-autopar error %s" name
-            (Pipelines.classify_exn e),
-          None )
-  in
-  {
-    src = case.src;
-    entry = case.entry;
-    args = case.args;
-    products = [ product ];
-  }
-
-(* Every product is compiled before any is run. The printed IR indents
-   nested regions from the column where they open, which depends on the
-   width of the process-global serials; canonicalization renumbers the
-   serials but keeps that indentation. So the compiles keep one fixed
-   order that no reference compile interleaves. *)
-let () =
-  let workloads =
-    List.map workload
-      (Dcir_workloads.Polybench.all
-      @ [ Dcir_workloads.Case_studies.fig2_example ])
-  in
-  let groups = workloads @ List.init 100 generated in
   List.iter
-    (fun g ->
-      let cost = lazy (cost_of ~src:g.src ~entry:g.entry ~args:g.args) in
-      List.iter
-        (function
-          | line, None -> print_endline line
-          | line, Some c -> Printf.printf "%s %s\n" line (Lazy.force cost c))
-        g.products)
-    groups
+    (fun kind -> product (Pipelines.kind_name kind ^ "-O2") (compile kind))
+    Pipelines.all_kinds;
+  product "dcir-O1" (compile ~tier:Pipelines.O1 Pipelines.Dcir);
+  product "dcir-checked" (compile ~checked:true Pipelines.Dcir)
+
+let generated (i : int) : unit =
+  let case = Dcir_fuzz.Gen.generate (Dcir_fuzz.Rng.derive 0x901d i) in
+  let name = Printf.sprintf "gen%03d dcir-resilient-autopar" i in
+  match
+    Pipelines.compile_resilient ~autopar:true Pipelines.Dcir ~src:case.src
+      ~entry:case.entry
+  with
+  | c, r ->
+      let reference =
+        reference_run ~src:case.src ~entry:case.entry ~args:case.args
+      in
+      print_endline
+        (line ~entry:case.entry ~args:case.args ~reference
+           (name ^ " " ^ Pipelines.tier_name r.res_landed)
+           c)
+  | exception e ->
+      Printf.printf "%s error %s\n" name (Pipelines.classify_exn e)
+
+let () =
+  List.iter workload
+    (Dcir_workloads.Polybench.all
+    @ [ Dcir_workloads.Case_studies.fig2_example ]);
+  for i = 0 to 99 do
+    generated i
+  done
