@@ -1,4 +1,4 @@
-(** Always-on metrics registry: named counters, gauges, and fixed-bucket
+(** Always-on metrics registry: named counters and fixed-bucket
     histograms.
 
     Unlike spans ({!Obs.with_span}), which are gated behind [Obs.enable],
@@ -13,12 +13,12 @@
     {!Obs.reset} zeroes all values (registrations survive — held handles
     stay live). *)
 
-type kind = KCounter | KGauge | KHistogram
+type kind = KCounter | KHistogram
 
 type metric = {
   m_name : string;
   m_kind : kind;
-  mutable m_value : float;  (** counter / gauge value *)
+  mutable m_value : float;  (** counter value *)
   m_edges : float array;  (** histogram upper bucket edges, ascending *)
   m_counts : int array;  (** per-bucket counts; last slot = overflow *)
   mutable m_total : int;  (** histogram observations *)
@@ -65,15 +65,6 @@ module Counter = struct
   let incr ?(by = 1) (c : t) : unit = c.m_value <- c.m_value +. float_of_int by
   let value (c : t) : int = int_of_float c.m_value
   let name (c : t) : string = c.m_name
-end
-
-module Gauge = struct
-  type t = metric
-
-  let make (name : string) : t = find_or_create name KGauge ~edges:[||]
-  let set (g : t) (v : int) : unit = g.m_value <- float_of_int v
-  let value (g : t) : int = int_of_float g.m_value
-  let name (g : t) : string = g.m_name
 end
 
 module Histogram = struct
@@ -139,11 +130,6 @@ let to_json () : Json.t =
           (List.map
              (fun m -> (m.m_name, Json.Int (int_of_float m.m_value)))
              (sorted KCounter)) );
-      ( "gauges",
-        Json.Obj
-          (List.map
-             (fun m -> (m.m_name, Json.Int (int_of_float m.m_value)))
-             (sorted KGauge)) );
       ( "histograms",
         Json.Obj
           (List.map
@@ -169,7 +155,7 @@ let pp (ppf : Format.formatter) () : unit =
   List.iter
     (fun (m : metric) ->
       Format.fprintf ppf "%-32s %d@." m.m_name (int_of_float m.m_value))
-    (sorted KCounter @ sorted KGauge);
+    (sorted KCounter);
   List.iter
     (fun (m : metric) ->
       Format.fprintf ppf "%-32s total=%d sum=%.0f buckets=[%s]@." m.m_name
