@@ -87,7 +87,9 @@ let find_candidates (o : Ir.op) : candidate list =
            match accesses with
            | (key0, idxs0, _) :: _
              when List.length accesses = rec_count
-                  && List.for_all (fun (k, _, _) -> String.equal k key0) accesses
+                  && List.for_all
+                       (fun (k, _, _) -> String.equal k key0)
+                       accesses
                   && List.for_all invariant idxs0
                   && invariant mr ->
                Some

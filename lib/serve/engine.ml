@@ -176,9 +176,10 @@ let is_frontend_error : exn -> bool = function
 
 (* Everything one dequeue step decides, as data: the journal entries it
    would record (in order), the response it would return, and whether it
-   re-enters the retry queue. Computing the step this way lets a worker domain run it speculatively
-   while the supervisor — or the sequential drain, which shares the same
-   commit function — applies the effects in commit order. *)
+   re-enters the retry queue. Computing the step this way lets a worker
+   domain run it speculatively while the supervisor — or the sequential
+   drain, which shares the same commit function — applies the effects in
+   commit order. *)
 type step_fx = {
   fx_entries : (string * (string * Json.t) list) list;
   fx_response : Sjournal.response option;

@@ -4,12 +4,13 @@
     record: one sequenced entry per admission-control and scheduling
     decision ([SRV-*] codes, the same closed catalogue registered in
     {!Dcir_obs.Events}), the per-request responses in completion order,
-    and a summary with per-code counts. No timestamps, no ordering dependent on other tenants'
-    internals: the same request file under the same seed and
-    configuration produces a byte-identical journal (enforced by a [cmp]
-    rule under [dune runtest]), and [validate_report.exe] gates the
-    schema — contiguous sequence numbers, catalogued codes, every
-    rejection carrying its tenant and reason. *)
+    and a summary with per-code counts. No timestamps, no ordering
+    dependent on other tenants' internals: the same request file under
+    the same seed and configuration produces a byte-identical journal
+    (enforced by a [cmp] rule under [dune runtest]), and
+    [validate_report.exe] gates the schema — contiguous sequence
+    numbers, catalogued codes, every rejection carrying its tenant and
+    reason. *)
 
 module Json = Dcir_obs.Json
 module Events = Dcir_obs.Events

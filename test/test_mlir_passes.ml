@@ -314,7 +314,7 @@ let suite =
       Alcotest.test_case "loop fusion merges" `Quick test_loop_fusion;
       Alcotest.test_case "loop fusion rejects offsets" `Quick test_loop_fusion_rejects_carried;
       Alcotest.test_case "register promotion" `Quick test_reg_promote;
-      Alcotest.test_case "register promotion order is history-free" `Quick
+      Alcotest.test_case "reg-promote order is history-free" `Quick
         test_reg_promote_order;
       Alcotest.test_case "store forwarding" `Quick test_store_forward;
       QCheck_alcotest.to_alcotest prop_pipelines_agree;

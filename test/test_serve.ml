@@ -522,7 +522,7 @@ let suite =
       Alcotest.test_case "digest canonicalization" `Quick test_digest_canonical;
       Alcotest.test_case "digest position independence" `Quick
         test_digest_position_independent;
-      Alcotest.test_case "recompile and rerun is bit-identical" `Quick
+      Alcotest.test_case "recompile + rerun is bit-identical" `Quick
         test_rerun_identical;
       Alcotest.test_case "admission shedding" `Quick test_admission_shed;
       Alcotest.test_case "retry backoff depth" `Quick test_admission_backoff;
