@@ -223,8 +223,7 @@ let opcode_name : instr -> string = function
   | FusedBin _ -> "fused.bin"
   | CallOpaque _ -> "call.opaque"
 
-(** Static instruction count including nested [ParMap] bodies — the
-    size reported on cache events. *)
+(** Static instruction count including nested [ParMap] bodies. *)
 let rec size (p : program) : int =
   Array.fold_left
     (fun acc i ->

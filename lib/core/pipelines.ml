@@ -554,10 +554,9 @@ let snapshot_outputs (bufs : (arg * Machine.buffer option) list) :
     differ only in host-side wall-clock. *)
 type interp_mode = [ `Tree | `Compiled ]
 
-module Isa = Dcir_bytecode.Isa
-
 (** The bytecode program for [sdfg], lowered afresh on every call. *)
-let plan_for (sdfg : Sdfg.t) : Isa.program = Dcir_bytecode.Lower.lower sdfg
+let plan_for (sdfg : Sdfg.t) : Dcir_bytecode.Isa.program =
+  Dcir_bytecode.Lower.lower sdfg
 
 let run ?(cfg = Cost.default) ?(budget : Budget.t option)
     ?(profile : Obs.Profile.t option)
