@@ -14,10 +14,6 @@ open Dcir_sdfg
 module Loop_analysis = Dcir_dace_passes.Loop_analysis
 module Events = Dcir_obs.Events
 module Json = Dcir_obs.Json
-module Om = Dcir_obs.Metrics
-
-let certified_counter = Om.Counter.make "autopar.certified"
-let refused_counter = Om.Counter.make "autopar.refused"
 
 type outcome =
   | Converted of {
@@ -705,7 +701,6 @@ let parallelize ?(max_rounds = 32) (sdfg : Sdfg.t) : report =
     (fun (e : entry) ->
       match e.en_outcome with
       | Converted { co_state; co_classes } ->
-          Om.Counter.incr certified_counter;
           Events.emit ~code:"APAR-CERT"
             [
               ("loop", Json.Str e.en_guard);
@@ -719,7 +714,6 @@ let parallelize ?(max_rounds = 32) (sdfg : Sdfg.t) : report =
                         co_classes)) );
             ]
       | Rejected msg ->
-          Om.Counter.incr refused_counter;
           Events.emit ~code:"APAR-REFUSE"
             [
               ("loop", Json.Str e.en_guard);

@@ -22,9 +22,10 @@
     {!Dcir_sdfg.Validate.errors} re-checks the graph. If the pass raised or
     introduced a validation error (one the SDFG did not have before the
     pass, wherever it is located), it is rolled back, the incident is
-    recorded (a [dace.pass.rollbacks] {!Dcir_obs.Metrics.Counter} plus a
-    [rollback] span and a {!Dcir_support.Diagnostics.incident} in
-    [stats.incidents]), a crash-reproducer file (pre-pass SDFG + the
+    recorded (a [pass-rollback] journal note, which the event stream
+    carries as [PASS-ROLLBACK], a [rollback] span and a
+    {!Dcir_support.Diagnostics.incident} in [stats.incidents]), a
+    crash-reproducer file (pre-pass SDFG + the
     failing pass name) is written, and the pass's circuit breaker trips —
     open for a cooldown of fixpoint rounds, probationally re-admitted
     afterwards, re-closed after clean applications
@@ -38,7 +39,6 @@ module Breaker = Dcir_resilience.Breaker
 module Chaos = Dcir_resilience.Chaos
 module Journal = Dcir_resilience.Journal
 module Events = Dcir_obs.Events
-module Om = Dcir_obs.Metrics
 
 let log_src =
   Logs.Src.create "dcir.dace.driver" ~doc:"data-centric pass driver"
@@ -197,8 +197,7 @@ let run_one_checked ?(accum : accum option) ~(round : int)
           ~prefix:"dcir-repro-dace" ~pass_name:name ~reason
           (Dcir_sdfg.Printer.to_string sdfg)
       in
-      Dcir_mlir.Pass.record_rollback ~counter:"dace.pass.rollbacks"
-        ~pass_name:name ~reason reproducer;
+      Dcir_mlir.Pass.record_rollback ~pass_name:name ~reason reproducer;
       Log.err (fun f ->
           f "pass %s failed validation and was rolled back: %s" name reason);
       (false, Some { Diag.in_pass = name; in_round = round; reason; reproducer })
@@ -276,12 +275,6 @@ let fixpoint ?(max_rounds = 30) ?(accum : accum option)
     if !progress then changed := true
   done;
   !changed
-
-(* Rounds-to-convergence distribution per full data-centric [optimize]
-   (total across its stages' fixpoints). *)
-let rounds_hist =
-  Om.Histogram.make "dace.fixpoint.rounds"
-    ~edges:[| 3.; 6.; 9.; 15.; 24.; 40. |]
 
 let inference : (string * (Dcir_sdfg.Sdfg.t -> bool)) list =
   [
@@ -372,7 +365,6 @@ let optimize ?(o1 = true) ?(o2 = true) ?(disable = []) ?(checked = false)
   if o2 then
     stage "memory-scheduling" (simplify_passes @ o1_passes @ o2_passes);
   let states_after, edges_after, containers_after = sdfg_counts sdfg in
-  Om.Histogram.observe rounds_hist (float_of_int accum.total_rounds);
   {
     rounds = accum.total_rounds;
     applications =

@@ -12,10 +12,11 @@
     {b Checked execution} ([~checked:true]): before each pass the module is
     snapshotted ({!Ir.clone_module}); after it, {!Verifier.verify_module}
     re-checks the IR. If the pass raised or left the IR invalid, the module
-    is rolled back to the snapshot, the incident is recorded (an
-    [mlir.pass.rollbacks] {!Dcir_obs.Metrics.Counter} plus a [rollback]
-    span and a {!Dcir_support.Diagnostics.incident} in the stats), a
-    crash-reproducer file (pre-pass IR + the single-pass pipeline that
+    is rolled back to the snapshot, the incident is recorded (a
+    [pass-rollback] journal note, which the event stream carries as
+    [PASS-ROLLBACK], a [rollback] span and a
+    {!Dcir_support.Diagnostics.incident} in the stats), a crash-reproducer
+    file (pre-pass IR + the single-pass pipeline that
     triggers the fault, MLIR-style) is written, and the pass's circuit
     breaker trips: it stays open for a cooldown of fixpoint rounds, is
     then probationally re-admitted, and re-closes only after clean
@@ -28,7 +29,6 @@ module Diag = Dcir_support.Diagnostics
 module Budget = Dcir_resilience.Budget
 module Breaker = Dcir_resilience.Breaker
 module Events = Dcir_obs.Events
-module Om = Dcir_obs.Metrics
 module Chaos = Dcir_resilience.Chaos
 module Journal = Dcir_resilience.Journal
 
@@ -139,9 +139,8 @@ let write_reproducer ?(ext = ".mlir") ~(dir : string) ~(prefix : string)
     Some path
   with Sys_error _ -> None
 
-let record_rollback ~(counter : string) ~(pass_name : string)
-    ~(reason : string) (reproducer : string option) : unit =
-  Om.Counter.incr (Om.Counter.make counter);
+let record_rollback ~(pass_name : string) ~(reason : string)
+    (reproducer : string option) : unit =
   if Obs.enabled () then
     Obs.with_span ~cat:"rollback" ("rollback:" ^ pass_name) (fun () ->
         Obs.set_args
@@ -196,8 +195,7 @@ let run_one_checked ~(round : int) ~(reproducer_dir : string) (p : t)
           ~pass_name:p.pname ~reason
           (Printer.module_to_string m)
       in
-      record_rollback ~counter:"mlir.pass.rollbacks" ~pass_name:p.pname
-        ~reason reproducer;
+      record_rollback ~pass_name:p.pname ~reason reproducer;
       Log.err (fun f ->
           f "pass %s failed verification and was rolled back: %s" p.pname
             reason);
@@ -222,11 +220,6 @@ type pipeline_stats = {
     to a fresh (session-scoped) instance but callers may share one across
     fixpoint runs. [reproducer_dir] is where crash reproducers are written
     (default: the system temp directory). *)
-(* Rounds-to-convergence distribution across every control-side fixpoint
-   run in the process (one observation per run). *)
-let rounds_hist =
-  Om.Histogram.make "mlir.fixpoint.rounds" ~edges:[| 1.; 2.; 3.; 5.; 8.; 13. |]
-
 let run_to_fixpoint_stats ?(max_iters = 20) ?(checked = false)
     ?(budget : Budget.t option) ?(breaker : Breaker.t option)
     ?(reproducer_dir = Filename.get_temp_dir_name ()) (passes : t list)
@@ -296,7 +289,6 @@ let run_to_fixpoint_stats ?(max_iters = 20) ?(checked = false)
     changed_once := !changed_once || c;
     continue_ := c
   done;
-  Om.Histogram.observe rounds_hist (float_of_int !iters);
   ( !changed_once,
     {
       rounds = !iters;

@@ -12,9 +12,6 @@
       stores per SDFG state, tasklet, or MLIR function, filled in by the
       interpreters and rendered as a hot-spot table.
 
-    Counts that outlive any single span (pass rollbacks) live in the
-    always-on {!Metrics} registry.
-
     Collection is {e disabled by default}: every hook is a cheap no-op until
     [enable] is called, so instrumented code pays nothing in normal runs.
     Timing uses [Unix.gettimeofday] (microsecond resolution wall clock — the
@@ -50,11 +47,6 @@ type collector = {
 let st : collector = { enabled = false; stack = []; finished = []; epoch = 0.0 }
 
 let enabled () : bool = st.enabled
-
-let reset_spans () : unit =
-  st.stack <- [];
-  st.finished <- [];
-  st.epoch <- now_s ()
 
 let enable () : unit =
   st.enabled <- true;
@@ -202,14 +194,12 @@ let write_trace (path : string) : unit =
   output_char oc '\n';
   close_out oc
 
-(** Restore a fully fresh collector: span state cleared, the trace epoch
-    re-anchored, and every metric value zeroed (registrations — and
-    handles held by callers — survive). Without the metrics/epoch part,
-    telemetry from one [compile_resilient] ladder tier would leak into
-    the next. *)
+(** Restore a fully fresh collector: span state cleared and the trace
+    epoch re-anchored. *)
 let reset () : unit =
-  reset_spans ();
-  Metrics.reset_all ()
+  st.stack <- [];
+  st.finished <- [];
+  st.epoch <- now_s ()
 
 (** Trace time origin (seconds since Unix epoch); re-anchored by [reset]. *)
 let epoch_s () : float = st.epoch

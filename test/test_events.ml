@@ -1,13 +1,11 @@
-(** Tests for decision provenance: the metrics registry (histogram
-    bucket-edge semantics, reset freshness), the structured event stream
-    (sequencing, ambient install, serialization), byte-identical
-    same-seed golden streams from `dcir explain` and the coverage
-    campaign, the explain narrative on certified / refused / degraded
-    programs, and the Polybench-wide invariant that every autopar
+(** Tests for decision provenance: collector reset freshness, the
+    structured event stream (sequencing, ambient install, serialization),
+    byte-identical same-seed golden streams from `dcir explain` and the
+    coverage campaign, the explain narrative on certified / refused /
+    degraded programs, and the Polybench-wide invariant that every autopar
     refusal carries a conflict witness. *)
 
 module Obs = Dcir_obs.Obs
-module Metrics = Dcir_obs.Metrics
 module Events = Dcir_obs.Events
 module Json = Dcir_obs.Json
 module Pipelines = Dcir_core.Pipelines
@@ -16,45 +14,18 @@ module Budget = Dcir_resilience.Budget
 module Polybench = Dcir_workloads.Polybench
 
 (* ------------------------------------------------------------------ *)
-(* Metrics *)
-
-let test_histogram_edges () =
-  Metrics.reset_all ();
-  let h = Metrics.Histogram.make "test.hist.edges" ~edges:[| 1.0; 2.0; 5.0 |] in
-  List.iter (Metrics.Histogram.observe h) [ 0.5; 1.0; 1.5; 3.0; 7.0 ];
-  (* v <= edge lands in that bucket; past the last edge is the overflow
-     slot. 0.5 and the boundary value 1.0 both land in bucket 0. *)
-  Alcotest.(check (array int))
-    "bucket counts (inclusive upper edges + overflow)" [| 2; 1; 1; 1 |]
-    (Metrics.Histogram.counts h);
-  Alcotest.(check int) "total" 5 (Metrics.Histogram.total h);
-  Alcotest.(check (float 1e-9)) "sum" 13.0 (Metrics.Histogram.sum h)
-
-let test_histogram_validation () =
-  Alcotest.check_raises "empty edges rejected"
-    (Invalid_argument "Metrics.Histogram.make: empty bucket edges")
-    (fun () -> ignore (Metrics.Histogram.make "test.hist.bad0" ~edges:[||]));
-  Alcotest.check_raises "non-ascending edges rejected"
-    (Invalid_argument "Metrics.Histogram.make: edges must ascend strictly")
-    (fun () ->
-      ignore (Metrics.Histogram.make "test.hist.bad1" ~edges:[| 2.0; 1.0 |]))
+(* Collector *)
 
 let test_obs_reset_fresh () =
-  (* [Obs.reset] must restore a fully fresh collector — span state AND
-     the metrics registry. *)
+  (* [Obs.reset] must restore a fully fresh collector: no spans, and
+     the trace epoch re-anchored. *)
   Obs.enable ();
   Fun.protect ~finally:Obs.disable (fun () ->
       Obs.reset ();
-      let c = Metrics.Counter.make "test.reset.counter" in
-      Metrics.Counter.incr c ~by:3;
-      let h = Metrics.Histogram.make "test.reset.hist" ~edges:[| 1.0 |] in
-      Metrics.Histogram.observe h 0.5;
       Obs.with_span "stale" (fun () -> ());
       let epoch_before = Obs.epoch_s () in
       Obs.reset ();
       Alcotest.(check int) "no spans survive" 0 (List.length (Obs.roots ()));
-      Alcotest.(check int) "metrics counter zeroed" 0 (Metrics.Counter.value c);
-      Alcotest.(check int) "histogram zeroed" 0 (Metrics.Histogram.total h);
       Alcotest.(check bool) "epoch advanced" true
         (Obs.epoch_s () >= epoch_before))
 
@@ -216,9 +187,6 @@ let test_polybench_witnesses () =
 let suite =
   ( "events",
     [
-      Alcotest.test_case "histogram bucket edges" `Quick test_histogram_edges;
-      Alcotest.test_case "histogram validation" `Quick
-        test_histogram_validation;
       Alcotest.test_case "Obs.reset restores a fresh collector" `Quick
         test_obs_reset_fresh;
       Alcotest.test_case "event stream basics" `Quick test_event_stream;

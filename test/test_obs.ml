@@ -1,7 +1,7 @@
 (** Tests for the telemetry substrate (lib/obs): span nesting and exception
     safety, Chrome trace_event JSON well-formedness via the in-repo JSON
-    parser, counters, and end-to-end profile attribution (per-state cycles
-    partition the interpreter's total). *)
+    parser, and end-to-end profile attribution (per-state cycles partition
+    the interpreter's total). *)
 
 module Obs = Dcir_obs.Obs
 module Json = Dcir_obs.Json
@@ -89,18 +89,6 @@ let test_trace_json () =
       | Some (Json.Int 3) -> ()
       | _ -> Alcotest.fail "span args lost in trace")
 
-let test_counters () =
-  let module Counter = Dcir_obs.Metrics.Counter in
-  let c = Counter.make "test.counter" in
-  let base = Counter.value c in
-  Counter.incr c;
-  Counter.incr ~by:4 c;
-  Alcotest.(check int) "accumulated" (base + 5) (Counter.value c);
-  Alcotest.(check bool) "same name, same counter" true
-    (Counter.make "test.counter" == c);
-  Dcir_obs.Metrics.reset_all ();
-  Alcotest.(check int) "reset" 0 (Counter.value c)
-
 (* End-to-end: per-state cycle attribution must partition the interpreter's
    total cycle count (the acceptance criterion for [dcir run --profile]). *)
 let test_profile_partitions_cycles () =
@@ -141,7 +129,6 @@ let suite =
       Alcotest.test_case "disabled collector is passthrough" `Quick
         test_disabled_is_passthrough;
       Alcotest.test_case "trace_event JSON well-formed" `Quick test_trace_json;
-      Alcotest.test_case "counters" `Quick test_counters;
       Alcotest.test_case "profile partitions cycles" `Quick
         test_profile_partitions_cycles;
     ] )
