@@ -10,7 +10,6 @@
     - [ints]  — loop induction variables, range bounds, interstate
       assignment staging;
     - [saves] — saved symbol bindings around serial map loops;
-    - [snaps] — metric snapshots for profile attribution;
     - [bufs]  — per-container (buffer, dims) pairs resolved once per
       frame, eliminating repeated hashtable lookups on the hot path;
     - [lasts] — the most recent value of each tasklet output that a
@@ -54,8 +53,6 @@ type instr =
           the tree walker raises it *)
   | TrapNow of string  (** precomputed always-trap (non-index subsets, …) *)
   (* -- state machine ----------------------------------------------- *)
-  | StateSnap of { slot : int }
-  | StateRec of { slot : int; label : string }
   | AllocState of { c : Sdfg.container; shape : iexpr list }
       (** per-state heap allocation charge (mirrors [exec_state]) *)
   | ChargeBranch
@@ -103,8 +100,6 @@ type instr =
       wcr : Sdfg.wcr option;
     }  (** scalar → scalar copy *)
   (* -- tasklets ------------------------------------------------------ *)
-  | TaskSnap of { slot : int }
-  | TaskRec of { slot : int; name : string }
   | LoadIdx of { dst : int; data : string; cslot : int; idxs : iexpr array }
       (** fill one connector slot from a single-element subset *)
   | LoadLast of { dst : int; last : int; key : string; tname : string }
@@ -156,7 +151,6 @@ and program = {
   p_nvals : int;
   p_nints : int;
   p_nsaves : int;
-  p_nsnaps : int;
   p_ncslots : int;
   p_nlasts : int;
   p_syms : string array;
@@ -170,7 +164,6 @@ type frame = {
   vals : Value.t array;
   ints : int array;
   saves : int option array;
-  snaps : (float * int * int) option array;
   bufs : (Machine.buffer * int array) option array;
   lasts : Value.t array;
   lset : bool array;
@@ -181,7 +174,6 @@ let make_frame (p : program) : frame =
     vals = Array.make (max 1 p.p_nvals) (Value.VInt 0);
     ints = Array.make (max 1 p.p_nints) 0;
     saves = Array.make (max 1 p.p_nsaves) None;
-    snaps = Array.make (max 1 p.p_nsnaps) None;
     bufs = Array.make (max 1 p.p_ncslots) None;
     lasts = Array.make (max 1 p.p_nlasts) (Value.VInt 0);
     lset = Array.make (max 1 p.p_nlasts) false;
@@ -193,8 +185,6 @@ let opcode_name : instr -> string = function
   | Step -> "step"
   | Reraise _ -> "reraise"
   | TrapNow _ -> "trap"
-  | StateSnap _ -> "state.snap"
-  | StateRec _ -> "state.rec"
   | AllocState _ -> "state.alloc"
   | ChargeBranch -> "charge.branch"
   | EdgeCond _ -> "edge.cond"
@@ -210,8 +200,6 @@ let opcode_name : instr -> string = function
   | CopyND _ -> "copy.nd"
   | Copy1 _ -> "copy.1d"
   | Copy0 _ -> "copy.0d"
-  | TaskSnap _ -> "task.snap"
-  | TaskRec _ -> "task.rec"
   | LoadIdx _ -> "load.idx"
   | LoadLast _ -> "load.last"
   | Eval _ -> "eval"

@@ -45,7 +45,6 @@ type builder = {
   mutable nvals : int;
   mutable nints : int;
   mutable nsaves : int;
-  mutable nsnaps : int;
   cslots : (string, int) Hashtbl.t;
   mutable ncslots : int;
 }
@@ -61,7 +60,6 @@ let new_builder (syms : Symtab.t) : builder =
     nvals = 0;
     nints = 0;
     nsaves = 0;
-    nsnaps = 0;
     cslots = Hashtbl.create 16;
     ncslots = 0;
   }
@@ -103,11 +101,6 @@ let alloc_save (b : builder) : int =
   b.nsaves <- s + 1;
   s
 
-let alloc_snap (b : builder) : int =
-  let s = b.nsnaps in
-  b.nsnaps <- s + 1;
-  s
-
 let sym (b : builder) (name : string) : int = Symtab.intern b.syms name
 
 (* One [lasts] slot per tasklet output key per program: every write and
@@ -140,7 +133,6 @@ let finish (b : builder) (sdfg : Sdfg.t) : program =
     p_nvals = b.nvals;
     p_nints = b.nints;
     p_nsaves = b.nsaves;
-    p_nsnaps = b.nsnaps;
     p_ncslots = b.ncslots;
     p_nlasts = b.nlasts;
     p_syms = Symtab.names b.syms;
@@ -159,8 +151,6 @@ let lower_index_exprs (b : builder) (subset : Range.t) : iexpr array =
 
 let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
     (t : Sdfg.tasklet) : unit =
-  let snap = alloc_snap b in
-  ignore (emit b (TaskSnap { slot = snap }));
   let array_conns = Interp.tasklet_array_conns t in
   let benv = ref [] in
   List.iter
@@ -333,8 +323,7 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
   | _ ->
       List.iter (fun i -> ignore (emit b i)) body_instrs;
       List.iter (fun i -> ignore (emit b i)) setouts;
-      List.iter (fun i -> ignore (emit b i)) writes);
-  ignore (emit b (TaskRec { slot = snap; name = t.tname }))
+      List.iter (fun i -> ignore (emit b i)) writes)
 
 (* ------------------------------------------------------------------ *)
 (* Graphs: one [Step] at entry (exec_graph's budget charge), then the
@@ -498,8 +487,6 @@ and lower_body (syms : Symtab.t) (sdfg : Sdfg.t) (g : Sdfg.graph) : program =
 let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
     ~(state_pc : (string, int) Hashtbl.t) : unit =
   ignore (emit b Step);
-  let snap = alloc_snap b in
-  ignore (emit b (StateSnap { slot = snap }));
   (* Allocation-charge candidates in container-table iteration order
      (same Hashtbl.iter as the tree walker's [exec_state]). *)
   let allocs = ref [] in
@@ -517,7 +504,6 @@ let lower_state (b : builder) (sdfg : Sdfg.t) (s : Sdfg.state)
   (* Transition tail shared by every taken edge and the fallthrough; the
      destination pc is patched once every state is laid out. *)
   let emit_tail (dst : string option) : unit =
-    ignore (emit b (StateRec { slot = snap; label = s.s_label }));
     match dst with
     | None -> ignore (emit b Halt)
     | Some d ->

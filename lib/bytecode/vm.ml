@@ -102,9 +102,6 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
     | Reraise e -> raise e
     | TrapNow msg -> raise (Interp.Trap msg)
     (* -- state machine --------------------------------------------- *)
-    | StateSnap { slot } -> fr.snaps.(slot) <- Interp.metric_snap rt
-    | StateRec { slot; label } ->
-        Interp.profile_record rt fr.snaps.(slot) ~kind:"state" ~name:label
     | AllocState { c; shape } ->
         if c.alloc_in_loop || not (Hashtbl.mem rt.alloc_charged c.cname)
         then begin
@@ -205,9 +202,6 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
         if Array.length ddims <> 0 then rank_trap dst 0 (Array.length ddims);
         do_store rt dbuf 0 wcr v
     (* -- tasklets -------------------------------------------------- *)
-    | TaskSnap { slot } -> fr.snaps.(slot) <- Interp.metric_snap rt
-    | TaskRec { slot; name } ->
-        Interp.profile_record rt fr.snaps.(slot) ~kind:"tasklet" ~name
     | LoadIdx { dst; data; cslot; idxs } ->
         let buf, lin = load_linear rt fr ~data ~cslot idxs in
         fr.vals.(dst) <- Machine.load m buf lin
@@ -276,10 +270,7 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
           match Hashtbl.find_opt rt.prepared nid with
           | Some p -> p
           | None ->
-              let p =
-                Dcir_mlir.Interp.prepare ?profile:rt.profile
-                  ~machine:rt.machine modul ~entry
-              in
+              let p = Dcir_mlir.Interp.prepare ~machine:rt.machine modul ~entry in
               Hashtbl.replace rt.prepared nid p;
               p
         in
@@ -295,9 +286,8 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
     {!Interp.run}, which builds the runtime (its symbol table from the
     program's interned names), binds the arguments and computes the
     return value exactly as for the tree walker. *)
-let run ?(machine : Machine.t option)
-    ?(profile : Dcir_obs.Obs.Profile.t option) ?(jobs : int = 1)
-    (p : program) ~(buffers : (string * Machine.buffer * int array) list)
+let run ?(machine : Machine.t option) ?(jobs : int = 1) (p : program)
+    ~(buffers : (string * Machine.buffer * int array) list)
     ~(symbols : (string * int) list) () : Interp.result =
-  Interp.run ?machine ?profile ~jobs ~exec:(fun rt -> exec rt p)
+  Interp.run ?machine ~jobs ~exec:(fun rt -> exec rt p)
     ~names:p.p_syms p.p_sdfg ~buffers ~symbols ()

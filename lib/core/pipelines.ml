@@ -551,7 +551,9 @@ let snapshot_outputs (bufs : (arg * Machine.buffer option) list) :
     products through the closure-compiled interpreter and lowers SDFG
     products to the flat register VM of {!Dcir_bytecode}. Outputs, traps
     and machine metrics are bit-identical across both tiers — they
-    differ only in host-side wall-clock. *)
+    differ only in host-side wall-clock. Profiles come from the tree
+    walkers alone, so a run given a profile walks the tree whichever
+    tier it asks for. *)
 type interp_mode = [ `Tree | `Compiled ]
 
 (** The bytecode program for [sdfg], lowered afresh on every call. *)
@@ -562,6 +564,7 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
     ?(profile : Obs.Profile.t option)
     ?(interp_mode : interp_mode = `Compiled) ?(jobs = 1)
     (compiled : compiled) ~(entry : string) (args : arg list) : run_result =
+  let interp_mode = if Option.is_some profile then `Tree else interp_mode in
   Events.emit ~code:"EXEC-MODE"
     [
       ( "mode",
@@ -702,7 +705,7 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
             Dcir_sdfg.Interp.run ~machine ?profile ~jobs sdfg
               ~buffers:!buffers ~symbols:!symbols ()
         | Some prog ->
-            Dcir_bytecode.Vm.run ~machine ?profile ~jobs prog
+            Dcir_bytecode.Vm.run ~machine ~jobs prog
               ~buffers:!buffers ~symbols:!symbols ()
       in
       {

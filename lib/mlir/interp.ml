@@ -50,7 +50,7 @@ type env = {
           slot per vid for the whole env, as [bindings] has one entry *)
   mutable call_depth : int;
   profile : Dcir_obs.Obs.Profile.t option;
-      (** when set, per-function inclusive cycles/loads/stores *)
+      (** tree mode: when set, per-function inclusive cycles/loads/stores *)
   cfuncs : (string, cfunc) Hashtbl.t;
       (** compiled-mode cache: function name -> compiled body *)
 }
@@ -804,8 +804,8 @@ and get_cfunc (env : env) (f : Ir.func) : cfunc =
       Hashtbl.replace env.cfuncs f.fname cf;
       cf
 
-(* Mirrors [call_func] exactly: depth check, argument binding, profile
-   snapshot/record. *)
+(* Mirrors [call_func]: depth check, then argument binding. Profiles are
+   the tree walker's alone ([run] takes the tree path when given one). *)
 and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
   if env.call_depth > 256 then trap "call depth exceeded";
   match cf.cf_func.fbody with
@@ -815,28 +815,14 @@ and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
         trap "@%s: argument count mismatch" cf.cf_func.fname;
       env.call_depth <- env.call_depth + 1;
       List.iteri (fun i a -> sset env cf.cf_rslots.(i) a) args;
-      let snap =
-        match env.profile with
-        | None -> None
-        | Some _ ->
-            let mt = Machine.metrics env.machine in
-            Some (mt.cycles, mt.loads, mt.stores)
-      in
       let result =
         match run_seq env cf.cf_body with
-        | KReturn vals -> Some vals
-        | KContinue -> None
+        | KReturn vals -> vals
+        | KContinue -> []
         | KYield _ -> assert false (* scf.yield compiles to a trap here *)
       in
-      (match (env.profile, snap) with
-      | Some p, Some (c0, l0, s0) ->
-          let mt = Machine.metrics env.machine in
-          Dcir_obs.Obs.Profile.record p ~kind:"func" ~name:cf.cf_func.fname
-            ~cycles:(mt.cycles -. c0) ~loads:(mt.loads - l0)
-            ~stores:(mt.stores - s0)
-      | _ -> ());
       env.call_depth <- env.call_depth - 1;
-      (match result with Some vals -> vals | None -> [])
+      result
 
 (* ------------------------------------------------------------------ *)
 
@@ -847,11 +833,11 @@ and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
     because SSA dominance guarantees every value read is rebound first. *)
 type prepared = { p_env : env; p_entry : Ir.func }
 
-let prepare ?(profile : Dcir_obs.Obs.Profile.t option)
-    ~(machine : Machine.t) (m : Ir.modul) ~(entry : string) : prepared =
+let prepare ~(machine : Machine.t) (m : Ir.modul) ~(entry : string) :
+    prepared =
   match Ir.find_func m entry with
   | None -> trap "entry function @%s not found" entry
-  | Some f -> { p_env = new_env ?profile machine m; p_entry = f }
+  | Some f -> { p_env = new_env machine m; p_entry = f }
 
 let run_prepared (p : prepared) (args : rtval list) : Value.t list =
   call_cfunc p.p_env (get_cfunc p.p_env p.p_entry) args
@@ -861,7 +847,9 @@ let run_prepared (p : prepared) (args : rtval list) : Value.t list =
     [profile] accumulates per-function inclusive cycles/loads/stores
     attribution (a callee's work is also counted in its callers).
     [mode] selects tree-walking or compiled execution (the default); both
-    charge the machine identically. *)
+    charge the machine identically. A run given a [profile] walks the
+    tree whatever [mode] says: the tree walker is the only profile
+    implementation. *)
 let run ?(machine : Machine.t option)
     ?(profile : Dcir_obs.Obs.Profile.t option) ?(mode : mode = Compiled)
     (m : Ir.modul) ~(entry : string) (args : rtval list) :
@@ -872,8 +860,8 @@ let run ?(machine : Machine.t option)
   | Some f ->
       let env = new_env ?profile machine m in
       let results =
-        match mode with
-        | Tree -> call_func env f args
-        | Compiled -> call_cfunc env (get_cfunc env f) args
+        match (mode, profile) with
+        | Compiled, None -> call_cfunc env (get_cfunc env f) args
+        | Tree, _ | Compiled, Some _ -> call_func env f args
       in
       (results, machine)

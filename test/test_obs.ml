@@ -89,8 +89,12 @@ let test_trace_json () =
       | Some (Json.Int 3) -> ()
       | _ -> Alcotest.fail "span args lost in trace")
 
-(* End-to-end: per-state cycle attribution must partition the interpreter's
-   total cycle count (the acceptance criterion for [dcir run --profile]). *)
+(* End-to-end, on one product of each kind: a dcir SDFG (state and
+   tasklet rows), a dace SDFG whose opaque tasklets run MLIR bodies
+   (func rows too) and a gcc MLIR module (func rows). Per-state cycle
+   attribution must partition the run's total cycle count (the
+   acceptance criterion for [dcir run --profile]), and a profiled run
+   must be bit-identical to an unprofiled run on the compiled tier. *)
 let test_profile_partitions_cycles () =
   let src =
     {|
@@ -108,17 +112,40 @@ double kern(double x[32], int n) {
       Pipelines.AInt 32;
     ]
   in
-  let compiled = Pipelines.compile Dcir ~src ~entry:"kern" in
-  let profile = Obs.Profile.create () in
-  let r = Pipelines.run ~profile compiled ~entry:"kern" args in
-  let attributed = Obs.Profile.total_cycles profile ~kind:"state" in
-  Alcotest.(check bool) "some cycles attributed" true (attributed > 0.0);
-  Alcotest.(check (float 1e-6)) "states partition total cycles"
-    r.metrics.cycles attributed;
   List.iter
-    (fun (_, (e : Obs.Profile.entry)) ->
-      Alcotest.(check bool) "positive hit counts" true (e.hits > 0))
-    (Obs.Profile.entries profile ~kind:"state")
+    (fun (kind, kinds) ->
+      let name = Pipelines.kind_name kind in
+      let compiled = Pipelines.compile kind ~src ~entry:"kern" in
+      let plain = Pipelines.run compiled ~entry:"kern" args in
+      let profile = Obs.Profile.create () in
+      let r = Pipelines.run ~profile compiled ~entry:"kern" args in
+      Alcotest.(check (option string))
+        (name ^ ": profiled run bit-identical to the compiled run") None
+        (Dcir_fuzz.Oracle.bitwise_divergence ~what:"profiled and compiled runs"
+           r plain);
+      Alcotest.(check (list string))
+        (name ^ ": profile kinds") kinds (Obs.Profile.kinds profile);
+      if List.mem "state" kinds then
+        Alcotest.(check (float 1e-6))
+          (name ^ ": states partition total cycles")
+          r.metrics.cycles
+          (Obs.Profile.total_cycles profile ~kind:"state");
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (name ^ ": some " ^ k ^ " cycles attributed")
+            true
+            (Obs.Profile.total_cycles profile ~kind:k > 0.0);
+          List.iter
+            (fun (_, (e : Obs.Profile.entry)) ->
+              Alcotest.(check bool) "positive hit counts" true (e.hits > 0))
+            (Obs.Profile.entries profile ~kind:k))
+        kinds)
+    [
+      (Pipelines.Dcir, [ "state"; "tasklet" ]);
+      (Pipelines.Dace, [ "func"; "state"; "tasklet" ]);
+      (Pipelines.Gcc, [ "func" ]);
+    ]
 
 let suite =
   ( "obs",
