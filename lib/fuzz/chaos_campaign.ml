@@ -141,7 +141,7 @@ let run_case ~(journal : Journal.t) ~(seed : int) (i : int) : case_result =
     schema [dcir-incidents/1] with the campaign header. *)
 let run ?(on_case : (case_result -> unit) option) ~(count : int) ~(seed : int)
     () : report =
-  let journal = Journal.create () in
+  let journal = Dcir_obs.Events.create () in
   Journal.install journal;
   Fun.protect
     ~finally:(fun () ->

@@ -5,7 +5,9 @@
     tier degradations, chaos case outcomes — and serializes them through
     the in-repo JSON emitter. Records carry sequence numbers instead of
     timestamps and never embed randomized paths, so a campaign replayed
-    with the same seed produces a byte-identical journal.
+    with the same seed produces a byte-identical journal. The journal is
+    a {!Dcir_obs.Events.t} log whose codes are the incident kinds; make
+    one with [Events.create].
 
     Producers report through the ambient {!note} hook, which is a no-op
     unless a journal is {!install}ed; the drivers and the resilience
@@ -20,11 +22,7 @@
 module Json = Dcir_obs.Json
 module Events = Dcir_obs.Events
 
-type entry = { seq : int; kind : string; fields : (string * Json.t) list }
-
-type t = { mutable entries : entry list (* reversed *); mutable next_seq : int }
-
-let create () : t = { entries = []; next_seq = 0 }
+type t = Events.t
 
 (* Journal kind -> decision-event code. [None] suppresses forwarding:
    "degraded" is covered by the richer TIER-LAND event emitted directly by
@@ -48,10 +46,7 @@ let forward (kind : string) (fields : (string * Json.t) list) : unit =
 
 let record (j : t) ~(kind : string) (fields : (string * Json.t) list) : unit =
   forward kind fields;
-  j.entries <- { seq = j.next_seq; kind; fields } :: j.entries;
-  j.next_seq <- j.next_seq + 1
-
-let length (j : t) : int = j.next_seq
+  Events.record j ~code:kind fields
 
 (* Ambient journal: one per chaos campaign / CLI invocation. Domain-local
    so serve worker domains (which run compiles speculatively) never write
@@ -68,17 +63,18 @@ let note ~(kind : string) (fields : (string * Json.t) list) : unit =
   | None -> forward kind fields
   | Some j -> record j ~kind fields
 
-let entry_json (e : entry) : Json.t =
-  Json.Obj (("seq", Json.Int e.seq) :: ("kind", Json.Str e.kind) :: e.fields)
+let entry_json (e : Events.event) : Json.t =
+  Json.Obj
+    (("seq", Json.Int e.ev_seq) :: ("kind", Json.Str e.ev_code) :: e.ev_fields)
 
 (* Per-kind counts, sorted by kind name for deterministic output. *)
 let summary (j : t) : Json.t =
   let counts = Hashtbl.create 8 in
   List.iter
-    (fun (e : entry) ->
-      Hashtbl.replace counts e.kind
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts e.kind)))
-    j.entries;
+    (fun (e : Events.event) ->
+      Hashtbl.replace counts e.ev_code
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts e.ev_code)))
+    (Events.events j);
   let kinds = Hashtbl.fold (fun k n acc -> (k, Json.Int n) :: acc) counts [] in
   Json.Obj (List.sort (fun (a, _) (b, _) -> compare a b) kinds)
 
@@ -87,7 +83,7 @@ let to_json ?(header = []) (j : t) : Json.t =
     ([ ("schema", Json.Str "dcir-incidents/1") ]
     @ header
     @ [
-        ("incidents", Json.List (List.rev_map entry_json j.entries));
+        ("incidents", Json.List (List.map entry_json (Events.events j)));
         ("summary", summary j);
       ])
 

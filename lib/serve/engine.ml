@@ -203,7 +203,7 @@ type coalesced = {
 
 let run ?(config = default_config) (requests : (Request.t, Request.rejected) result list)
     : report =
-  let journal = Sjournal.create () in
+  let journal = Dcir_obs.Events.create () in
   let tenants : (string, Tenant.t) Hashtbl.t = Hashtbl.create 8 in
   let tenant_of (name : string) : Tenant.t =
     match Hashtbl.find_opt tenants name with

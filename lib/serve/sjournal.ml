@@ -10,35 +10,28 @@
     (enforced by a [cmp] rule under [dune runtest]), and
     [validate_report.exe] gates the schema — contiguous sequence
     numbers, catalogued codes, every rejection carrying its tenant and
-    reason. *)
+    reason.
+
+    The decision record is a {!Dcir_obs.Events.t} log holding [SRV-*]
+    codes; make one with [Events.create]. *)
 
 module Json = Dcir_obs.Json
 module Events = Dcir_obs.Events
 
-type entry = {
-  sj_seq : int;
-  sj_code : string;  (** an [SRV-*] code from the events catalogue *)
-  sj_fields : (string * Json.t) list;
-}
+type entry = Events.event
+type t = Events.t
 
-type t = { mutable rev_entries : entry list; mutable next_seq : int }
-
-let create () : t = { rev_entries = []; next_seq = 0 }
-let length (t : t) : int = t.next_seq
-let entries (t : t) : entry list = List.rev t.rev_entries
+let entries : t -> entry list = Events.events
 
 (** Append an entry and mirror it onto the ambient event stream (so
     [--events] traces interleave serve decisions with compiler
     decisions). *)
 let record (t : t) ~(code : string) (fields : (string * Json.t) list) : unit =
-  t.rev_entries <-
-    { sj_seq = t.next_seq; sj_code = code; sj_fields = fields }
-    :: t.rev_entries;
-  t.next_seq <- t.next_seq + 1;
+  Events.record t ~code fields;
   Events.emit ~code fields
 
 let count_code (t : t) (code : string) : int =
-  List.length (List.filter (fun e -> e.sj_code = code) (entries t))
+  List.length (Events.with_code t code)
 
 (* ---- responses --------------------------------------------------- *)
 
@@ -80,9 +73,7 @@ let response_json (r : response) : Json.t =
     @ opt "return" (fun s -> Json.Str s) r.rs_return
     @ opt "digest" (fun s -> Json.Str s) r.rs_digest)
 
-let entry_json (e : entry) : Json.t =
-  Json.Obj
-    (("seq", Json.Int e.sj_seq) :: ("code", Json.Str e.sj_code) :: e.sj_fields)
+let entry_json : entry -> Json.t = Events.event_json
 
 (* ---- document ---------------------------------------------------- *)
 
@@ -95,7 +86,8 @@ let to_json ~(seed : int) ~(config : (string * Json.t) list)
     ~(responses : response list) (t : t) : Json.t =
   let codes =
     (* Per-code counts over the codes that actually occur, sorted. *)
-    List.sort_uniq compare (List.map (fun e -> e.sj_code) (entries t))
+    List.sort_uniq compare
+      (List.map (fun (e : entry) -> e.ev_code) (entries t))
     |> List.map (fun c -> (c, Json.Int (count_code t c)))
   in
   Json.Obj

@@ -11,7 +11,6 @@ module Pipelines = Dcir_core.Pipelines
 module Budget = Dcir_resilience.Budget
 module Breaker = Dcir_resilience.Breaker
 module Chaos = Dcir_resilience.Chaos
-module Journal = Dcir_resilience.Journal
 module Polybench = Dcir_workloads.Polybench
 module Workload = Dcir_workloads.Workload
 module Oracle = Dcir_fuzz.Oracle
@@ -212,7 +211,7 @@ let test_chaos_determinism () =
   Alcotest.(check bool) "no oracle violations" true
     (Dcir_fuzz.Chaos_campaign.ok a);
   Alcotest.(check bool) "journals are non-trivial" true
-    (Journal.length a.Dcir_fuzz.Chaos_campaign.ch_journal > 24);
+    (Dcir_obs.Events.length a.Dcir_fuzz.Chaos_campaign.ch_journal > 24);
   Alcotest.(check string) "same seed, byte-identical journal"
     (Json.to_string (Dcir_fuzz.Chaos_campaign.journal_json a))
     (Json.to_string (Dcir_fuzz.Chaos_campaign.journal_json b))
