@@ -656,7 +656,7 @@ let fuzz_cmd =
       (if C.ok report then "every fault answered"
        else "ORACLE VIOLATIONS")
       (String.concat ", " counts);
-    if C.ok report then `Ok () else exit 1
+    C.ok report
   in
   let run_serve ~count ~seed ~tenants ~workers ~journal =
     let module S = Dcir_fuzz.Serve_campaign in
@@ -671,7 +671,7 @@ let fuzz_cmd =
           exit 1)
     | _ -> ());
     List.iter (Format.printf "%s@.") (S.summary_lines report);
-    if S.ok report then `Ok () else exit 1
+    S.ok report
   in
   let run_coverage ~count ~seed ~events =
     let module Cov = Dcir_fuzz.Coverage in
@@ -686,50 +686,55 @@ let fuzz_cmd =
           Format.eprintf "dcir: cannot write events: %s@." msg;
           exit 1)
     | None -> ());
-    `Ok ()
+    true
   in
   let run count seed checked parallel jobs max_steps max_fuel chaos serve
       tenants workers journal coverage events out no_shrink traps verbose
       timing trace =
     setup_obs ~verbose ~timing ~trace;
-    if serve then run_serve ~count ~seed ~tenants ~workers ~journal
-    else if coverage then run_coverage ~count ~seed ~events
-    else if chaos then run_chaos ~count ~seed ~journal
-    else begin
-    let out_dir =
-      match out with Some d -> d | None -> Filename.get_temp_dir_name ()
+    let harness () =
+      let out_dir =
+        match out with Some d -> d | None -> Filename.get_temp_dir_name ()
+      in
+      let jobs = if parallel && jobs <= 1 then 3 else jobs in
+      let cfg =
+        if traps then Dcir_fuzz.Gen.trap_cfg else Dcir_fuzz.Gen.default_cfg
+      in
+      let report =
+        Dcir_fuzz.Harness.run ~cfg ~checked ~parallel ~jobs
+          ~shrink:(not no_shrink)
+          ~limits:(budget_limits ~max_steps ~max_fuel)
+          ~reproducer_dir:out_dir ~count ~seed ()
+      in
+      List.iter
+        (fun (fc : Dcir_fuzz.Harness.failed_case) ->
+          Format.printf "FAIL (case seed %d):@." fc.case.seed;
+          List.iter
+            (fun f ->
+              Format.printf "  %s@." (Dcir_fuzz.Oracle.failure_str f))
+            fc.failures;
+          (match write_reproducer out_dir fc with
+          | Some path -> Format.printf "  reproducer: %s@." path
+          | None ->
+              Format.eprintf "dcir: cannot write reproducer under %s@."
+                out_dir);
+          if fc.shrunk.src <> fc.case.src then
+            Format.printf "  shrunk to:@.%s" fc.shrunk.src)
+        report.failed;
+      Format.printf "fuzz: %d programs, campaign seed %d: %s@." report.count
+        report.seed
+        (if Dcir_fuzz.Harness.ok report then "all pipelines agree"
+         else Printf.sprintf "%d failing case(s)" (List.length report.failed));
+      Dcir_fuzz.Harness.ok report
     in
-    let jobs = if parallel && jobs <= 1 then 3 else jobs in
-    let cfg =
-      if traps then Dcir_fuzz.Gen.trap_cfg else Dcir_fuzz.Gen.default_cfg
+    let ok =
+      if serve then run_serve ~count ~seed ~tenants ~workers ~journal
+      else if coverage then run_coverage ~count ~seed ~events
+      else if chaos then run_chaos ~count ~seed ~journal
+      else harness ()
     in
-    let report =
-      Dcir_fuzz.Harness.run ~cfg ~checked ~parallel ~jobs
-        ~shrink:(not no_shrink)
-        ~limits:(budget_limits ~max_steps ~max_fuel)
-        ~reproducer_dir:out_dir ~count ~seed ()
-    in
-    List.iter
-      (fun (fc : Dcir_fuzz.Harness.failed_case) ->
-        Format.printf "FAIL (case seed %d):@." fc.case.seed;
-        List.iter
-          (fun f ->
-            Format.printf "  %s@." (Dcir_fuzz.Oracle.failure_str f))
-          fc.failures;
-        (match write_reproducer out_dir fc with
-        | Some path -> Format.printf "  reproducer: %s@." path
-        | None ->
-            Format.eprintf "dcir: cannot write reproducer under %s@." out_dir);
-        if fc.shrunk.src <> fc.case.src then
-          Format.printf "  shrunk to:@.%s" fc.shrunk.src)
-      report.failed;
-    Format.printf "fuzz: %d programs, campaign seed %d: %s@." report.count
-      report.seed
-      (if Dcir_fuzz.Harness.ok report then "all pipelines agree"
-       else Printf.sprintf "%d failing case(s)" (List.length report.failed));
     report_obs ~timing ~trace;
-    if Dcir_fuzz.Harness.ok report then `Ok () else exit 1
-    end
+    if ok then `Ok () else exit 1
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(

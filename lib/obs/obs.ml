@@ -10,10 +10,12 @@
       Perfetto).
     - {b Profiles}: runtime metric attribution ([Profile]) — cycles / loads /
       stores per SDFG state, tasklet, or MLIR function, filled in by the
-      interpreters and rendered as a hot-spot table.
+      tree-walking interpreters (a profiled run always walks the tree) and
+      rendered as a hot-spot table.
 
     Collection is {e disabled by default}: every hook is a cheap no-op until
     [enable] is called, so instrumented code pays nothing in normal runs.
+    Spans are recorded only on the domain that called [enable].
     Timing uses [Unix.gettimeofday] (microsecond resolution wall clock — the
     finest-grained clock available without external packages; pass
     transforms run for micro- to milliseconds, well above its resolution). *)
@@ -38,27 +40,33 @@ let span_children (sp : span) : span list = List.rev sp.sp_children
 let span_duration_ms (sp : span) : float = (sp.sp_end -. sp.sp_start) *. 1e3
 
 type collector = {
-  mutable enabled : bool;
+  mutable owner : Domain.id option;
+      (** the domain that called [enable], [None] while disabled. Spans
+          from any other domain (serve pool workers compile on their
+          own) are dropped, as [Events] and [Journal] drop worker-domain
+          output. *)
   mutable stack : span list;  (** innermost open span first *)
   mutable finished : span list;  (** completed top-level spans, reverse *)
   mutable epoch : float;  (** trace time origin *)
 }
 
-let st : collector = { enabled = false; stack = []; finished = []; epoch = 0.0 }
+let st : collector = { owner = None; stack = []; finished = []; epoch = 0.0 }
 
-let enabled () : bool = st.enabled
+(** Whether spans are being recorded on the calling domain. *)
+let enabled () : bool =
+  match st.owner with Some d -> d = Domain.self () | None -> false
 
 let enable () : unit =
-  st.enabled <- true;
+  st.owner <- Some (Domain.self ());
   if st.epoch = 0.0 then st.epoch <- now_s ()
 
-let disable () : unit = st.enabled <- false
+let disable () : unit = st.owner <- None
 
 (** Run [f] inside a named scope. When collection is disabled this is
     exactly [f ()]. The span is closed (and recorded) even if [f] raises. *)
 let with_span ?(cat : string = "") ?(args : (string * Json.t) list = [])
     (name : string) (f : unit -> 'a) : 'a =
-  if not st.enabled then f ()
+  if not (enabled ()) then f ()
   else begin
     let sp =
       {
@@ -93,7 +101,7 @@ let with_span ?(cat : string = "") ?(args : (string * Json.t) list = [])
 (** Attach args to the innermost open span (no-op when disabled or when no
     span is open) — for results only known once the scope's work is done. *)
 let set_args (kvs : (string * Json.t) list) : unit =
-  if st.enabled then
+  if enabled () then
     match st.stack with
     | sp :: _ -> sp.sp_args <- sp.sp_args @ kvs
     | [] -> ()
@@ -105,7 +113,7 @@ let set_args (kvs : (string * Json.t) list) : unit =
     Chrome trace renders one lane per domain. *)
 let add_complete ?(cat = "") ?(args : (string * Json.t) list = []) ?(tid = 1)
     ~(start_s : float) ~(end_s : float) (name : string) : unit =
-  if st.enabled then begin
+  if enabled () then begin
     let sp =
       {
         sp_name = name;

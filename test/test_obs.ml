@@ -48,6 +48,20 @@ let test_span_exception_safety () =
             (List.map Obs.span_name (Obs.span_children outer))
       | rs -> Alcotest.failf "expected one root, got %d" (List.length rs))
 
+(* The collector is one global record: a span opened on another domain
+   (a serve pool worker compiling) must not reach it. *)
+let test_worker_domain_spans_dropped () =
+  with_collection (fun () ->
+      Obs.with_span "main" (fun () ->
+          Domain.join
+            (Domain.spawn (fun () -> Obs.with_span "worker" (fun () -> ()))));
+      match Obs.roots () with
+      | [ main ] ->
+          Alcotest.(check (list string))
+            "no span from the worker domain" []
+            (List.map Obs.span_name (Obs.span_children main))
+      | rs -> Alcotest.failf "expected one root, got %d" (List.length rs))
+
 let test_disabled_is_passthrough () =
   Obs.disable ();
   Obs.reset ();
@@ -153,6 +167,8 @@ let suite =
       Alcotest.test_case "span nesting" `Quick test_span_nesting;
       Alcotest.test_case "span exception safety" `Quick
         test_span_exception_safety;
+      Alcotest.test_case "worker-domain spans are dropped" `Quick
+        test_worker_domain_spans_dropped;
       Alcotest.test_case "disabled collector is passthrough" `Quick
         test_disabled_is_passthrough;
       Alcotest.test_case "trace_event JSON well-formed" `Quick test_trace_json;
