@@ -23,6 +23,7 @@ module Obs = Dcir_obs.Obs
 module Json = Dcir_obs.Json
 module Budget = Dcir_resilience.Budget
 module Breaker = Dcir_resilience.Breaker
+module Diag = Dcir_support.Diagnostics
 
 let read_file path =
   let ic = open_in_bin path in
@@ -54,12 +55,24 @@ let emit_arg =
                            ("sdfg", `Sdfg) ]) `Sdfg
        & info [ "emit" ] ~docv:"FORM" ~doc:"IR to print: mlir, sdfg-dialect, sdfg")
 
-let default_entry src entry =
-  match entry with
-  | Some e -> e
-  | None ->
-      let prog = Dcir_cfront.C_parser.parse_program src in
-      (List.hd prog.funcs).name
+(* The function a command works on: [--entry], or else the first function
+   in the file. A name the file does not define, or a file that defines
+   no function, fails with the serve engine's E-NO-ENTRY diagnostic. *)
+let resolve_entry (src : string) (entry : string option) : string =
+  let funcs =
+    List.map
+      (fun (f : Dcir_cfront.C_ast.func_def) -> f.name)
+      (Dcir_cfront.C_parser.parse_program src).funcs
+  in
+  match (entry, funcs) with
+  | Some e, _ when List.mem e funcs -> e
+  | None, f :: _ -> f
+  | Some e, _ ->
+      Diag.fail ~code:"E-NO-ENTRY" ~phase:Diag.Frontend
+        "no function '%s' in the source" e
+  | None, [] ->
+      Diag.fail ~code:"E-NO-ENTRY" ~phase:Diag.Frontend
+        "source defines no function"
 
 (* ------------------------------------------------------------------ *)
 (* Observability flags, shared by compile/run/bench *)
@@ -197,7 +210,7 @@ let compile_cmd =
   let run file entry pipeline emit no_opt parallel verbose timing trace =
     setup_obs ~verbose ~timing ~trace;
     let src = read_file file in
-    let entry = default_entry src entry in
+    let entry = resolve_entry src entry in
     (match (pipeline, emit) with
     | (Pipelines.Gcc | Clang | Mlir), _ | _, `Mlir ->
         let m = Dcir_cfront.Polygeist.compile src in
@@ -230,34 +243,6 @@ let compile_cmd =
         (const run $ file_arg $ entry_arg $ pipeline_arg $ emit_arg
        $ no_opt_arg $ parallel_arg $ verbose_arg $ timing_arg $ trace_arg))
 
-(* Build synthetic arguments from the entry function's C signature. *)
-let synth_args (src : string) (entry : string) (scale : float) :
-    Pipelines.arg list =
-  let prog = Dcir_cfront.C_sema.check (Dcir_cfront.C_parser.parse_program src) in
-  let f = List.find (fun (f : Dcir_cfront.C_ast.func_def) -> f.name = entry) prog.funcs in
-  List.map
-    (fun ((_, ty) : string * Dcir_cfront.C_ast.cty) ->
-      match ty with
-      | Dcir_cfront.C_ast.TArr (elem, dims) ->
-          let elems = List.fold_left ( * ) 1 dims in
-          if Dcir_cfront.C_ast.is_float_ty elem then
-            Pipelines.AFloatArr
-              ( Array.init elems (fun i -> Dcir_workloads.Workload.frand i),
-                Array.of_list dims )
-          else
-            Pipelines.AIntArr
-              (Array.init elems (fun i -> (i * 7) mod 13), Array.of_list dims)
-      | Dcir_cfront.C_ast.TPtr elem ->
-          if Dcir_cfront.C_ast.is_float_ty elem then
-            Pipelines.AFloatArr
-              (Array.init 256 (fun i -> Dcir_workloads.Workload.frand i), [| 256 |])
-          else Pipelines.AIntArr (Array.init 256 (fun i -> i mod 13), [| 256 |])
-      | Dcir_cfront.C_ast.TInt -> Pipelines.AInt (int_of_float scale)
-      | Dcir_cfront.C_ast.TFloat | Dcir_cfront.C_ast.TDouble ->
-          Pipelines.AFloat 1.5
-      | Dcir_cfront.C_ast.TVoid -> Pipelines.AInt 0)
-    f.params
-
 let size_arg =
   Arg.(value & opt float 16.0
        & info [ "size" ] ~docv:"N" ~doc:"Value for scalar int arguments")
@@ -268,7 +253,7 @@ let run_cmd =
       degrade verbose timing trace profile =
     setup_obs ~verbose ~timing ~trace;
     let src = read_file file in
-    let entry = default_entry src entry in
+    let entry = resolve_entry src entry in
     let limits = budget_limits ~max_steps ~max_fuel in
     let compiled =
       if degrade then begin
@@ -290,7 +275,7 @@ let run_cmd =
         (fun () ->
           Pipelines.run ~budget:(Budget.create ~limits ()) ?profile:prof ~jobs
             ~interp_mode:interp compiled ~entry
-            (synth_args src entry size))
+            (Dcir_serve.Synth.args src entry ~size))
     in
     if parallel then print_autopar_report Format.std_formatter;
     (match r.return_value with
@@ -347,12 +332,12 @@ let explain_cmd =
       no_run unchecked verbose timing trace =
     setup_obs ~verbose ~timing ~trace;
     let src = read_file file in
-    let entry = default_entry src entry in
+    let entry = resolve_entry src entry in
     let limits = budget_limits ~max_steps ~max_fuel in
     let x =
       Dcir_core.Explain.explain ~limits ~checked:(not unchecked)
         ~run:(not no_run) ~jobs ~interp pipeline ~src ~entry
-        ~args:(fun () -> synth_args src entry size)
+        ~args:(fun () -> Dcir_serve.Synth.args src entry ~size)
         ()
     in
     Format.printf "%a" Dcir_core.Explain.pp x;

@@ -1,6 +1,6 @@
 (** Synthetic argument construction from a C signature.
 
-    Shared by [dcir run], [dcir bench] and the serve engine: array
+    Shared by [dcir run], [dcir explain] and the serve engine: array
     parameters get deterministic pseudo-random buffers (the
     {!Dcir_workloads.Workload.frand} pattern), scalar ints take the
     request's [size], floats a fixed constant — the same inputs on every
