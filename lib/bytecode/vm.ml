@@ -270,7 +270,9 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
           match Hashtbl.find_opt rt.prepared nid with
           | Some p -> p
           | None ->
-              let p = Dcir_mlir.Interp.prepare ~machine:rt.machine modul ~entry in
+              let p =
+                Dcir_mlir.Interp.prepare ~machine:rt.machine modul ~entry
+              in
               Hashtbl.replace rt.prepared nid p;
               p
         in

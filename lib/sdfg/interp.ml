@@ -963,10 +963,11 @@ type result = {
     (sizes and promoted scalar parameters). [profile] attributes
     cycles/loads/stores per state — including the state's outgoing
     transition costs, so the per-state entries partition the run's total —
-    and per tasklet (inclusive). [exec] walks the state machine over the
-    prepared runtime; it defaults to the tree walker, and the bytecode
-    tier passes its VM, which charges the machine identically, and the
-    symbol names its program interned ([names]: name [i] gets id [i]). *)
+    and per tasklet (inclusive); only the tree walker fills it. [exec]
+    walks the state machine over the prepared runtime; it defaults to the
+    tree walker, and the bytecode tier passes its VM, which charges the
+    machine identically, and the symbol names its program interned
+    ([names]: name [i] gets id [i]). *)
 let run ?(machine : Machine.t option)
     ?(profile : Dcir_obs.Obs.Profile.t option) ?(jobs : int = 1)
     ?(exec : runtime -> unit = run_tree) ?(names : string array option)
