@@ -25,11 +25,10 @@
     recorded (a [pass-rollback] journal note, which the event stream
     carries as [PASS-ROLLBACK], a [rollback] span and a
     {!Dcir_support.Diagnostics.incident} in [stats.incidents]), a
-    crash-reproducer file (pre-pass SDFG + the
-    failing pass name) is written, and the pass's circuit breaker trips —
-    open for a cooldown of fixpoint rounds, probationally re-admitted
-    afterwards, re-closed after clean applications
-    ({!Dcir_resilience.Breaker}). *)
+    crash-reproducer file (pre-pass SDFG + the failing pass name) is
+    written, and the pass's circuit breaker trips — open for a cooldown of
+    fixpoint rounds, probationally re-admitted afterwards, re-closed after
+    clean applications ({!Dcir_resilience.Breaker}). *)
 
 module Obs = Dcir_obs.Obs
 module Json = Dcir_obs.Json

@@ -16,12 +16,11 @@
     [pass-rollback] journal note, which the event stream carries as
     [PASS-ROLLBACK], a [rollback] span and a
     {!Dcir_support.Diagnostics.incident} in the stats), a crash-reproducer
-    file (pre-pass IR + the single-pass pipeline that
-    triggers the fault, MLIR-style) is written, and the pass's circuit
-    breaker trips: it stays open for a cooldown of fixpoint rounds, is
-    then probationally re-admitted, and re-closes only after clean
-    applications ({!Dcir_resilience.Breaker}) — degraded output beats a
-    crash. *)
+    file (pre-pass IR + the single-pass pipeline that triggers the fault,
+    MLIR-style) is written, and the pass's circuit breaker trips: it stays
+    open for a cooldown of fixpoint rounds, is then probationally
+    re-admitted, and re-closes only after clean applications
+    ({!Dcir_resilience.Breaker}) — degraded output beats a crash. *)
 
 module Obs = Dcir_obs.Obs
 module Json = Dcir_obs.Json
