@@ -1,7 +1,7 @@
 (** Tests for the telemetry substrate (lib/obs): span nesting and exception
-    safety, Chrome trace_event JSON well-formedness via the in-repo JSON
-    parser, and end-to-end profile attribution (per-state cycles partition
-    the interpreter's total). *)
+    safety, spans from other domains dropped, Chrome trace_event JSON
+    well-formedness via the in-repo JSON parser, and end-to-end profile
+    attribution (per-state cycles partition the interpreter's total). *)
 
 module Obs = Dcir_obs.Obs
 module Json = Dcir_obs.Json
