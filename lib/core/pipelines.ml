@@ -564,7 +564,6 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
     ?(profile : Obs.Profile.t option)
     ?(interp_mode : interp_mode = `Compiled) ?(jobs = 1)
     (compiled : compiled) ~(entry : string) (args : arg list) : run_result =
-  let interp_mode = if Option.is_some profile then `Tree else interp_mode in
   Events.emit ~code:"EXEC-MODE"
     [
       ( "mode",
@@ -631,11 +630,12 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
       }
   | CSdfg sdfg ->
       (* Lower before binding arguments, so that a lowering failure
-         leaves the machine untouched. *)
+         leaves the machine untouched. The VM keeps no profile, so a
+         profiled run walks the tree. *)
       let program =
-        match interp_mode with
-        | `Tree -> None
-        | `Compiled -> Some (plan_for sdfg)
+        match (interp_mode, profile) with
+        | `Compiled, None -> Some (plan_for sdfg)
+        | `Tree, _ | `Compiled, Some _ -> None
       in
       if List.length sdfg.param_order <> List.length args then
         raise
