@@ -17,27 +17,17 @@
     and pass application also records a {!Dcir_obs.Obs} span (wall time +
     changed flag) when telemetry collection is enabled.
 
-    {b Checked execution} ([~checked:true]): before each pass the SDFG is
-    snapshotted ({!Dcir_sdfg.Sdfg.copy}); after it,
-    {!Dcir_sdfg.Validate.errors} re-checks the graph. If the pass raised or
-    introduced a validation error (one the SDFG did not have before the
-    pass, wherever it is located), it is rolled back, the incident is
-    recorded (a [pass-rollback] journal note, which the event stream
-    carries as [PASS-ROLLBACK], a [rollback] span and a
-    {!Dcir_support.Diagnostics.incident} in [stats.incidents]), a
-    crash-reproducer file (pre-pass SDFG + the failing pass name) is
-    written, and the pass's circuit breaker trips — open for a cooldown of
-    fixpoint rounds, probationally re-admitted afterwards, re-closed after
-    clean applications ({!Dcir_resilience.Breaker}). *)
+    The fixpoint is an instance of {!Dcir_resilience.Fixpoint}, which
+    describes checked execution ([~checked:true]). Here the snapshot is
+    {!Dcir_sdfg.Sdfg.copy}, and a pass is rolled back only for the
+    {!Dcir_sdfg.Validate.errors} it introduced: errors the SDFG had before
+    the pass, wherever they are located, are not its to answer for. *)
 
 module Obs = Dcir_obs.Obs
 module Json = Dcir_obs.Json
 module Diag = Dcir_support.Diagnostics
 module Budget = Dcir_resilience.Budget
-module Breaker = Dcir_resilience.Breaker
-module Chaos = Dcir_resilience.Chaos
-module Journal = Dcir_resilience.Journal
-module Events = Dcir_obs.Events
+module Fixpoint = Dcir_resilience.Fixpoint
 
 let log_src =
   Logs.Src.create "dcir.dace.driver" ~doc:"data-centric pass driver"
@@ -49,8 +39,9 @@ type stats = {
       (** fixpoint rounds executed across all stages, including each
           stage's final no-progress round *)
   applications : (string * int) list;
-      (** pass name -> number of applications that changed the SDFG, in
-          pipeline order (every pass listed, 0 when it never fired) *)
+      (** pass name -> number of applications that changed the SDFG and
+          were not rolled back, in pipeline order (every pass listed, 0
+          when it never fired) *)
   states_before : int;
   states_after : int;
   edges_before : int;
@@ -69,23 +60,17 @@ let sdfg_counts (sdfg : Dcir_sdfg.Sdfg.t) : int * int * int =
     List.length (Dcir_sdfg.Sdfg.istate_edges sdfg),
     Hashtbl.length sdfg.containers )
 
-(* Per-pass application accumulator shared by the stages of one optimize
-   run; also collects checked-mode incidents and breaker state across
-   stages (session-scoped: one accum = one breaker lifetime). *)
-type accum = {
+(* Per-pass application counts, checked-mode incidents and breaker state,
+   shared by the stages of one optimize run (one accum = one breaker
+   lifetime). *)
+type accum = Fixpoint.run = {
   apps : (string, int) Hashtbl.t;
   mutable total_rounds : int;
   mutable incidents : Diag.incident list;  (** reverse chronological *)
-  breaker : Breaker.t;
+  breaker : Dcir_resilience.Breaker.t;
 }
 
-let new_accum () : accum =
-  {
-    apps = Hashtbl.create 16;
-    total_rounds = 0;
-    incidents = [];
-    breaker = Breaker.create ();
-  }
+let new_accum () : accum = Fixpoint.create ()
 
 (* Chaos corruption for the data-centric IR: an access node naming a
    container that does not exist — {!Dcir_sdfg.Validate} rejects it, so
@@ -98,39 +83,6 @@ let corrupt_sdfg (sdfg : Dcir_sdfg.Sdfg.t) : unit =
         (Dcir_sdfg.Sdfg.add_node s.s_graph
            (Dcir_sdfg.Sdfg.Access "__chaos_bogus__"))
   | [] -> ()
-
-let run_one ?(accum : accum option)
-    ((name, p) : string * (Dcir_sdfg.Sdfg.t -> bool))
-    (sdfg : Dcir_sdfg.Sdfg.t) : bool =
-  let inject = Chaos.tick_pass () in
-  (match inject with
-  | `Crash ->
-      Journal.note ~kind:"chaos-injected"
-        [ ("fault", Json.Str "pass-crash"); ("pass", Json.Str name) ];
-      raise (Chaos.Injected (Chaos.Pass_crash, name))
-  | `Ok | `Corrupt -> ());
-  let c =
-    if not (Obs.enabled ()) then p sdfg
-    else
-      Obs.with_span ~cat:"dace-pass" name (fun () ->
-          let c = p sdfg in
-          Obs.set_args [ ("changed", Json.Bool c) ];
-          c)
-  in
-  (match inject with
-  | `Corrupt ->
-      corrupt_sdfg sdfg;
-      Journal.note ~kind:"chaos-injected"
-        [ ("fault", Json.Str "corrupt-rewrite"); ("pass", Json.Str name) ]
-  | `Ok | `Crash -> ());
-  if c then (
-    Log.debug (fun f -> f "pass %s: changed" name);
-    match accum with
-    | Some a ->
-        Hashtbl.replace a.apps name
-          (1 + Option.value ~default:0 (Hashtbl.find_opt a.apps name))
-    | None -> ());
-  c
 
 (* A validation error's message without the state (and map nesting)
    it names, which ends at the first colon. A pass that moves a
@@ -155,51 +107,40 @@ let introduced (before : Dcir_sdfg.Validate.diagnostic list)
   List.iter (fun d -> bump (unlocated d) (-1)) before;
   List.filter (fun d -> Hashtbl.find count (unlocated d) > 0) after
 
-(* Run one pass under checked execution: snapshot the SDFG, run the pass,
-   re-validate. On a crash, or when the pass introduced a validation
-   error, roll back to the snapshot and report the incident (the caller
-   disables the pass). Errors already present before the pass -- a
-   translated SDFG whose sizes Fig 3 verification cannot prove -- are
-   not the pass's to answer for. *)
-let run_one_checked ?(accum : accum option) ~(round : int)
-    ~(reproducer_dir : string)
-    ((name, _) as pass : string * (Dcir_sdfg.Sdfg.t -> bool))
-    (sdfg : Dcir_sdfg.Sdfg.t) : bool * Diag.incident option =
-  let snapshot = Dcir_sdfg.Sdfg.copy sdfg in
-  let before = Dcir_sdfg.Validate.errors sdfg in
-  let outcome =
-    match run_one ?accum pass sdfg with
-    | changed -> (
-        match introduced before (Dcir_sdfg.Validate.errors sdfg) with
-        | [] -> Ok changed
-        | errs ->
-            Error
-              (String.concat "\n"
-                 (List.map
-                    (fun d -> Fmt.str "%a" Dcir_sdfg.Validate.pp_diagnostic d)
-                    errs)))
-    | exception exn -> Error ("pass raised: " ^ Printexc.to_string exn)
-  in
-  match outcome with
-  | Ok changed -> (changed, None)
-  | Error reason ->
-      Dcir_sdfg.Sdfg.restore ~into:sdfg snapshot;
-      Journal.note ~kind:"pass-rollback"
-        [
-          ("domain", Json.Str "data");
-          ("pass", Json.Str name);
-          ("round", Json.Int round);
-          ("reason", Json.Str reason);
-        ];
-      let reproducer =
-        Dcir_mlir.Pass.write_reproducer ~ext:".sdfg" ~dir:reproducer_dir
-          ~prefix:"dcir-repro-dace" ~pass_name:name ~reason
-          (Dcir_sdfg.Printer.to_string sdfg)
-      in
-      Dcir_mlir.Pass.record_rollback ~pass_name:name ~reason reproducer;
-      Log.err (fun f ->
-          f "pass %s failed validation and was rolled back: %s" name reason);
-      (false, Some { Diag.in_pass = name; in_round = round; reason; reproducer })
+module Engine = Fixpoint.Make (struct
+  type ir = Dcir_sdfg.Sdfg.t
+  type pass = string * (Dcir_sdfg.Sdfg.t -> bool)
+  type snapshot = Dcir_sdfg.Sdfg.t * Dcir_sdfg.Validate.diagnostic list
+
+  let name (n, _) = n
+  let apply (_, run) sdfg = run sdfg
+  let domain = "data"
+  let pass_cat = "dace-pass"
+  let round_cat = "dace-fixpoint"
+  let ops = None
+  let src = log_src
+  let corrupt = corrupt_sdfg
+
+  let snapshot sdfg =
+    let copy = Dcir_sdfg.Sdfg.copy sdfg in
+    (copy, Dcir_sdfg.Validate.errors sdfg)
+
+  let restore ~into (copy, _) = Dcir_sdfg.Sdfg.restore ~into copy
+
+  let check (_, before) sdfg =
+    match introduced before (Dcir_sdfg.Validate.errors sdfg) with
+    | [] -> None
+    | errs ->
+        let reason =
+          String.concat "\n"
+            (List.map (Fmt.str "%a" Dcir_sdfg.Validate.pp_diagnostic) errs)
+        in
+        Some (reason, reason)
+
+  let print = Dcir_sdfg.Printer.to_string
+  let repro_prefix = "dcir-repro-dace"
+  let repro_ext = ".sdfg"
+end)
 
 (** Iterate [passes] to a fixpoint. With [~checked:true], every pass runs
     under snapshot/validate/rollback; a failing pass trips its breaker in
@@ -214,66 +155,7 @@ let fixpoint ?(max_rounds = 30) ?(accum : accum option)
   (* Checked mode needs somewhere to record incidents/breaker state even
      when the caller did not supply an accumulator. *)
   let acc = match accum with Some a -> a | None -> new_accum () in
-  let changed = ref false in
-  let progress = ref true in
-  let rounds = ref 0 in
-  while !progress && !rounds < max_rounds do
-    incr rounds;
-    acc.total_rounds <- acc.total_rounds + 1;
-    progress :=
-      Obs.with_span ~cat:"dace-fixpoint"
-        (Printf.sprintf "round %d" !rounds)
-        (fun () ->
-          List.fold_left
-            (fun any ((name, _) as pass) ->
-              if not (Breaker.admits acc.breaker name) then begin
-                if Events.active () then
-                  Events.emit ~code:"PASS-SKIP"
-                    [
-                      ("domain", Json.Str "data");
-                      ("pass", Json.Str name);
-                      ("round", Json.Int !rounds);
-                      ("breaker", Json.Str (Breaker.state_name acc.breaker name));
-                      ( "failures",
-                        Json.Int (Breaker.failure_count acc.breaker name) );
-                    ];
-                any
-              end
-              else begin
-                Option.iter Budget.burn_fuel budget;
-                let c =
-                  if not checked then run_one ~accum:acc pass sdfg
-                  else begin
-                    let c, incident =
-                      run_one_checked ~accum:acc ~round:!rounds ~reproducer_dir
-                        pass sdfg
-                    in
-                    (match incident with
-                    | Some i ->
-                        acc.incidents <- i :: acc.incidents;
-                        Breaker.record_failure acc.breaker name
-                    | None -> Breaker.record_success acc.breaker name);
-                    c
-                  end
-                in
-                if Events.active () then
-                  Events.emit ~code:"PASS-ADMIT"
-                    [
-                      ("domain", Json.Str "data");
-                      ("pass", Json.Str name);
-                      ("round", Json.Int !rounds);
-                      ("changed", Json.Bool c);
-                    ];
-                c || any
-              end)
-            false passes);
-    Breaker.end_round acc.breaker;
-    Log.debug (fun f ->
-        f "fixpoint round %d: %s" !rounds
-          (if !progress then "progress" else "stable"));
-    if !progress then changed := true
-  done;
-  !changed
+  Engine.fixpoint ~max_rounds ?budget ~checked ~reproducer_dir acc passes sdfg
 
 let inference : (string * (Dcir_sdfg.Sdfg.t -> bool)) list =
   [
@@ -367,10 +249,7 @@ let optimize ?(o1 = true) ?(o2 = true) ?(disable = []) ?(checked = false)
   {
     rounds = accum.total_rounds;
     applications =
-      List.map
-        (fun n ->
-          (n, Option.value ~default:0 (Hashtbl.find_opt accum.apps n)))
-        all_pass_names;
+      List.map (fun n -> (n, Fixpoint.applications accum n)) all_pass_names;
     states_before;
     states_after;
     edges_before;

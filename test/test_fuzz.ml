@@ -119,6 +119,8 @@ let test_checked_mlir_rollback () =
   in
   let changed, st = Pass.run_to_fixpoint_stats ~checked:true [ broken ] m in
   Alcotest.(check bool) "no net change reported" false changed;
+  Alcotest.(check int) "a rolled-back application is not counted" 0
+    (List.assoc "break-ir" st.applications);
   Alcotest.(check int) "exactly one incident" 1 (List.length st.incidents);
   let inc = List.hd st.incidents in
   Alcotest.(check string) "incident names the pass" "break-ir" inc.Diag.in_pass;
@@ -174,6 +176,9 @@ let test_checked_dace_rollback () =
   let acc = Driver.new_accum () in
   let changed = Driver.fixpoint ~accum:acc ~checked:true [ broken ] sdfg in
   Alcotest.(check bool) "no net change reported" false changed;
+  Alcotest.(check (option int)) "a rolled-back application is not counted"
+    None
+    (Hashtbl.find_opt acc.apps "clear-containers");
   Alcotest.(check int) "exactly one incident" 1 (List.length acc.incidents);
   let inc = List.hd acc.incidents in
   Alcotest.(check string) "incident names the pass" "clear-containers"
