@@ -23,7 +23,6 @@ module Obs = Dcir_obs.Obs
 module Json = Dcir_obs.Json
 module Budget = Dcir_resilience.Budget
 module Breaker = Dcir_resilience.Breaker
-module Diag = Dcir_support.Diagnostics
 
 let read_file path =
   let ic = open_in_bin path in
@@ -54,25 +53,6 @@ let emit_arg =
   Arg.(value & opt (enum [ ("mlir", `Mlir); ("sdfg-dialect", `Dialect);
                            ("sdfg", `Sdfg) ]) `Sdfg
        & info [ "emit" ] ~docv:"FORM" ~doc:"IR to print: mlir, sdfg-dialect, sdfg")
-
-(* The function a command works on: [--entry], or else the first function
-   in the file. A name the file does not define, or a file that defines
-   no function, fails with the serve engine's E-NO-ENTRY diagnostic. *)
-let resolve_entry (src : string) (entry : string option) : string =
-  let funcs =
-    List.map
-      (fun (f : Dcir_cfront.C_ast.func_def) -> f.name)
-      (Dcir_cfront.C_parser.parse_program src).funcs
-  in
-  match (entry, funcs) with
-  | Some e, _ when List.mem e funcs -> e
-  | None, f :: _ -> f
-  | Some e, _ ->
-      Diag.fail ~code:"E-NO-ENTRY" ~phase:Diag.Frontend
-        "no function '%s' in the source" e
-  | None, [] ->
-      Diag.fail ~code:"E-NO-ENTRY" ~phase:Diag.Frontend
-        "source defines no function"
 
 (* ------------------------------------------------------------------ *)
 (* Observability flags, shared by compile/run/bench *)
@@ -210,7 +190,7 @@ let compile_cmd =
   let run file entry pipeline emit no_opt parallel verbose timing trace =
     setup_obs ~verbose ~timing ~trace;
     let src = read_file file in
-    let entry = resolve_entry src entry in
+    let entry = Dcir_serve.Synth.resolve_entry src entry in
     (match (pipeline, emit) with
     | (Pipelines.Gcc | Clang | Mlir), _ | _, `Mlir ->
         let m = Dcir_cfront.Polygeist.compile src in
@@ -253,7 +233,7 @@ let run_cmd =
       degrade verbose timing trace profile =
     setup_obs ~verbose ~timing ~trace;
     let src = read_file file in
-    let entry = resolve_entry src entry in
+    let entry = Dcir_serve.Synth.resolve_entry src entry in
     let limits = budget_limits ~max_steps ~max_fuel in
     let compiled =
       if degrade then begin
@@ -332,7 +312,7 @@ let explain_cmd =
       no_run unchecked verbose timing trace =
     setup_obs ~verbose ~timing ~trace;
     let src = read_file file in
-    let entry = resolve_entry src entry in
+    let entry = Dcir_serve.Synth.resolve_entry src entry in
     let limits = budget_limits ~max_steps ~max_fuel in
     let x =
       Dcir_core.Explain.explain ~limits ~checked:(not unchecked)

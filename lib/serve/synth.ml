@@ -7,12 +7,12 @@
     machine, which is what keeps serve journals byte-reproducible. *)
 
 module C_ast = Dcir_cfront.C_ast
+module Diag = Dcir_support.Diagnostics
 module Pipelines = Dcir_core.Pipelines
 
 (** [args src entry ~size] — one synthetic argument per parameter of
-    [entry] in [src]. Raises [Not_found] when [entry] is not defined and
-    frontend diagnostics when [src] does not parse — callers classify
-    both as request failures. *)
+    [entry] in [src], which callers resolve first ({!resolve_entry}).
+    Raises frontend diagnostics when [src] does not check. *)
 let args (src : string) (entry : string) ~(size : float) :
     Pipelines.arg list =
   let prog = Dcir_cfront.C_sema.check (Dcir_cfront.C_parser.parse_program src) in
@@ -39,8 +39,26 @@ let args (src : string) (entry : string) ~(size : float) :
       | C_ast.TVoid -> Pipelines.AInt 0)
     f.params
 
-(** First function name of [src], for requests that omit [entry]. Raises
-    frontend diagnostics on unparsable source. *)
-let default_entry (src : string) : string option =
-  let prog = Dcir_cfront.C_sema.check (Dcir_cfront.C_parser.parse_program src) in
-  match prog.funcs with f :: _ -> Some f.C_ast.name | [] -> None
+(** The function a request or a command works on: [entry], or else the
+    first function in [src]. A name [src] does not define, or a source
+    without functions, fails with the frontend diagnostic [E-NO-ENTRY],
+    which the serve engine never retries. Only parses [src]: when it does
+    not parse, an explicit [entry] is returned as is and the compile
+    reports the syntax error, while an omitted one raises the parser's
+    own error. *)
+let resolve_entry (src : string) (entry : string option) : string =
+  match Dcir_cfront.C_parser.parse_program src with
+  | exception (Dcir_cfront.C_lexer.Lex_error _ | Dcir_cfront.C_parser.Parse_error _)
+    when Option.is_some entry ->
+      Option.get entry
+  | prog -> (
+      let funcs = List.map (fun (f : C_ast.func_def) -> f.name) prog.funcs in
+      match (entry, funcs) with
+      | Some e, _ when List.mem e funcs -> e
+      | None, f :: _ -> f
+      | Some e, _ ->
+          Diag.fail ~code:"E-NO-ENTRY" ~phase:Diag.Frontend
+            "no function '%s' in the source" e
+      | None, [] ->
+          Diag.fail ~code:"E-NO-ENTRY" ~phase:Diag.Frontend
+            "source defines no function")

@@ -267,6 +267,28 @@ let test_deadline () =
     late.Sjournal.rs_code;
   Alcotest.(check int) "no attempt was burned" 0 late.Sjournal.rs_attempts
 
+(* An entry the source does not define is the request's fault: it fails
+   on its first attempt with the frontend's E-NO-ENTRY, on every
+   pipeline, and is never retried into another tier. *)
+let test_missing_entry () =
+  let src, _ = tiny in
+  let requests =
+    [
+      { (inline ~id:"g" ~tenant:"G" (src, "nope")) with
+        Request.rq_kind = Pipelines.Gcc };
+      inline ~id:"d" ~tenant:"D" (src, "nope");
+    ]
+  in
+  let report = Engine.run (List.map (fun r -> Ok r) requests) in
+  List.iter
+    (fun id ->
+      let r = response_of report id in
+      Alcotest.(check string) (id ^ " failed") "failed"
+        (Sjournal.status_name r.Sjournal.rs_status);
+      Alcotest.(check string) (id ^ " code") "E-NO-ENTRY" r.Sjournal.rs_code;
+      Alcotest.(check int) (id ^ " attempts") 1 r.Sjournal.rs_attempts)
+    [ "g"; "d" ]
+
 (* Same requests, same config: the rendered journal must be
    byte-identical — cache state, counters and all. *)
 let test_journal_double_run () =
@@ -540,4 +562,6 @@ let suite =
       Alcotest.test_case "tenant isolation under the pool" `Quick
         test_pool_tenant_isolation;
       Alcotest.test_case "budget-step watchdog" `Quick test_watchdog;
+      Alcotest.test_case "missing entry is not retried" `Quick
+        test_missing_entry;
     ] )
