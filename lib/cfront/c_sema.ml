@@ -28,10 +28,6 @@ let declare (sc : scope) (name : string) (ty : cty) : unit =
   | [] -> assert false
   | tbl :: _ -> Hashtbl.replace tbl name ty
 
-let math_builtins =
-  [ ("exp", 1); ("log", 1); ("sqrt", 1); ("tanh", 1); ("fabs", 1); ("sin", 1);
-    ("cos", 1); ("pow", 2) ]
-
 (* Result type of a checked expression. *)
 let rec type_of (prog : program) (sc : scope) (e : expr) : cty =
   match e with
@@ -80,8 +76,8 @@ let rec type_of (prog : program) (sc : scope) (e : expr) : cty =
   | ECall ("malloc", _) ->
       err "malloc must be cast or assigned to a typed pointer"
   | ECall (name, args) -> (
-      match List.assoc_opt name math_builtins with
-      | Some arity ->
+      match Dcir_mlir.Math_d.of_c_name name with
+      | Some { Dcir_mlir.Math_d.arity; _ } ->
           if List.length args <> arity then
             err "%s expects %d argument(s)" name arity;
           List.iter (fun a -> ignore (type_of prog sc a)) args;

@@ -192,19 +192,10 @@ and lower_arith ctx op va vb : Ir.value =
       | _ -> Arith.divsi a b)
 
 and lower_call ctx name args : Ir.value =
-  let math_ops =
-    [ ("exp", "math.exp"); ("log", "math.log"); ("sqrt", "math.sqrt");
-      ("tanh", "math.tanh"); ("fabs", "math.absf"); ("sin", "math.sin");
-      ("cos", "math.cos") ]
-  in
-  match List.assoc_opt name math_ops with
-  | Some opname ->
-      let v = to_f64 ctx (lower_expr ctx (List.hd args)) in
-      emit ctx (Ir.new_op opname ~operands:[ v ] ~results:[ Ir.new_value Types.F64 ])
-  | None when String.equal name "pow" ->
-      let b = to_f64 ctx (lower_expr ctx (List.nth args 0)) in
-      let e = to_f64 ctx (lower_expr ctx (List.nth args 1)) in
-      emit ctx (Math_d.powf b e)
+  match Math_d.of_c_name name with
+  | Some f ->
+      let vs = List.map (fun a -> to_f64 ctx (lower_expr ctx a)) args in
+      emit ctx (Math_d.call f vs)
   | None -> (
       match List.find_opt (fun f -> String.equal f.name name) ctx.prog.funcs with
       | None -> err "call to unknown function '%s'" name

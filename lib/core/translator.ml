@@ -107,23 +107,10 @@ let raise_tasklet_region (region : Ir.region) ~(conn_names : string list) :
         | "arith.fptosi" -> bind (Texpr.TUn (`ToInt, get (List.hd o.operands)))
         | "arith.index_cast" | "arith.extf" | "arith.truncf" ->
             bind (get (List.hd o.operands))
-        | "math.powf" ->
-            bind
-              (Texpr.TCall
-                 ("pow", [ get (List.nth o.operands 0); get (List.nth o.operands 1) ]))
-        | name when Math_d.is_math_op name ->
-            let f =
-              match name with
-              | "math.exp" -> "exp"
-              | "math.log" -> "log"
-              | "math.sqrt" -> "sqrt"
-              | "math.tanh" -> "tanh"
-              | "math.absf" -> "fabs"
-              | "math.sin" -> "sin"
-              | "math.cos" -> "cos"
-              | _ -> raise Unraisable
-            in
-            bind (Texpr.TCall (f, [ get (List.hd o.operands) ]))
+        | name when Math_d.is_math_op name -> (
+            match Math_d.of_op name with
+            | Some f -> bind (Texpr.TCall (f.c_name, List.map get o.operands))
+            | None -> raise Unraisable)
         | "memref.load" ->
             (* Element access into a memref argument: indirect index. *)
             let mr, idxs = Memref_d.load_parts o in

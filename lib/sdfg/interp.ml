@@ -291,22 +291,14 @@ let apply_cmpop (m : Machine.t) (op : Texpr.cmpop) (va : Value.t)
   in
   Value.of_bool r
 
+(* A tasklet's libm call, charged as the MLIR op it came from. *)
 let apply_call (m : Machine.t) (fname : string) (vargs : float list) : Value.t
     =
-  (match fname with
-  | "sqrt" -> Machine.charge_op m Fp_sqrt
-  | _ -> Machine.charge_op m Math_call);
-  VFloat
-    (match (fname, vargs) with
-    | "exp", [ x ] -> Stdlib.exp x
-    | "log", [ x ] -> Stdlib.log x
-    | "sqrt", [ x ] -> Stdlib.sqrt x
-    | "tanh", [ x ] -> Stdlib.tanh x
-    | "fabs", [ x ] -> Stdlib.abs_float x
-    | "sin", [ x ] -> Stdlib.sin x
-    | "cos", [ x ] -> Stdlib.cos x
-    | "pow", [ x; y ] -> Stdlib.( ** ) x y
-    | _ -> trap "unknown math call '%s'" fname)
+  match Dcir_mlir.Math_d.of_c_name fname with
+  | Some f when List.compare_length_with vargs f.arity = 0 ->
+      Machine.charge_op m f.cls;
+      VFloat (f.eval vargs)
+  | _ -> trap "unknown math call '%s'" fname
 
 let apply_toint (v : Value.t) : Value.t =
   VInt

@@ -170,6 +170,26 @@ let test_icc_vector_math_faster () =
   in
   Alcotest.(check bool) "vector math wins on Mish" true (icc < base)
 
+(* Both IRs charge a libm call the same op classes: each function of the
+   math table, called alone, costs mlir and dcir the same FP ops and
+   library calls. *)
+let test_math_parity () =
+  List.iter
+    (fun (f : Math_d.fn) ->
+      let call = if f.arity = 2 then f.c_name ^ "(x, x)" else f.c_name ^ "(x)" in
+      let src = Printf.sprintf "double f(double x) { return %s; }" call in
+      let metrics kind =
+        (Pipelines.run
+           (Pipelines.compile kind ~src ~entry:"f")
+           ~entry:"f" [ Pipelines.AFloat 1.5 ])
+          .metrics
+      in
+      let m = metrics Mlir and d = metrics Dcir in
+      Alcotest.(check (pair int int))
+        (f.c_name ^ ": fp ops, math calls")
+        (m.fp_ops, m.math_calls) (d.fp_ops, d.math_calls))
+    Math_d.table
+
 let suite =
   ( "core",
     [
@@ -191,4 +211,6 @@ let suite =
       Alcotest.test_case "dcir never slower than mlir" `Slow
         test_dcir_not_slower_than_mlir;
       Alcotest.test_case "ICC vector math" `Quick test_icc_vector_math_faster;
+      Alcotest.test_case "math functions cost the same in both IRs" `Quick
+        test_math_parity;
     ] )
