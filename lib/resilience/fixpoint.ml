@@ -5,9 +5,10 @@
 
     A fixpoint repeats its pass list until a whole round changes nothing,
     or until its round limit. Each application consults the ambient chaos
-    plan ({!Chaos.tick_pass}), burns one unit of optimization fuel, and
-    records a span and a [PASS-ADMIT] event. A pass whose circuit breaker
-    is open is skipped with a [PASS-SKIP] event instead.
+    plan ({!Chaos.tick_pass}), burns one unit of the budget's optimization
+    fuel, and records a span (when collection is enabled) and a
+    [PASS-ADMIT] event. A pass whose circuit breaker is open is skipped
+    with a [PASS-SKIP] event instead.
 
     {b Checked execution} ([~checked:true]): before each application the
     IR is snapshotted; after it, the instance's error rule re-checks it.
