@@ -28,12 +28,52 @@
     - [steps]: interpreter budget steps spent by the run.
 
     A product that traps prints [trap] and its
-    {!Dcir_core.Pipelines.classify_exn} code instead of the costs. *)
+    {!Dcir_core.Pipelines.classify_exn} code instead of the costs.
+
+    The driver also writes one line per product, under the same name, to
+    the file named by its first argument ([compile_counts.expected] is
+    its golden): [control=ADMITTED/CHANGED data=ADMITTED/CHANGED], the
+    [PASS-ADMIT] events of an {!Dcir_obs.Events} stream installed around
+    the product's compile, per pass domain, and how many of them changed
+    the IR. A change to how often the pass drivers run a pass shows up
+    there without touching a digest or a cost. *)
 
 open Dcir_core
 module D = Dcir_support.Digest
 module Budget = Dcir_resilience.Budget
 module Value = Dcir_machine.Value
+module Events = Dcir_obs.Events
+module Json = Dcir_obs.Json
+
+let counts_oc =
+  match Sys.argv with
+  | [| _; path |] -> open_out path
+  | _ -> failwith "usage: compile_digests COUNTS-FILE"
+
+(* Runs the compile [f] under a fresh event stream; returns its outcome
+   and the product's pass counts. *)
+let counted (f : unit -> 'a) : ('a, exn) result * string =
+  let t = Events.create () in
+  Events.install t;
+  let r = try Ok (f ()) with e -> Error e in
+  Events.clear ();
+  let admits = Events.with_code t "PASS-ADMIT" in
+  let count domain =
+    let admitted =
+      List.filter (fun e -> Events.str_field e "domain" = domain) admits
+    in
+    let changed =
+      List.filter
+        (fun e -> Events.field e "changed" = Some (Json.Bool true))
+        admitted
+    in
+    Printf.sprintf "%s=%d/%d" domain (List.length admitted)
+      (List.length changed)
+  in
+  (r, count "control" ^ " " ^ count "data")
+
+let print_counts (name : string) (counts : string) : unit =
+  Printf.fprintf counts_oc "%s %s\n" name counts
 
 let digest (c : Pipelines.compiled) : string =
   let text =
@@ -93,12 +133,15 @@ let reference_run ~src ~entry ~args =
 
 let workload (w : Dcir_workloads.Workload.t) : unit =
   let reference = reference_run ~src:w.src ~entry:w.entry ~args:w.args in
-  let product how c =
-    print_endline
-      (line ~entry:w.entry ~args:w.args ~reference (w.name ^ " " ^ how) c)
+  let product how (c, counts) =
+    let name = w.name ^ " " ^ how in
+    print_counts name counts;
+    let c = match c with Ok c -> c | Error e -> raise e in
+    print_endline (line ~entry:w.entry ~args:w.args ~reference name c)
   in
   let compile ?tier ?checked kind =
-    Pipelines.compile ?tier ?checked kind ~src:w.src ~entry:w.entry
+    counted (fun () ->
+        Pipelines.compile ?tier ?checked kind ~src:w.src ~entry:w.entry)
   in
   List.iter
     (fun kind -> product (Pipelines.kind_name kind ^ "-O2") (compile kind))
@@ -110,18 +153,19 @@ let generated (i : int) : unit =
   let case = Dcir_fuzz.Gen.generate (Dcir_fuzz.Rng.derive 0x901d i) in
   let name = Printf.sprintf "gen%03d dcir-resilient-autopar" i in
   match
-    Pipelines.compile_resilient ~autopar:true Pipelines.Dcir ~src:case.src
-      ~entry:case.entry
+    counted (fun () ->
+        Pipelines.compile_resilient ~autopar:true Pipelines.Dcir ~src:case.src
+          ~entry:case.entry)
   with
-  | c, r ->
+  | Ok (c, r), counts ->
+      let name = name ^ " " ^ Pipelines.tier_name r.res_landed in
       let reference =
         reference_run ~src:case.src ~entry:case.entry ~args:case.args
       in
-      print_endline
-        (line ~entry:case.entry ~args:case.args ~reference
-           (name ^ " " ^ Pipelines.tier_name r.res_landed)
-           c)
-  | exception e ->
+      print_counts name counts;
+      print_endline (line ~entry:case.entry ~args:case.args ~reference name c)
+  | Error e, counts ->
+      print_counts name counts;
       Printf.printf "%s error %s\n" name (Pipelines.classify_exn e)
 
 let () =
@@ -130,4 +174,5 @@ let () =
     @ [ Dcir_workloads.Case_studies.fig2_example ]);
   for i = 0 to 99 do
     generated i
-  done
+  done;
+  close_out counts_oc
