@@ -195,7 +195,7 @@ let run_on_func (f : Ir.func) : bool =
       done;
       (* Constants float to the top of their region: keeps them out of the
          statement sequence (state granularity on the data-centric side) and
-         mirrors MLIR's canonical constant placement. *)
+         mirrors MLIR's canonical constant placement. A move is a change. *)
       let rec hoist_constants (r : Ir.region) =
         List.iter
           (fun (o : Ir.op) -> List.iter hoist_constants o.regions)
@@ -205,7 +205,11 @@ let run_on_func (f : Ir.func) : bool =
             (fun (o : Ir.op) -> String.equal o.name "arith.constant")
             r.rops
         in
-        if consts <> [] then r.rops <- consts @ rest
+        let hoisted = consts @ rest in
+        if not (List.for_all2 ( == ) hoisted r.rops) then begin
+          r.rops <- hoisted;
+          changed := true
+        end
       in
       hoist_constants body;
       !changed

@@ -190,6 +190,82 @@ let test_math_parity () =
         (m.fp_ops, m.math_calls) (d.fp_ops, d.math_calls))
     Math_d.table
 
+(* The no-change contract the fixpoint engine's skip rule relies on: an
+   application that reports no change leaves the IR exactly as it found
+   it, and a converged pass list stays converged. Each control pass list
+   and each stage of the data-centric pipeline is driven to a fixpoint by
+   a loop of its own (not the engine), over the Polybench kernels and a
+   few generated programs, comparing the printed IR around every
+   application. *)
+let test_no_change_contract () =
+  let drive ~what ~print ~name ~apply passes ir =
+    let check_clean p =
+      let before = print ir in
+      let changed = apply p ir in
+      if not changed then
+        Alcotest.(check string)
+          (Printf.sprintf "%s: %s reported no change" what (name p))
+          before (print ir);
+      changed
+    in
+    let rec loop round =
+      let any = List.fold_left (fun any p -> check_clean p || any) false passes in
+      if any then begin
+        if round = 30 then Alcotest.failf "%s: no fixpoint in 30 rounds" what;
+        loop (round + 1)
+      end
+    in
+    loop 1;
+    List.iter
+      (fun p ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s again at the fixpoint" what (name p))
+          false (check_clean p))
+      passes
+  in
+  let control ~what passes src =
+    drive ~what ~print:Printer.module_to_string
+      ~name:(fun (p : Pass.t) -> p.pname)
+      ~apply:(fun (p : Pass.t) m -> p.run m)
+      passes
+      (Dcir_cfront.Polygeist.compile src)
+  in
+  let module Driver = Dcir_dace_passes.Driver in
+  let data ~what kind ~src ~entry =
+    match Pipelines.compile ~optimize_sdfg:false kind ~src ~entry with
+    | Pipelines.CSdfg sdfg ->
+        List.iter
+          (fun (stage, passes) ->
+            drive ~what:(what ^ " " ^ stage) ~print:Dcir_sdfg.Printer.to_string
+              ~name:fst ~apply:(fun (_, run) s -> run s) passes sdfg)
+          [
+            ("simplify", Driver.simplify_passes);
+            ("O1", Driver.simplify_passes @ Driver.o1_passes);
+            ("O2", Driver.simplify_passes @ Driver.o1_passes @ Driver.o2_passes);
+          ]
+    | Pipelines.CMlir _ -> Alcotest.fail "expected an SDFG product"
+  in
+  let sources =
+    List.map
+      (fun (w : Dcir_workloads.Workload.t) -> (w.name, w.src, w.entry))
+      Dcir_workloads.Polybench.all
+    @ List.init 4 (fun i ->
+          let case = Dcir_fuzz.Gen.generate (Dcir_fuzz.Rng.derive 0x901d i) in
+          (Printf.sprintf "gen%03d" i, case.src, case.entry))
+  in
+  List.iter
+    (fun (name, src, entry) ->
+      List.iter
+        (fun kind ->
+          let what = name ^ " " ^ Pipelines.kind_name kind in
+          match Pipelines.control_passes kind with
+          | [] -> ()
+          | passes -> control ~what passes src)
+        Pipelines.all_kinds;
+      data ~what:(name ^ " dcir") Dcir ~src ~entry;
+      data ~what:(name ^ " dace") Dace ~src ~entry)
+    sources
+
 let suite =
   ( "core",
     [
@@ -213,4 +289,6 @@ let suite =
       Alcotest.test_case "ICC vector math" `Quick test_icc_vector_math_faster;
       Alcotest.test_case "math functions cost the same in both IRs" `Quick
         test_math_parity;
+      Alcotest.test_case "passes that report no change leave the IR alone"
+        `Quick test_no_change_contract;
     ] )
