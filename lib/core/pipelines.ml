@@ -168,6 +168,7 @@ let control_phase ?(checked = false) ?budget ?reproducer_dir
       in
       Obs.set_args
         (("rounds", Json.Int st.rounds)
+        :: ("skipped", Json.Int st.skipped)
         ::
         (if st.incidents = [] then []
          else [ ("rollbacks", Json.Int (List.length st.incidents)) ])))
@@ -220,6 +221,7 @@ let dace_phase ?(checked = false) ?budget ?reproducer_dir ?(o1 = true)
       Obs.set_args
         ([
            ("rounds", Json.Int st.rounds);
+           ("skipped", Json.Int st.skipped);
            ("eliminated_containers", Json.Int st.eliminated_containers);
          ]
         @

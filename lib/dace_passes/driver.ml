@@ -42,6 +42,9 @@ type stats = {
       (** pass name -> number of applications that changed the SDFG and
           were not rolled back, in pipeline order (every pass listed, 0
           when it never fired) *)
+  skipped : int;
+      (** applications not run because their pass had already run clean
+          on the same SDFG ({!Dcir_resilience.Fixpoint}) *)
   states_before : int;
   states_after : int;
   edges_before : int;
@@ -60,11 +63,14 @@ let sdfg_counts (sdfg : Dcir_sdfg.Sdfg.t) : int * int * int =
     List.length (Dcir_sdfg.Sdfg.istate_edges sdfg),
     Hashtbl.length sdfg.containers )
 
-(* Per-pass application counts, checked-mode incidents and breaker state,
-   shared by the stages of one optimize run (one accum = one breaker
-   lifetime). *)
+(* Per-pass application counts, clean-pass generations, checked-mode
+   incidents and breaker state, shared by the stages of one optimize run
+   (one accum = one breaker lifetime, and one SDFG). *)
 type accum = Fixpoint.run = {
   apps : (string, int) Hashtbl.t;
+  clean : (string, int) Hashtbl.t;
+  mutable generation : int;
+  mutable skipped : int;
   mutable total_rounds : int;
   mutable incidents : Diag.incident list;  (** reverse chronological *)
   breaker : Dcir_resilience.Breaker.t;
@@ -250,6 +256,7 @@ let optimize ?(o1 = true) ?(o2 = true) ?(disable = []) ?(checked = false)
     rounds = accum.total_rounds;
     applications =
       List.map (fun n -> (n, Fixpoint.applications accum n)) all_pass_names;
+    skipped = accum.skipped;
     states_before;
     states_after;
     edges_before;

@@ -93,6 +93,9 @@ type pipeline_stats = {
   applications : (string * int) list;
       (** pass name -> number of runs that changed the IR and were not
           rolled back, pipeline order *)
+  skipped : int;
+      (** applications not run because their pass had already run clean
+          on the same IR ({!Dcir_resilience.Fixpoint}) *)
   incidents : Diag.incident list;
       (** checked-mode rollbacks, chronological ([[]] when unchecked or
           when every pass behaved) *)
@@ -120,6 +123,7 @@ let run_to_fixpoint_stats ?(max_iters = 20) ?(checked = false) ?budget
       rounds = run.total_rounds;
       applications =
         List.map (fun p -> (p.pname, Fixpoint.applications run p.pname)) passes;
+      skipped = run.skipped;
       incidents = List.rev run.incidents;
     } )
 

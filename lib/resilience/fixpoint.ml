@@ -23,7 +23,29 @@
     clean applications ({!Breaker}). Degraded output beats a crash.
 
     An application counts as applied only if it changed the IR and was
-    not rolled back. *)
+    not rolled back.
+
+    {b Skipping clean passes.} The run record keeps an IR modification
+    generation, bumped by every admitted application that changed the IR
+    and was kept, and by a chaos corrupt-rewrite that was kept (it edits
+    the IR without the pass reporting a change). For each pass it also
+    keeps the generation at which that pass last ran clean: admitted,
+    reported no change, and not rolled back. A pass whose clean
+    generation is the current one is not applied: it counts as no change
+    for the round and in {!run.skipped}, but ticks no chaos site, burns no
+    fuel, opens no span and emits no [PASS-ADMIT]. (A pass whose breaker
+    is open is still skipped with a [PASS-SKIP] event, before this rule.)
+    A rolled-back application records nothing: its IR is back at the
+    snapshot, and the breaker answers for the pass. Rounds, applied
+    counts and every product are what they would be without the rule,
+    under two contracts:
+    - {e no change means no edit}: an application that reports no change
+      leaves the IR exactly as it found it (the core test "passes that
+      report no change leave the IR alone" checks every pass list);
+    - {e one IR per run record}: nothing edits the IR between two
+      fixpoints that share a run record. [Driver.optimize] shares one
+      across its three stages, so each stage's first round skips the
+      passes the previous stage just confirmed clean. *)
 
 module Obs = Dcir_obs.Obs
 module Json = Dcir_obs.Json
@@ -80,13 +102,25 @@ end
 type run = {
   apps : (string, int) Hashtbl.t;
       (** pass name -> applications that changed the IR and were kept *)
+  clean : (string, int) Hashtbl.t;
+      (** pass name -> the generation at which it last ran clean *)
+  mutable generation : int;  (** bumped by every kept edit of the IR *)
+  mutable skipped : int;  (** applications not run: their pass was clean *)
   mutable total_rounds : int;  (** rounds over every fixpoint of the run *)
   mutable incidents : Diag.incident list;  (** reverse chronological *)
   breaker : Breaker.t;
 }
 
 let create ?(breaker = Breaker.create ()) () : run =
-  { apps = Hashtbl.create 16; total_rounds = 0; incidents = []; breaker }
+  {
+    apps = Hashtbl.create 16;
+    clean = Hashtbl.create 16;
+    generation = 0;
+    skipped = 0;
+    total_rounds = 0;
+    incidents = [];
+    breaker;
+  }
 
 let applications (run : run) (name : string) : int =
   Option.value ~default:0 (Hashtbl.find_opt run.apps name)
@@ -122,8 +156,9 @@ module Make (I : IR) = struct
 
   (* One application: a chaos crash site raises {!Chaos.Injected} in
      place of the pass; a corrupt site runs the pass and then breaks its
-     output. *)
-  let apply (p : I.pass) (ir : I.ir) : bool =
+     output. Returns whether the pass changed the IR, and whether the
+     corrupt site did. *)
+  let apply (p : I.pass) (ir : I.ir) : bool * bool =
     let name = I.name p in
     let inject = Chaos.tick_pass () in
     (match inject with
@@ -147,18 +182,18 @@ module Make (I : IR) = struct
               | None -> []));
             c)
     in
-    (match inject with
+    match inject with
     | `Corrupt ->
         I.corrupt ir;
         Journal.note ~kind:"chaos-injected"
-          [ ("fault", Json.Str "corrupt-rewrite"); ("pass", Json.Str name) ]
-    | `Ok | `Crash -> ());
-    c
+          [ ("fault", Json.Str "corrupt-rewrite"); ("pass", Json.Str name) ];
+        (c, true)
+    | `Ok | `Crash -> (c, false)
 
-  (* One application under checked execution; a rolled-back one reports
-     no change. *)
+  (* One application under checked execution, as {!apply}; [None] when it
+     was rolled back. *)
   let apply_checked (run : run) ~(round : int) ~(reproducer_dir : string)
-      (p : I.pass) (ir : I.ir) : bool =
+      (p : I.pass) (ir : I.ir) : (bool * bool) option =
     let name = I.name p in
     let snapshot = I.snapshot ir in
     let outcome =
@@ -171,7 +206,7 @@ module Make (I : IR) = struct
     match outcome with
     | Ok c ->
         Breaker.record_success run.breaker name;
-        c
+        Some c
     | Error (reason, stable) ->
         I.restore ~into:ir snapshot;
         Journal.note ~kind:"pass-rollback"
@@ -198,7 +233,7 @@ module Make (I : IR) = struct
           { Diag.in_pass = name; in_round = round; reason; reproducer }
           :: run.incidents;
         Breaker.record_failure run.breaker name;
-        false
+        None
 
   let step (run : run) ~(budget : Budget.t option) ~(checked : bool)
       ~(reproducer_dir : string) ~(round : int) (ir : I.ir) (p : I.pass) :
@@ -216,12 +251,17 @@ module Make (I : IR) = struct
           ];
       false
     end
+    else if Hashtbl.find_opt run.clean name = Some run.generation then begin
+      run.skipped <- run.skipped + 1;
+      false
+    end
     else begin
       Option.iter Budget.burn_fuel budget;
-      let c =
+      let outcome =
         if checked then apply_checked run ~round ~reproducer_dir p ir
-        else apply p ir
+        else Some (apply p ir)
       in
+      let c = match outcome with Some (c, _) -> c | None -> false in
       if Events.active () then
         Events.emit ~code:"PASS-ADMIT"
           [
@@ -230,10 +270,15 @@ module Make (I : IR) = struct
             ("round", Json.Int round);
             ("changed", Json.Bool c);
           ];
-      if c then begin
-        Hashtbl.replace run.apps name (1 + applications run name);
-        Logs.debug ~src:I.src (fun f -> f "pass %s: changed" name)
-      end;
+      (match outcome with
+      | Some (false, false) -> Hashtbl.replace run.clean name run.generation
+      | Some _ ->
+          run.generation <- run.generation + 1;
+          if c then begin
+            Hashtbl.replace run.apps name (1 + applications run name);
+            Logs.debug ~src:I.src (fun f -> f "pass %s: changed" name)
+          end
+      | None -> ());
       c
     end
 

@@ -101,6 +101,69 @@ let run_with_step_cap (kind : Pipelines.kind) (w : Workload.t) : exn option =
   | _ -> None
   | exception e -> Some e
 
+(* The fixpoint engine's skip rule: a pass that ran clean is not applied
+   again, with no fuel and no PASS-ADMIT, until the IR is edited; an
+   unchecked chaos corrupt-rewrite is such an edit. *)
+let test_fixpoint_skips_clean_passes () =
+  let module Driver = Dcir_dace_passes.Driver in
+  let module Events = Dcir_obs.Events in
+  let sdfg =
+    match
+      Pipelines.compile ~optimize_sdfg:false Pipelines.Dcir
+        ~src:"void f(double a[4]) { for (int i = 0; i < 4; i++) a[i] = 1.0; }"
+        ~entry:"f"
+    with
+    | Pipelines.CSdfg s -> s
+    | Pipelines.CMlir _ -> Alcotest.fail "expected an SDFG"
+  in
+  let calls = Hashtbl.create 4 in
+  let called name = Option.value ~default:0 (Hashtbl.find_opt calls name) in
+  let counting name f =
+    (name, fun s -> Hashtbl.replace calls name (1 + called name); f s)
+  in
+  let pending = ref 1 in
+  let once =
+    counting "once" (fun _ -> !pending > 0 && (decr pending; true))
+  in
+  let quiet = counting "quiet" (fun _ -> false) in
+  let acc = Driver.new_accum () in
+  let budget = Budget.create () in
+  let events = Events.create () in
+  Events.install events;
+  let changed =
+    Fun.protect ~finally:Events.clear (fun () ->
+        Driver.fixpoint ~accum:acc ~budget [ once; quiet ] sdfg)
+  in
+  (* Round 1: [once] changes the SDFG and [quiet] runs clean. Round 2:
+     [once] runs clean, and [quiet] already ran clean on this SDFG. *)
+  Alcotest.(check bool) "changed" true changed;
+  Alcotest.(check int) "two rounds" 2 acc.total_rounds;
+  Alcotest.(check (pair int int)) "calls" (2, 1) (called "once", called "quiet");
+  Alcotest.(check int) "one skip" 1 acc.skipped;
+  Alcotest.(check int) "fuel per admitted application" 3 budget.fuel;
+  Alcotest.(check int) "PASS-ADMIT per admitted application" 3
+    (List.length (Events.with_code events "PASS-ADMIT"));
+  (* The record is shared: a second fixpoint over the same SDFG confirms
+     in one round without applying anything. *)
+  Alcotest.(check bool) "no change" false
+    (Driver.fixpoint ~accum:acc ~budget [ once; quiet ] sdfg);
+  Alcotest.(check int) "one more round" 3 acc.total_rounds;
+  Alcotest.(check (pair int int)) "no new calls" (2, 1)
+    (called "once", called "quiet");
+  Alcotest.(check int) "both skipped" 3 acc.skipped;
+  Alcotest.(check int) "no fuel" 3 budget.fuel;
+  (* Unchecked, the corrupt-rewrite fault edits the SDFG behind [once]'s
+     back (its second application), so [quiet] runs again after it. *)
+  let acc = Driver.new_accum () in
+  Chaos.install { (Chaos.no_faults ~seed:0) with corrupt_at = Some 1 };
+  Fun.protect ~finally:Chaos.clear (fun () ->
+      ignore (Driver.fixpoint ~accum:acc [ quiet; once ] sdfg);
+      ignore (Driver.fixpoint ~accum:acc [ quiet; once ] sdfg));
+  Alcotest.(check (pair int int)) "reruns after the corrupt rewrite" (4, 3)
+    (called "once", called "quiet");
+  Alcotest.(check int) "nothing skipped" 0
+    acc.skipped
+
 let test_exhaustion_parity () =
   (* Both interpreters (MLIR walks the module, SDFG walks the graph) must
      trap with the same structured exception naming the same ceiling. *)
@@ -226,6 +289,8 @@ let suite =
         test_breaker_lifecycle;
       Alcotest.test_case "breaker probation failure re-opens" `Quick
         test_breaker_probation_failure;
+      Alcotest.test_case "fixpoint skips passes that ran clean" `Quick
+        test_fixpoint_skips_clean_passes;
       Alcotest.test_case "step exhaustion parity across interpreters" `Quick
         test_exhaustion_parity;
       Alcotest.test_case "tree/compiled step-count parity" `Quick
