@@ -148,17 +148,23 @@ let with_fuel_spend ?(budget : Budget.t option) (phase : string)
         f
   | _ -> f ()
 
+(** Runs [f], turning the C lexer's, parser's and checker's errors into
+    the frontend diagnostics [E-LEX], [E-PARSE] and [E-SEMA]. *)
+let frontend_errors (f : unit -> 'a) : 'a =
+  try f () with
+  | Dcir_cfront.C_lexer.Lex_error msg ->
+      Diag.fail ~code:"E-LEX" ~phase:Diag.Frontend "%s" msg
+  | Dcir_cfront.C_parser.Parse_error msg ->
+      Diag.fail ~code:"E-PARSE" ~phase:Diag.Frontend "%s" msg
+  | Dcir_cfront.C_sema.Sema_error msg ->
+      Diag.fail ~code:"E-SEMA" ~phase:Diag.Frontend "%s" msg
+
 let frontend_phase (src : string) : Ir.modul =
   phase_span "c-frontend" (fun () ->
-      try Dcir_cfront.Polygeist.compile src with
-      | Dcir_cfront.C_lexer.Lex_error msg ->
-          Diag.fail ~code:"E-LEX" ~phase:Diag.Frontend "%s" msg
-      | Dcir_cfront.C_parser.Parse_error msg ->
-          Diag.fail ~code:"E-PARSE" ~phase:Diag.Frontend "%s" msg
-      | Dcir_cfront.C_sema.Sema_error msg ->
-          Diag.fail ~code:"E-SEMA" ~phase:Diag.Frontend "%s" msg
-      | Dcir_cfront.Polygeist.Lower_error msg ->
-          Diag.fail ~code:"E-LOWER" ~phase:Diag.Frontend "%s" msg)
+      frontend_errors (fun () ->
+          try Dcir_cfront.Polygeist.compile src
+          with Dcir_cfront.Polygeist.Lower_error msg ->
+            Diag.fail ~code:"E-LOWER" ~phase:Diag.Frontend "%s" msg))
 
 let control_phase ?(checked = false) ?budget ?reproducer_dir
     ~(passes : Pass.t list) (m : Ir.modul) : unit =
@@ -289,16 +295,11 @@ let compile ?(optimize_sdfg = true) ?(disable = []) ?(checked = false)
       | Dace ->
           let sdfg =
             phase_span "dace-frontend" (fun () ->
-                try Dace_frontend.compile src ~entry with
-                | Dace_frontend.Frontend_error msg ->
-                    Diag.fail ~code:"E-DACE-FRONTEND" ~phase:Diag.Frontend
-                      "%s" msg
-                | Dcir_cfront.C_lexer.Lex_error msg ->
-                    Diag.fail ~code:"E-LEX" ~phase:Diag.Frontend "%s" msg
-                | Dcir_cfront.C_parser.Parse_error msg ->
-                    Diag.fail ~code:"E-PARSE" ~phase:Diag.Frontend "%s" msg
-                | Dcir_cfront.C_sema.Sema_error msg ->
-                    Diag.fail ~code:"E-SEMA" ~phase:Diag.Frontend "%s" msg)
+                frontend_errors (fun () ->
+                    try Dace_frontend.compile src ~entry
+                    with Dace_frontend.Frontend_error msg ->
+                      Diag.fail ~code:"E-DACE-FRONTEND" ~phase:Diag.Frontend
+                        "%s" msg))
           in
           dace_opt sdfg;
           CSdfg sdfg

@@ -44,13 +44,14 @@ let args (src : string) (entry : string) ~(size : float) :
     without functions, fails with the frontend diagnostic [E-NO-ENTRY],
     which the serve engine never retries. Only parses [src]: when it does
     not parse, an explicit [entry] is returned as is and the compile
-    reports the syntax error, while an omitted one raises the parser's
-    own error. *)
+    reports the syntax error, while an omitted one fails here with the
+    compile's diagnostic, [E-LEX] or [E-PARSE]. *)
 let resolve_entry (src : string) (entry : string option) : string =
-  match Dcir_cfront.C_parser.parse_program src with
-  | exception (Dcir_cfront.C_lexer.Lex_error _ | Dcir_cfront.C_parser.Parse_error _)
-    when Option.is_some entry ->
-      Option.get entry
+  match
+    Pipelines.frontend_errors (fun () ->
+        Dcir_cfront.C_parser.parse_program src)
+  with
+  | exception Diag.Error _ when Option.is_some entry -> Option.get entry
   | prog -> (
       let funcs = List.map (fun (f : C_ast.func_def) -> f.name) prog.funcs in
       match (entry, funcs) with

@@ -289,6 +289,21 @@ let test_missing_entry () =
       Alcotest.(check int) (id ^ " attempts") 1 r.Sjournal.rs_attempts)
     [ "g"; "d" ]
 
+(* An omitted entry on a source that does not parse fails with the
+   compile's own diagnostic, and is not retried. *)
+let test_unparsable_without_entry () =
+  let request =
+    {
+      (inline ~id:"p" ~tenant:"P" ("", "")) with
+      Request.rq_source = Request.Inline { src = "int f("; entry = None };
+    }
+  in
+  let r = response_of (Engine.run [ Ok request ]) "p" in
+  Alcotest.(check string) "failed" "failed"
+    (Sjournal.status_name r.Sjournal.rs_status);
+  Alcotest.(check string) "code" "E-PARSE" r.Sjournal.rs_code;
+  Alcotest.(check int) "attempts" 1 r.Sjournal.rs_attempts
+
 (* Same requests, same config: the rendered journal must be
    byte-identical — cache state, counters and all. *)
 let test_journal_double_run () =
@@ -562,6 +577,8 @@ let suite =
       Alcotest.test_case "tenant isolation under the pool" `Quick
         test_pool_tenant_isolation;
       Alcotest.test_case "budget-step watchdog" `Quick test_watchdog;
+      Alcotest.test_case "unparsable source without an entry is E-PARSE"
+        `Quick test_unparsable_without_entry;
       Alcotest.test_case "missing entry is not retried" `Quick
         test_missing_entry;
     ] )
