@@ -152,7 +152,7 @@ end)
     under snapshot/validate/rollback; a failing pass trips its breaker in
     [accum.breaker] (persistently, when the same [accum] is shared across
     stages) and its incident is recorded in [accum.incidents]. [budget]
-    charges one unit of optimization fuel per pass application. *)
+    charges one unit of optimization fuel per admitted pass application. *)
 let fixpoint ?(max_rounds = 30) ?(accum : accum option)
     ?(budget : Budget.t option) ?(checked = false)
     ?(reproducer_dir = Filename.get_temp_dir_name ())

@@ -106,10 +106,10 @@ type pipeline_stats = {
     snapshot/verify/rollback (see the module doc); a pass that fails trips
     its circuit [breaker] — open for a cooldown, then probationally
     re-admitted — and is reported in [stats.incidents]. [budget] charges
-    one unit of optimization fuel per pass application; [breaker] defaults
-    to a fresh (session-scoped) instance but callers may share one across
-    fixpoint runs. [reproducer_dir] is where crash reproducers are written
-    (default: the system temp directory). *)
+    one unit of optimization fuel per admitted pass application; [breaker]
+    defaults to a fresh (session-scoped) instance but callers may share one
+    across fixpoint runs. [reproducer_dir] is where crash reproducers are
+    written (default: the system temp directory). *)
 let run_to_fixpoint_stats ?(max_iters = 20) ?(checked = false) ?budget
     ?breaker ?(reproducer_dir = Filename.get_temp_dir_name ()) (passes : t list)
     (m : Ir.modul) : bool * pipeline_stats =

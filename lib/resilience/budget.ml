@@ -2,10 +2,11 @@
 
     Every phase of the pipeline is governed by counted resources rather
     than wall clocks: interpreter steps (one per executed op / closure),
-    optimization fuel (one unit per pass application), and machine-model
-    allocations. Counting is deterministic, so a budget that trips on one
-    machine trips at exactly the same point everywhere — which is what
-    makes exhaustion testable and chaos campaigns reproducible.
+    optimization fuel (one unit per admitted pass application), and
+    machine-model allocations. Counting is deterministic, so a budget that
+    trips on one machine trips at exactly the same point everywhere —
+    which is what makes exhaustion testable and chaos campaigns
+    reproducible.
 
     Exhaustion raises the structured {!Exhausted} exception naming the
     resource and its ceiling; callers map it to an [E-BUDGET-*]

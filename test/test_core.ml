@@ -209,7 +209,9 @@ let test_no_change_contract () =
       changed
     in
     let rec loop round =
-      let any = List.fold_left (fun any p -> check_clean p || any) false passes in
+      let any =
+        List.fold_left (fun any p -> check_clean p || any) false passes
+      in
       if any then begin
         if round = 30 then Alcotest.failf "%s: no fixpoint in 30 rounds" what;
         loop (round + 1)
@@ -241,7 +243,8 @@ let test_no_change_contract () =
           [
             ("simplify", Driver.simplify_passes);
             ("O1", Driver.simplify_passes @ Driver.o1_passes);
-            ("O2", Driver.simplify_passes @ Driver.o1_passes @ Driver.o2_passes);
+            ( "O2",
+              Driver.simplify_passes @ Driver.o1_passes @ Driver.o2_passes );
           ]
     | Pipelines.CMlir _ -> Alcotest.fail "expected an SDFG product"
   in

@@ -138,7 +138,9 @@ let test_fixpoint_skips_clean_passes () =
      [once] runs clean, and [quiet] already ran clean on this SDFG. *)
   Alcotest.(check bool) "changed" true changed;
   Alcotest.(check int) "two rounds" 2 acc.total_rounds;
-  Alcotest.(check (pair int int)) "calls" (2, 1) (called "once", called "quiet");
+  Alcotest.(check (pair int int))
+    "calls" (2, 1)
+    (called "once", called "quiet");
   Alcotest.(check int) "one skip" 1 acc.skipped;
   Alcotest.(check int) "fuel per admitted application" 3 budget.fuel;
   Alcotest.(check int) "PASS-ADMIT per admitted application" 3
@@ -152,8 +154,9 @@ let test_fixpoint_skips_clean_passes () =
     (called "once", called "quiet");
   Alcotest.(check int) "both skipped" 3 acc.skipped;
   Alcotest.(check int) "no fuel" 3 budget.fuel;
-  (* Unchecked, the corrupt-rewrite fault edits the SDFG behind [once]'s
-     back (its second application), so [quiet] runs again after it. *)
+  (* Unchecked, a corrupt-rewrite fault at the second application
+     ([once]'s) edits the SDFG without [once] reporting a change, so the
+     next fixpoint on the same record runs both passes again. *)
   let acc = Driver.new_accum () in
   Chaos.install { (Chaos.no_faults ~seed:0) with corrupt_at = Some 1 };
   Fun.protect ~finally:Chaos.clear (fun () ->
@@ -161,8 +164,7 @@ let test_fixpoint_skips_clean_passes () =
       ignore (Driver.fixpoint ~accum:acc [ quiet; once ] sdfg));
   Alcotest.(check (pair int int)) "reruns after the corrupt rewrite" (4, 3)
     (called "once", called "quiet");
-  Alcotest.(check int) "nothing skipped" 0
-    acc.skipped
+  Alcotest.(check int) "nothing skipped" 0 acc.skipped
 
 let test_exhaustion_parity () =
   (* Both interpreters (MLIR walks the module, SDFG walks the graph) must
