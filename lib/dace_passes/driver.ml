@@ -66,15 +66,7 @@ let sdfg_counts (sdfg : Dcir_sdfg.Sdfg.t) : int * int * int =
 (* Per-pass application counts, clean-pass generations, checked-mode
    incidents and breaker state, shared by the stages of one optimize run
    (one accum = one breaker lifetime, and one SDFG). *)
-type accum = Fixpoint.run = {
-  apps : (string, int) Hashtbl.t;
-  clean : (string, int) Hashtbl.t;
-  mutable generation : int;
-  mutable skipped : int;
-  mutable total_rounds : int;
-  mutable incidents : Diag.incident list;  (** reverse chronological *)
-  breaker : Dcir_resilience.Breaker.t;
-}
+type accum = Fixpoint.run
 
 let new_accum () : accum = Fixpoint.create ()
 
