@@ -196,16 +196,19 @@ let test_math_parity () =
    and each stage of the data-centric pipeline is driven to a fixpoint by
    a loop of its own (not the engine), over the Polybench kernels and a
    few generated programs, comparing the printed IR around every
-   application. *)
+   application. Only a broken contract is checked (and logged): there
+   are thousands of applications. *)
 let test_no_change_contract () =
   let drive ~what ~print ~name ~apply passes ir =
     let check_clean p =
       let before = print ir in
       let changed = apply p ir in
-      if not changed then
-        Alcotest.(check string)
-          (Printf.sprintf "%s: %s reported no change" what (name p))
-          before (print ir);
+      (if not changed then
+         let after = print ir in
+         if after <> before then
+           Alcotest.(check string)
+             (Printf.sprintf "%s: %s reported no change" what (name p))
+             before after);
       changed
     in
     let rec loop round =
@@ -220,9 +223,9 @@ let test_no_change_contract () =
     loop 1;
     List.iter
       (fun p ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %s again at the fixpoint" what (name p))
-          false (check_clean p))
+        if check_clean p then
+          Alcotest.failf "%s: %s changed the IR again at the fixpoint" what
+            (name p))
       passes
   in
   let control ~what passes src =
