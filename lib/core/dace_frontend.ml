@@ -40,6 +40,7 @@ type fctx = {
   mutable tail : string;
   mutable loop_depth : int;
   gen : Dcir_support.Id_gen.t;
+  mutable statements : int;  (** emitted so far: numbers the tasklets *)
 }
 
 let fresh_label ctx prefix = Dcir_support.Id_gen.fresh ctx.gen prefix
@@ -140,14 +141,8 @@ let empty_prog : program = { funcs = [] }
 
 (* Build the opaque tasklet body: a standalone MLIR function computing the
    rewritten expression from scalar parameters. *)
-(* Atomic: concurrent serve-worker compiles must never mint the same
-   serial inside one module; the digest canonicalizer renumbers the
-   serials, so artifact digests stay independent of compile order. *)
-let body_counter = Atomic.make 0
-
-let build_opaque_body (inputs : stmt_inputs) (value_cty : cty) (e : expr) :
-    Ir.func =
-  let body_serial = Atomic.fetch_and_add body_counter 1 + 1 in
+let build_opaque_body ~(serial : int) (inputs : stmt_inputs) (value_cty : cty)
+    (e : expr) : Ir.func =
   let param_of_cty (t : cty) =
     if is_float_ty t then Types.F64 else Types.Index
   in
@@ -182,32 +177,32 @@ let build_opaque_body (inputs : stmt_inputs) (value_cty : cty) (e : expr) :
   in
   let ops = List.rev pctx.ops @ [ Ir.new_op "func.return" ~operands:[ result ] ] in
   {
-    Ir.fname = Printf.sprintf "c_tasklet_%d" body_serial;
+    Ir.fname = Printf.sprintf "c_tasklet_%d" serial;
     fparams = param_vals;
     fret = [ (if is_float_ty value_cty then Types.F64 else Types.Index) ];
     fbody = Some (Ir.new_region ~args:param_vals ~ops ());
     fattrs = [];
   }
 
-let tasklet_counter = Atomic.make 0
-
 (* Emit one statement-state: an opaque tasklet computing [rhs] (already
-   scanned) writing to [target]. *)
+   scanned) writing to [target]. The statement's serial names both the
+   tasklet and its unit. *)
 let emit_statement (ctx : fctx) (inputs : stmt_inputs) (value_cty : cty)
     (rhs : expr) ~(target : string) ~(subset : Range.t)
     ~(wcr : Sdfg.wcr option) : unit =
   let st = seq_state ctx "stmt" in
   let g = st.s_graph in
-  let tasklet_serial = Atomic.fetch_and_add tasklet_counter 1 + 1 in
+  ctx.statements <- ctx.statements + 1;
+  let serial = ctx.statements in
   let elem_conns = List.map (fun (k, _, _, _) -> k) inputs.elems in
   let scalar_conns = List.map (fun (k, _, _) -> k) inputs.scalars in
   let t =
     {
-      Sdfg.tname = Printf.sprintf "c%d" tasklet_serial;
+      Sdfg.tname = Printf.sprintf "c%d" serial;
       t_inputs = elem_conns @ scalar_conns;
       t_outputs = [ "_out" ];
       t_syms = List.map snd inputs.syms;
-      code = Sdfg.Opaque (build_opaque_body inputs value_cty rhs);
+      code = Sdfg.Opaque (build_opaque_body ~serial inputs value_cty rhs);
       t_overhead = 0.0 (* inlined by DaCe's code generator *);
     }
   in
@@ -437,6 +432,7 @@ let compile_func (f : func_def) : Sdfg.t =
       tail = "";
       loop_depth = 0;
       gen = Dcir_support.Id_gen.create ();
+      statements = 0;
     }
   in
   (* Parameters. *)

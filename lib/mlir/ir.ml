@@ -39,7 +39,8 @@ type modul = { mutable funcs : func list; gen : Dcir_support.Id_gen.t }
 
 (* Process-wide atomic counters keep ids unique across modules and across
    domains (serve pool workers build IR concurrently); ids only need to be
-   distinct, not dense. *)
+   distinct, not dense. They are in-memory identity keys: the printer
+   names values per function by first appearance, not by id. *)
 let value_counter = Atomic.make 0
 let op_counter = Atomic.make 0
 

@@ -1,5 +1,12 @@
 (** Textual dump of an SDFG — the debugging/teaching view used by examples
-    and the CLI ([dcir compile --emit sdfg]). *)
+    and the CLI ([dcir compile --emit sdfg]), and the text a product's
+    digest is taken over.
+
+    Nodes print as [#<k>], where [k] counts the printed SDFG's nodes in
+    order of first appearance, over node and edge lines alike; opaque
+    tasklet units name their values as {!Dcir_mlir.Printer} does. The
+    text is therefore a function of the SDFG alone, never of the
+    process-wide ids its nodes were minted with. *)
 
 open Dcir_symbolic
 
@@ -28,19 +35,31 @@ let pp_memlet ppf (m : Sdfg.memlet) =
     | Some w -> " (wcr: " ^ Sdfg.wcr_to_string w ^ ")"
     | None -> "")
 
-let node_label (n : Sdfg.node) : string =
-  match n.kind with
-  | Sdfg.Access name -> Printf.sprintf "access(%s)#%d" name n.nid
-  | Sdfg.TaskletN t -> Printf.sprintf "tasklet(%s)#%d" t.tname n.nid
-  | Sdfg.MapN mn ->
-      Printf.sprintf "map[%s]#%d" (String.concat "," mn.m_params) n.nid
+(* Printed node numbers of one SDFG, by first appearance. *)
+type numbers = { seen : (int, int) Hashtbl.t; mutable next : int }
 
-let rec pp_graph ?(indent = "  ") ppf (g : Sdfg.graph) =
+let node_label (nums : numbers) (n : Sdfg.node) : string =
+  let k =
+    match Hashtbl.find_opt nums.seen n.nid with
+    | Some k -> k
+    | None ->
+        let k = nums.next in
+        nums.next <- k + 1;
+        Hashtbl.add nums.seen n.nid k;
+        k
+  in
+  match n.kind with
+  | Sdfg.Access name -> Printf.sprintf "access(%s)#%d" name k
+  | Sdfg.TaskletN t -> Printf.sprintf "tasklet(%s)#%d" t.tname k
+  | Sdfg.MapN mn ->
+      Printf.sprintf "map[%s]#%d" (String.concat "," mn.m_params) k
+
+let rec pp_graph nums ~indent ppf (g : Sdfg.graph) =
   List.iter
     (fun (n : Sdfg.node) ->
       match n.kind with
       | Sdfg.TaskletN { code = Native assigns; _ } ->
-          Fmt.pf ppf "%s%s:@." indent (node_label n);
+          Fmt.pf ppf "%s%s:@." indent (node_label nums n);
           List.iter
             (fun (out, e) ->
               Fmt.pf ppf "%s    %s = %a@." indent out Texpr.pp e)
@@ -48,27 +67,27 @@ let rec pp_graph ?(indent = "  ") ppf (g : Sdfg.graph) =
       | Sdfg.TaskletN { code = Opaque f; _ } ->
           (* Print the full unit body: the printed SDFG is what a digest
              identifies, so two tasklets may look alike only when they
-             compute the same thing — the serial-numbered unit name alone
-             says nothing about semantics. *)
-          Fmt.pf ppf "%s%s: <opaque unit @%s>@." indent (node_label n)
+             compute the same thing — the unit's name alone says nothing
+             about semantics. *)
+          Fmt.pf ppf "%s%s: <opaque unit @%s>@." indent (node_label nums n)
             f.Dcir_mlir.Ir.fname;
           List.iter
             (fun line -> Fmt.pf ppf "%s    | %s@." indent line)
             (String.split_on_char '\n'
                (String.trim (Dcir_mlir.Printer.func_to_string f)))
       | Sdfg.MapN mn ->
-          Fmt.pf ppf "%s%s ranges %a:@." indent (node_label n) Range.pp
+          Fmt.pf ppf "%s%s ranges %a:@." indent (node_label nums n) Range.pp
             mn.m_ranges;
-          pp_graph ~indent:(indent ^ "  ") ppf mn.m_body
+          pp_graph nums ~indent:(indent ^ "  ") ppf mn.m_body
       | Sdfg.Access _ -> ())
     (Sdfg.nodes g);
   List.iter
     (fun (e : Sdfg.edge) ->
       let conn = function Some c -> ":" ^ c | None -> "" in
       Fmt.pf ppf "%s%s%s -> %s%s%s@." indent
-        (node_label (Sdfg.node_by_id g e.e_src))
+        (node_label nums (Sdfg.node_by_id g e.e_src))
         (conn e.e_src_conn)
-        (node_label (Sdfg.node_by_id g e.e_dst))
+        (node_label nums (Sdfg.node_by_id g e.e_dst))
         (conn e.e_dst_conn)
         (match e.e_memlet with
         | Some m -> Fmt.str "  [%a]" pp_memlet m
@@ -84,11 +103,12 @@ let pp ppf (sdfg : Sdfg.t) =
     |> List.sort (fun (a : Sdfg.container) b -> compare a.cname b.cname)
   in
   List.iter (fun c -> Fmt.pf ppf "  container %a@." pp_container c) containers;
+  let nums = { seen = Hashtbl.create 64; next = 0 } in
   List.iter
     (fun (s : Sdfg.state) ->
       Fmt.pf ppf "  state %s%s:@." s.s_label
         (if String.equal s.s_label sdfg.start_state then " (start)" else "");
-      pp_graph ~indent:"    " ppf s.s_graph)
+      pp_graph nums ~indent:"    " ppf s.s_graph)
     (Sdfg.states sdfg);
   List.iter
     (fun (e : Sdfg.istate_edge) ->

@@ -309,9 +309,9 @@ let new_graph () : graph =
   { g_nodes = []; g_nodes_staged = []; g_edges = []; g_edges_staged = [] }
 
 (* Atomic: serve workers build SDFGs concurrently across domains, and a
-   torn increment could hand two nodes of one graph the same id. Ids stay
-   process-unique; the printer's canonicalization keeps digests
-   independent of allocation history. *)
+   torn increment could hand two nodes of one graph the same id. Ids are
+   in-memory identity keys only: the printer numbers nodes per SDFG by
+   first appearance, so no printed text depends on them. *)
 let node_counter = Atomic.make 0
 
 let add_node (g : graph) (kind : node_kind) : node =

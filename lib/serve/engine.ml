@@ -156,10 +156,9 @@ let find_workload (name : string) : Dcir_workloads.Workload.t option =
 
 let artifact_digest (c : Pipelines.compiled) : string =
   Dcir_support.Digest.of_string
-    (Dcir_support.Digest.canonical
-       (match c with
-       | Pipelines.CSdfg sdfg -> Dcir_sdfg.Printer.to_string sdfg
-       | Pipelines.CMlir m -> Dcir_mlir.Printer.module_to_string m))
+    (match c with
+    | Pipelines.CSdfg sdfg -> Dcir_sdfg.Printer.to_string sdfg
+    | Pipelines.CMlir m -> Dcir_mlir.Printer.module_to_string m)
 
 (* Frontend rejections — poison requests — are never retried: the input
    is invalid, and no amount of tier degradation or backoff changes

@@ -11,9 +11,10 @@
     - 100 generated programs through the resilient, auto-parallelizing
       dcir ladder, with the tier each one landed at.
 
-    A digest is taken over the canonical form of the printed IR
-    ({!Dcir_support.Digest.canonical}), which renumbers the process-global
-    serials, so it depends only on the product's structure.
+    A digest is taken over the printed IR as it is. The printers name
+    values and nodes per function and per SDFG, not by the process-wide
+    ids they were minted with, so a digest depends only on the product,
+    never on what was compiled before it.
 
     After the digest, each product is run once on the default (compiled)
     execution tier under a fresh budget, as
@@ -76,12 +77,10 @@ let print_counts (name : string) (counts : string) : unit =
   Printf.fprintf counts_oc "%s %s\n" name counts
 
 let digest (c : Pipelines.compiled) : string =
-  let text =
-    match c with
+  D.of_string
+    (match c with
     | Pipelines.CMlir m -> Dcir_mlir.Printer.module_to_string m
-    | Pipelines.CSdfg s -> Dcir_sdfg.Printer.to_string s
-  in
-  D.of_string (D.canonical text)
+    | Pipelines.CSdfg s -> Dcir_sdfg.Printer.to_string s)
 
 let run ~entry ~args (c : Pipelines.compiled) :
     (Pipelines.run_result * Budget.t, string) result =
