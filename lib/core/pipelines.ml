@@ -494,6 +494,53 @@ type run_result = {
   metrics : Metrics.t;
 }
 
+(** Relative tolerance of {!divergence}: floating-point reassociation. *)
+let rtol = 1e-6
+
+(** [divergence reference r] — [None] when [r] agrees with [reference]:
+    the same return value and the same array outputs (argument positions
+    and lengths), every value within {!rtol}. Otherwise the first
+    disagreement, described. Shape-safe: outputs of another shape
+    diverge, they never raise. *)
+let divergence (reference : run_result) (r : run_result) : string option =
+  match (r.return_value, reference.return_value) with
+  | Some a, Some b when not (Value.close ~rtol a b) ->
+      Some
+        (Printf.sprintf "return value %s, reference returned %s"
+           (Value.to_string a) (Value.to_string b))
+  | Some _, None -> Some "returned a value, reference returned none"
+  | None, Some _ -> Some "returned no value, reference returned one"
+  | _ ->
+      let ref_outs = reference.outputs and outs = r.outputs in
+      if List.map fst outs <> List.map fst ref_outs then
+        Some "array outputs cover different argument positions"
+      else
+        List.fold_left2
+          (fun acc (pos, xs) (_, ys) ->
+            match acc with
+            | Some _ -> acc
+            | None ->
+                if Array.length xs <> Array.length ys then
+                  Some
+                    (Printf.sprintf
+                       "output arg %d has %d elements, reference has %d" pos
+                       (Array.length xs) (Array.length ys))
+                else
+                  let bad = ref None in
+                  Array.iteri
+                    (fun i x ->
+                      if !bad = None && not (Value.close ~rtol x ys.(i)) then
+                        bad :=
+                          Some
+                            (Printf.sprintf
+                               "output arg %d differs at flat index %d: %s, \
+                                reference %s"
+                               pos i (Value.to_string x)
+                               (Value.to_string ys.(i))))
+                    xs;
+                  !bad)
+          None outs ref_outs
+
 let reset_metrics (m : Metrics.t) : unit =
   m.cycles <- 0.0;
   m.loads <- 0;
@@ -756,9 +803,9 @@ let measurement_json (m : measurement) : Json.t =
       | None -> [])
 
 (** Run a workload through every pipeline; correctness is checked against
-    the unoptimized MLIR interpretation (return value and array outputs,
-    within floating-point reassociation tolerance). [with_profile] collects
-    runtime attribution for each pipeline into [measurement.profile]. *)
+    the unoptimized MLIR interpretation by {!divergence}. [with_profile]
+    collects runtime attribution for each pipeline into
+    [measurement.profile]. *)
 let compare_pipelines ?(kinds = all_kinds) ?(cfg = Cost.default)
     ?(with_profile = false) ?(interp_mode : interp_mode = `Compiled)
     ?(limits = Budget.default) ?(degrade = false) ~(src : string)
@@ -769,20 +816,6 @@ let compare_pipelines ?(kinds = all_kinds) ?(cfg = Cost.default)
     Obs.with_span ~cat:"run" "run:reference" (fun () ->
         let m = Dcir_cfront.Polygeist.compile src in
         run ~cfg ~budget:(fresh_budget ()) ~interp_mode (CMlir m) ~entry args)
-  in
-  (* Shape-safe: an optimized pipeline that produces outputs of a different
-     shape than the reference must report [correct = false], never crash
-     the harness ([List.for_all2]/[Array.for_all2] raise on length
-     mismatch). *)
-  let close_arrays (a : (int * Value.t array) list)
-      (b : (int * Value.t array) list) : bool =
-    List.length a = List.length b
-    && List.for_all2
-         (fun (i, x) (j, y) ->
-           i = j
-           && Array.length x = Array.length y
-           && Array.for_all2 (fun u v -> Value.close ~rtol:1e-6 u v) x y)
-         a b
   in
   List.map
     (fun kind ->
@@ -800,18 +833,11 @@ let compare_pipelines ?(kinds = all_kinds) ?(cfg = Cost.default)
             run ~cfg ~budget:(fresh_budget ()) ?profile ~interp_mode compiled
               ~entry args)
       in
-      let correct =
-        (match (r.return_value, reference.return_value) with
-        | Some a, Some b -> Value.close ~rtol:1e-6 a b
-        | None, None -> true
-        | _ -> false)
-        && close_arrays r.outputs reference.outputs
-      in
       {
         pipeline = kind_name kind;
         cycles = r.metrics.cycles;
         metrics = r.metrics;
-        correct;
+        correct = divergence reference r = None;
         profile;
         landed_tier;
       })

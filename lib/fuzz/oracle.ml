@@ -101,49 +101,11 @@ let trap_kind_of_exn (e : exn) : trap_kind option =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Output comparison (shape-safe; rtol matches compare_pipelines) *)
+(* Output comparison *)
 
-let rtol = 1e-6
-
-let divergence (reference : Pipelines.run_result) (r : Pipelines.run_result) :
-    string option =
-  match (r.return_value, reference.return_value) with
-  | Some a, Some b when not (Value.close ~rtol a b) ->
-      Some
-        (Printf.sprintf "return value %s, reference returned %s"
-           (Value.to_string a) (Value.to_string b))
-  | Some _, None -> Some "returned a value, reference returned none"
-  | None, Some _ -> Some "returned no value, reference returned one"
-  | _ ->
-      let ref_outs = reference.outputs and outs = r.outputs in
-      if List.map fst outs <> List.map fst ref_outs then
-        Some "array outputs cover different argument positions"
-      else
-        List.fold_left2
-          (fun acc (pos, xs) (_, ys) ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                if Array.length xs <> Array.length ys then
-                  Some
-                    (Printf.sprintf
-                       "output arg %d has %d elements, reference has %d" pos
-                       (Array.length xs) (Array.length ys))
-                else
-                  let bad = ref None in
-                  Array.iteri
-                    (fun i x ->
-                      if !bad = None && not (Value.close ~rtol x ys.(i)) then
-                        bad :=
-                          Some
-                            (Printf.sprintf
-                               "output arg %d differs at flat index %d: %s, \
-                                reference %s"
-                               pos i (Value.to_string x)
-                               (Value.to_string ys.(i))))
-                    xs;
-                  !bad)
-          None outs ref_outs
+(** {!Dcir_core.Pipelines.divergence}: the agreement rule that
+    [compare_pipelines] and the cost golden apply too. *)
+let divergence = Pipelines.divergence
 
 (* ------------------------------------------------------------------ *)
 

@@ -21,8 +21,8 @@
     {!Dcir_core.Pipelines.compare_pipelines} runs it, and the line
     carries:
     - [ok] or [WRONG]: agreement with the unoptimized reference, under
-      [compare_pipelines]' rule (return value and array outputs within
-      rtol 1e-6);
+      [compare_pipelines]' rule {!Dcir_core.Pipelines.divergence} (return
+      value and array outputs within rtol 1e-6);
     - [cycles] (exact, [%.17g]), [loads], [stores];
     - [misses]: L1/L2/L3 misses;
     - [heap_allocs], [heap_bytes];
@@ -42,7 +42,6 @@
 open Dcir_core
 module D = Dcir_support.Digest
 module Budget = Dcir_resilience.Budget
-module Value = Dcir_machine.Value
 module Events = Dcir_obs.Events
 module Json = Dcir_obs.Json
 
@@ -89,20 +88,6 @@ let run ~entry ~args (c : Pipelines.compiled) :
   | r -> Ok (r, budget)
   | exception e -> Error (Pipelines.classify_exn e)
 
-(* [compare_pipelines]' correctness rule. *)
-let agrees (r : Pipelines.run_result) (reference : Pipelines.run_result) :
-    bool =
-  let close = Value.close ~rtol:1e-6 in
-  (match (r.return_value, reference.return_value) with
-  | Some a, Some b -> close a b
-  | None, None -> true
-  | _ -> false)
-  && List.length r.outputs = List.length reference.outputs
-  && List.for_all2
-       (fun (i, x) (j, y) ->
-         i = j && Array.length x = Array.length y && Array.for_all2 close x y)
-       r.outputs reference.outputs
-
 (* The line of product [c]: its name and digest, then whether it agrees
    with [reference] (the run of the unoptimized product) and its costs. *)
 let line ~entry ~args ~reference (name : string) (c : Pipelines.compiled) :
@@ -115,7 +100,7 @@ let line ~entry ~args ~reference (name : string) (c : Pipelines.compiled) :
         let m = r.metrics in
         let ok =
           match Lazy.force reference with
-          | Ok (ref_r, _) -> agrees r ref_r
+          | Ok (ref_r, _) -> Pipelines.divergence ref_r r = None
           | Error _ -> false
         in
         Printf.sprintf
