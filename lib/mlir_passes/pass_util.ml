@@ -54,19 +54,6 @@ let read_memref (o : Ir.op) : Ir.value option =
       match o.operands with mr :: _ -> Some mr | _ -> None)
   | _ -> None
 
-(** Does the region (recursively) contain an op that may write memory or has
-    unknown effects (calls)? Used as a conservative barrier. *)
-let rec region_has_side_effects (r : Ir.region) : bool =
-  List.exists
-    (fun (o : Ir.op) ->
-      (match o.name with
-      | "memref.store" | "sdfg.store" | "memref.dealloc" | "func.call"
-      | "sdfg.stream_push" ->
-          true
-      | _ -> false)
-      || List.exists region_has_side_effects o.regions)
-    r.rops
-
 (** Memrefs written anywhere inside [r] (recursively), as a vid set. *)
 let written_memrefs (r : Ir.region) : (int, unit) Hashtbl.t =
   let tbl = Hashtbl.create 8 in

@@ -56,20 +56,6 @@ let free_syms (e : t) : string list =
   in
   S.elements (go S.empty e)
 
-(** Rename an input connector (used when rewiring edges). *)
-let rec rename_input (from_ : string) (to_ : string) (e : t) : t =
-  let r = rename_input from_ to_ in
-  match e with
-  | TIn c when String.equal c from_ -> TIn to_
-  | TIndex (c, idxs) ->
-      TIndex ((if String.equal c from_ then to_ else c), List.map r idxs)
-  | TBin (op, a, b) -> TBin (op, r a, r b)
-  | TCmp (op, a, b) -> TCmp (op, r a, r b)
-  | TSelect (a, b, c) -> TSelect (r a, r b, r c)
-  | TUn (op, a) -> TUn (op, r a)
-  | TCall (f, args) -> TCall (f, List.map r args)
-  | TFloat _ | TInt _ | TIn _ | TSym _ -> e
-
 (** Substitute an input connector by an expression (tasklet fusion). *)
 let rec subst_input (conn : string) (value : t) (e : t) : t =
   let s = subst_input conn value in

@@ -3,9 +3,8 @@
     Both IRs in this repository are graphs: the SDFG state machine and each
     state's dataflow multigraph, and the dominator analysis used when raising
     structured control flow from state machines. This module provides the
-    shared algorithms: topological sort, reachability (forward and reverse),
-    strongly connected components (Tarjan), and immediate dominators
-    (Cooper-Harvey-Kennedy). Nodes are dense [0 .. n-1] integers; callers map
+    shared algorithms: topological sort, reverse postorder, reachability,
+    and immediate dominators (Cooper-Harvey-Kennedy). Nodes are dense [0 .. n-1] integers; callers map
     their own node types to indices. *)
 
 type t = {
@@ -80,59 +79,6 @@ let reachable (g : t) ~(roots : int list) : bool array =
   in
   List.iter dfs roots;
   visited
-
-(** Nodes that can reach some node in [roots] (reverse reachability). *)
-let co_reachable (g : t) ~(roots : int list) : bool array =
-  let visited = Array.make g.n false in
-  let rec dfs u =
-    if not visited.(u) then begin
-      visited.(u) <- true;
-      List.iter dfs g.pred.(u)
-    end
-  in
-  List.iter dfs roots;
-  visited
-
-(** Tarjan's strongly connected components, returned in reverse topological
-    order of the condensation (i.e. a component precedes its successors'
-    components when the result is reversed). *)
-let scc (g : t) : int list list =
-  let index = Array.make g.n (-1) in
-  let lowlink = Array.make g.n 0 in
-  let on_stack = Array.make g.n false in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let components = ref [] in
-  let rec strongconnect v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) = -1 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      g.succ.(v);
-    if lowlink.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | [] -> assert false
-        | w :: rest ->
-            stack := rest;
-            on_stack.(w) <- false;
-            if w = v then w :: acc else pop (w :: acc)
-      in
-      components := pop [] :: !components
-    end
-  in
-  for v = 0 to g.n - 1 do
-    if index.(v) = -1 then strongconnect v
-  done;
-  !components
 
 (** Immediate dominators for all nodes reachable from [root], using the
     Cooper-Harvey-Kennedy iterative algorithm. [idom.(root) = root];

@@ -28,17 +28,7 @@ let test_reachability () =
   let g = Digraph.create ~n:5 [ (0, 1); (1, 2); (3, 4) ] in
   let r = Digraph.reachable g ~roots:[ 0 ] in
   Alcotest.(check bool) "2 reachable" true r.(2);
-  Alcotest.(check bool) "4 not" false r.(4);
-  let co = Digraph.co_reachable g ~roots:[ 2 ] in
-  Alcotest.(check bool) "0 co-reaches 2" true co.(0);
-  Alcotest.(check bool) "3 does not" false co.(3)
-
-let test_scc () =
-  let g = Digraph.create ~n:4 [ (0, 1); (1, 0); (1, 2); (2, 3) ] in
-  let comps = List.map (List.sort compare) (Digraph.scc g) in
-  Alcotest.(check bool) "cycle grouped" true (List.mem [ 0; 1 ] comps);
-  Alcotest.(check bool) "singletons split" true
-    (List.mem [ 2 ] comps && List.mem [ 3 ] comps)
+  Alcotest.(check bool) "4 not" false r.(4)
 
 let test_idom () =
   (* Diamond: 0 -> {1,2} -> 3; idom(3) = 0. *)
@@ -50,15 +40,6 @@ let test_idom () =
   let l = Digraph.create ~n:3 [ (0, 1); (1, 2); (2, 1) ] in
   let doms = Digraph.idom l ~root:0 in
   Alcotest.(check int) "loop body dominated by header" 1 doms.(2)
-
-let test_union_find () =
-  let uf = Union_find.create 6 in
-  Union_find.union uf 0 1;
-  Union_find.union uf 1 2;
-  Union_find.union uf 4 5;
-  Alcotest.(check bool) "0~2" true (Union_find.same uf 0 2);
-  Alcotest.(check bool) "0!~4" false (Union_find.same uf 0 4);
-  Alcotest.(check int) "three groups" 3 (List.length (Union_find.groups uf))
 
 let prop_rpo_starts_at_root =
   QCheck2.Test.make ~count:100 ~name:"reverse postorder starts at root"
@@ -97,8 +78,6 @@ let suite =
       Alcotest.test_case "atomic journal writes" `Quick test_atomic_write;
       Alcotest.test_case "topological sort" `Quick test_topo_sort;
       Alcotest.test_case "reachability" `Quick test_reachability;
-      Alcotest.test_case "strongly connected components" `Quick test_scc;
       Alcotest.test_case "immediate dominators" `Quick test_idom;
-      Alcotest.test_case "union-find" `Quick test_union_find;
       QCheck_alcotest.to_alcotest prop_rpo_starts_at_root;
     ] )
