@@ -4,8 +4,8 @@
     state's dataflow multigraph, and the dominator analysis used when raising
     structured control flow from state machines. This module provides the
     shared algorithms: topological sort, reverse postorder, reachability,
-    and immediate dominators (Cooper-Harvey-Kennedy). Nodes are dense [0 .. n-1] integers; callers map
-    their own node types to indices. *)
+    and immediate dominators (Cooper-Harvey-Kennedy). Nodes are dense
+    [0 .. n-1] integers; callers map their own node types to indices. *)
 
 type t = {
   n : int;
