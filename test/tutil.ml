@@ -18,16 +18,3 @@ let run_pipeline ?disable (kind : Dcir_core.Pipelines.kind) ~(src : string)
     Dcir_core.Pipelines.run_result =
   let compiled = Dcir_core.Pipelines.compile ?disable kind ~src ~entry in
   Dcir_core.Pipelines.run compiled ~entry args
-
-(** Outputs equal within floating-point reassociation tolerance. *)
-let outputs_close (a : Dcir_core.Pipelines.run_result)
-    (b : Dcir_core.Pipelines.run_result) : bool =
-  (match (a.return_value, b.return_value) with
-  | Some x, Some y -> Dcir_machine.Value.close ~rtol:1e-6 x y
-  | None, None -> true
-  | _ -> false)
-  && List.for_all2
-       (fun (_, (x : Dcir_machine.Value.t array)) (_, y) ->
-         Array.length x = Array.length y
-         && Array.for_all2 (fun u v -> Dcir_machine.Value.close ~rtol:1e-6 u v) x y)
-       a.outputs b.outputs
