@@ -28,8 +28,6 @@ let value_name (v : Ir.value) : string =
 (* The names of one printed function's values, by first appearance. *)
 type names = { seen : (int, string) Hashtbl.t; mutable next : int }
 
-let new_names () : names = { seen = Hashtbl.create 32; next = 0 }
-
 let pp_value (names : names) (ppf : Format.formatter) (v : Ir.value) : unit =
   let name =
     match Hashtbl.find_opt names.seen v.vid with
@@ -99,7 +97,7 @@ let pp_func (ppf : Format.formatter) (f : Ir.func) : unit =
         (Fmt.list ~sep:(Fmt.any ", ") Types.pp)
         f.fret
   | Some r ->
-      let names = new_names () in
+      let names = { seen = Hashtbl.create 32; next = 0 } in
       Fmt.pf ppf "@[<v 2>func.func @%s(%a) -> (%a)%s {" f.fname
         (Fmt.list ~sep:(Fmt.any ", ") (pp_typed_value names))
         f.fparams
