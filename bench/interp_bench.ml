@@ -39,40 +39,9 @@
 
 open Dcir_workloads
 module Pipelines = Dcir_core.Pipelines
-module Metrics = Dcir_machine.Metrics
-module Value = Dcir_machine.Value
 module Json = Dcir_obs.Json
 
 let pr fmt = Format.printf fmt
-
-(* Bitwise value equality: NaN payloads and signed zeros count, unlike
-   [Value.equal]'s numeric comparison. The identity claims here are about
-   determinism, so bits are the right granularity. *)
-let bits_equal (a : Value.t) (b : Value.t) : bool =
-  match (a, b) with
-  | Value.VFloat x, Value.VFloat y ->
-      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Value.VInt x, Value.VInt y -> x = y
-  | _ -> false
-
-let outputs_equal (a : (int * Value.t array) list)
-    (b : (int * Value.t array) list) : bool =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (i, x) (j, y) ->
-         i = j
-         && Array.length x = Array.length y
-         && Array.for_all2 bits_equal x y)
-       a b
-
-let results_identical (a : Pipelines.run_result) (b : Pipelines.run_result) :
-    bool =
-  (match (a.return_value, b.return_value) with
-  | Some x, Some y -> bits_equal x y
-  | None, None -> true
-  | _ -> false)
-  && outputs_equal a.outputs b.outputs
-  && Metrics.equal a.metrics b.metrics
 
 type row = {
   name : string;
@@ -139,7 +108,9 @@ let bench_one ~(reps : int) (kind : Pipelines.kind) (w : Workload.t) : row =
      timed runs measure steady-state execution, not compilation. *)
   let rt = Pipelines.run ~interp_mode:`Tree compiled ~entry:w.entry args in
   let rc = Pipelines.run ~interp_mode:`Compiled compiled ~entry:w.entry args in
-  let identical = results_identical rt rc in
+  let identical =
+    Pipelines.bitwise_divergence ~what:"tree and compiled tiers" rt rc = None
+  in
   let tree_s = time_runs `Tree reps compiled ~entry:w.entry args in
   let compiled_s = time_runs `Compiled reps compiled ~entry:w.entry args in
   {
@@ -172,7 +143,9 @@ let bench_par ~(jobs : int) (w : Workload.t) : par_row =
     p_reps = 1;
     p_serial_s = t1 -. t0;
     p_parallel_s = t2 -. t1;
-    p_identical = results_identical serial par;
+    p_identical =
+      Pipelines.bitwise_divergence ~what:"serial and parallel runs" serial par
+      = None;
   }
 
 let () =

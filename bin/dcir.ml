@@ -394,8 +394,9 @@ let bench_cmd =
             Pipelines.run ~jobs compiled ~entry:w.entry (w.args ())
           in
           let identical =
-            Dcir_machine.Metrics.equal serial.metrics par.metrics
-            && Dcir_fuzz.Oracle.serial_par_divergence serial par = None
+            Pipelines.bitwise_divergence ~what:"serial and parallel runs"
+              serial par
+            = None
           in
           let correct =
             let reference =
@@ -403,7 +404,7 @@ let bench_cmd =
                 (Pipelines.CMlir (Dcir_cfront.Polygeist.compile w.src))
                 ~entry:w.entry (w.args ())
             in
-            Dcir_fuzz.Oracle.divergence reference serial = None
+            Pipelines.divergence reference serial = None
           in
           Format.printf
             "  %-8s %14.0f %10d %10d %8d  %b (serial)@." "dcir-par"

@@ -541,6 +541,34 @@ let divergence (reference : run_result) (r : run_result) : string option =
                   !bad)
           None outs ref_outs
 
+(** [bitwise_divergence ~what a b] — [None] when [a] and [b] are the same
+    run bit for bit: the same return value and array outputs
+    ({!Value.equal}) and the same machine metrics ({!Metrics.equal}).
+    This is the identity rule between execution tiers and between serial
+    and parallel runs. Otherwise the first difference, described, naming
+    [what] was compared. *)
+let bitwise_divergence ~(what : string) (a : run_result) (b : run_result) :
+    string option =
+  if not (Option.equal Value.equal a.return_value b.return_value) then
+    Some (Printf.sprintf "return value differs between %s" what)
+  else if
+    not
+      (List.equal
+         (fun (i, xs) (j, ys) ->
+           i = j
+           && Array.length xs = Array.length ys
+           && Array.for_all2 Value.equal xs ys)
+         a.outputs b.outputs)
+  then Some (Printf.sprintf "array outputs differ bitwise between %s" what)
+  else if not (Metrics.equal a.metrics b.metrics) then
+    Some
+      (Printf.sprintf
+         "machine metrics differ between %s (%.0f cycles / %d loads vs %.0f \
+          cycles / %d loads)"
+         what a.metrics.cycles a.metrics.loads b.metrics.cycles
+         b.metrics.loads)
+  else None
+
 let reset_metrics (m : Metrics.t) : unit =
   m.cycles <- 0.0;
   m.loads <- 0;

@@ -21,7 +21,6 @@
 
 module Pipelines = Dcir_core.Pipelines
 module Diag = Dcir_support.Diagnostics
-module Value = Dcir_machine.Value
 module Budget = Dcir_resilience.Budget
 
 type failure_kind =
@@ -118,48 +117,12 @@ let crash_failure (pipeline : string) (e : exn) : failure =
    ways — the converted program must still agree with the reference (within
    rtol, like any pipeline), and its parallel execution must be
    BIT-IDENTICAL to its own serial execution: same output bits, same trap
-   behaviour, same value of every machine metric. *)
-
-let bits_equal (a : Value.t) (b : Value.t) : bool =
-  match (a, b) with
-  | Value.VFloat x, Value.VFloat y ->
-      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Value.VInt x, Value.VInt y -> x = y
-  | _ -> false
-
-let bitwise_divergence ~(what : string) (a : Pipelines.run_result)
-    (b : Pipelines.run_result) : string option =
-  if
-    not
-      (match (a.return_value, b.return_value) with
-      | Some x, Some y -> bits_equal x y
-      | None, None -> true
-      | _ -> false)
-  then Some (Printf.sprintf "return value differs between %s" what)
-  else if
-    not
-      (List.length a.outputs = List.length b.outputs
-      && List.for_all2
-           (fun (i, xs) (j, ys) ->
-             i = j
-             && Array.length xs = Array.length ys
-             && Array.for_all2 bits_equal xs ys)
-           a.outputs b.outputs)
-  then Some (Printf.sprintf "array outputs differ bitwise between %s" what)
-  else if
-    not (Dcir_machine.Metrics.equal a.metrics b.metrics)
-  then
-    Some
-      (Printf.sprintf
-         "machine metrics differ between %s \
-          (%.0f cycles / %d loads vs %.0f cycles / %d loads)"
-         what a.metrics.cycles a.metrics.loads b.metrics.cycles
-         b.metrics.loads)
-  else None
+   behaviour, same value of every machine metric
+   ({!Dcir_core.Pipelines.bitwise_divergence}). *)
 
 let serial_par_divergence (serial : Pipelines.run_result)
     (par : Pipelines.run_result) : string option =
-  bitwise_divergence ~what:"serial and parallel runs" serial par
+  Pipelines.bitwise_divergence ~what:"serial and parallel runs" serial par
 
 let autopar_failures ~(checked : bool) ?reproducer_dir ~(jobs : int)
     (case : Gen.case) (ref_r : Pipelines.run_result) : failure list =
@@ -218,7 +181,8 @@ let bytecode_vs_tree ~(checked : bool) ?reproducer_dir (case : Gen.case) :
       match (run `Tree, run `Compiled) with
       | Ok tree, Ok byte ->
           Option.bind
-            (bitwise_divergence ~what:"tree and bytecode tiers" tree byte)
+            (Pipelines.bitwise_divergence ~what:"tree and bytecode tiers" tree
+               byte)
             diverge
       | Error et, Error eb
         when Option.is_some (trap_kind_of_exn et)

@@ -32,40 +32,10 @@ let mk_tasklet ?(syms = []) name ins outs code =
 
 let memlet ?wcr ?other data subset = { Sdfg.data; subset; wcr; other }
 
-let metrics_equal (a : Metrics.t) (b : Metrics.t) : bool =
-  Int64.equal (Int64.bits_of_float a.cycles) (Int64.bits_of_float b.cycles)
-  && a.loads = b.loads && a.stores = b.stores
-  && a.bytes_loaded = b.bytes_loaded
-  && a.bytes_stored = b.bytes_stored
-  && a.int_ops = b.int_ops && a.fp_ops = b.fp_ops
-  && a.math_calls = b.math_calls && a.branches = b.branches
-  && a.heap_allocs = b.heap_allocs
-  && a.heap_frees = b.heap_frees
-  && a.heap_bytes = b.heap_bytes
-  && a.stack_allocs = b.stack_allocs
-  && a.l1_misses = b.l1_misses && a.l2_misses = b.l2_misses
-  && a.l3_misses = b.l3_misses
-  && a.l1_accesses = b.l1_accesses
-
 let check_metrics_equal label (a : Metrics.t) (b : Metrics.t) =
-  if not (metrics_equal a b) then
+  if not (Metrics.equal a b) then
     Alcotest.failf "%s: tree and bytecode metrics differ\ntree:\n%a\nbytecode:\n%a"
       label Metrics.pp a Metrics.pp b
-
-let results_identical (a : Pipelines.run_result) (b : Pipelines.run_result) :
-    bool =
-  (match (a.return_value, b.return_value) with
-  | Some x, Some y -> Value.equal x y
-  | None, None -> true
-  | _ -> false)
-  && List.length a.outputs = List.length b.outputs
-  && List.for_all2
-       (fun (i, x) (j, y) ->
-         i = j
-         && Array.length x = Array.length y
-         && Array.for_all2 Value.equal x y)
-       a.outputs b.outputs
-  && metrics_equal a.metrics b.metrics
 
 (* The two SDFG tiers on a hand-built SDFG: the tree walker, and the
    bytecode VM over the lowered program. *)
@@ -353,7 +323,9 @@ let check_tier_differential ~label kind ~src ~entry args =
   let rc = run_outcome compiled ~entry args `Compiled in
   let agree =
     match (rt, rc) with
-    | Ok x, Ok y -> results_identical x y
+    | Ok x, Ok y ->
+        Pipelines.bitwise_divergence ~what:"tree and compiled tiers" x y
+        = None
     | Error x, Error y -> String.equal x y
     | _ -> false
   in

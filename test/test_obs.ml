@@ -135,8 +135,8 @@ double kern(double x[32], int n) {
       let r = Pipelines.run ~profile compiled ~entry:"kern" args in
       Alcotest.(check (option string))
         (name ^ ": profiled run bit-identical to the compiled run") None
-        (Dcir_fuzz.Oracle.bitwise_divergence ~what:"profiled and compiled runs"
-           r plain);
+        (Pipelines.bitwise_divergence ~what:"profiled and compiled runs" r
+           plain);
       Alcotest.(check (list string))
         (name ^ ": profile kinds") kinds (Obs.Profile.kinds profile);
       if List.mem "state" kinds then
