@@ -6,10 +6,13 @@
     validates that it parses, and that every "pipelines" array it
     contains has a row for each of the five pipelines.
     Decision-event streams ([dcir-events/1], from [dcir explain --events]
-    or [dcir fuzz --coverage --events]) are gated on contiguous sequence
+    or [dcir fuzz --chaos|--coverage --events]) are gated on keys that
+    neither the document nor an event repeats, contiguous sequence
     numbers, codes drawn from the closed catalogue, and a non-empty
-    conflict witness on every autopar refusal. Also accepts interpreter
-    micro-benchmark reports ([dcir-interp-bench/4], from
+    conflict witness on every autopar refusal; a chaos-armed campaign's
+    stream also on the chaos oracle: at least four fault kinds exercised,
+    no case ending in a wrong answer or an escaped exception. Also
+    accepts interpreter micro-benchmark reports ([dcir-interp-bench/4], from
     [bench/interp_bench.exe]) and acts as the perf smoke test for the
     compiled tier: every row must be bit-identical to the tree walker AND
     at least as fast — a compiled tier slower than the tree it replaces
@@ -17,10 +20,6 @@
     multi-domain execution of auto-parallelized kernels) is gated on
     bit-identity only — never on speedup, because the executor's contract
     is determinism and the CI host may have a single core.
-    Incident journals from chaos campaigns ([dcir-incidents/1], from
-    [dcir fuzz --chaos --journal FILE]) are gated on record-stream shape
-    and on the chaos oracle: all four fault kinds exercised, no case
-    ending in a wrong answer or an escaped exception.
     Serving journals ([dcir-serve-journal/3], from [dcir serve]) are
     gated on contiguous sequence numbers, catalogued SRV-* codes,
     attributable rejections/sheds, well-formed responses and a
@@ -143,85 +142,6 @@ let check_parallel_bench (j : Json.t) : unit =
       | _ -> fail "%s: parallel execution diverged from serial" label)
     rows
 
-(* Incident journals from chaos campaigns ([dcir-incidents/1]). Gates
-   the record stream's shape — contiguous sequence numbers, known record
-   kinds, per-kind summary counts that match — and, when the journal
-   comes from a chaos campaign, that the campaign actually exercised the
-   whole fault model and that no case ended in an oracle violation. *)
-let check_incidents (j : Json.t) : unit =
-  let known_kinds =
-    [ "chaos-case"; "case-outcome"; "chaos-injected"; "pass-rollback";
-      "tier-failed"; "degraded"; "breaker-open"; "breaker-probation";
-      "breaker-close" ]
-  in
-  let incidents =
-    match Option.bind (Json.member "incidents" j) Json.to_list with
-    | Some rows -> rows
-    | None -> fail "missing or non-array \"incidents\""
-  in
-  List.iteri
-    (fun i row ->
-      (match Json.member "seq" row with
-      | Some (Json.Int s) when s = i -> ()
-      | Some (Json.Int s) -> fail "incident %d has seq %d (not contiguous)" i s
-      | _ -> fail "incident %d missing integer \"seq\"" i);
-      match Option.bind (Json.member "kind" row) Json.to_str with
-      | Some k when List.mem k known_kinds -> ()
-      | Some k -> fail "incident %d has unknown kind %S" i k
-      | None -> fail "incident %d missing \"kind\"" i)
-    incidents;
-  let count k =
-    List.length
-      (List.filter
-         (fun row -> Option.bind (Json.member "kind" row) Json.to_str = Some k)
-         incidents)
-  in
-  (match Option.bind (Json.member "summary" j) (function
-     | Json.Obj fields -> Some fields
-     | _ -> None)
-   with
-  | None -> fail "missing or non-object \"summary\""
-  | Some fields ->
-      List.iter
-        (fun (k, v) ->
-          if v <> Json.Int (count k) then
-            fail "summary says %s %s, incidents have %d" k (Json.to_string v)
-              (count k))
-        fields);
-  let cases =
-    List.filter
-      (fun row ->
-        Option.bind (Json.member "kind" row) Json.to_str = Some "chaos-case")
-      incidents
-  in
-  if cases <> [] then begin
-    let faults =
-      List.sort_uniq compare
-        (List.concat_map
-           (fun row ->
-             match Option.bind (Json.member "faults" row) Json.to_list with
-             | Some fs -> List.filter_map Json.to_str fs
-             | None -> fail "chaos-case record missing \"faults\"")
-           cases)
-    in
-    if List.length faults < 4 then
-      fail "campaign exercised only %d fault kind(s): %s"
-        (List.length faults) (String.concat ", " faults);
-    List.iter
-      (fun row ->
-        match Option.bind (Json.member "outcome" row) Json.to_str with
-        | Some ("wrong-answer" | "escaped") ->
-            fail "journal records a chaos oracle violation: %s"
-              (Json.to_string row)
-        | Some _ -> ()
-        | None -> fail "case-outcome record missing \"outcome\"")
-      (List.filter
-         (fun row ->
-           Option.bind (Json.member "kind" row) Json.to_str
-           = Some "case-outcome")
-         incidents)
-  end
-
 (* Serving journals ([dcir-serve-journal/3], from [dcir serve]). The
    journal is the serving engine's decision record, so the gate holds it
    to the same standard as the event stream: contiguous sequence
@@ -333,11 +253,26 @@ let check_serve_journal (j : Json.t) : unit =
         codes
   | _ -> fail "summary missing \"codes\" object"
 
-(* Decision-event streams ([dcir-events/1]): contiguous sequence numbers
-   starting at 0, every code in the closed catalogue, and a non-empty
-   conflict witness on every autopar refusal — an unexplained refusal is
-   a provenance bug, not an optimization decision. *)
+(* Decision-event streams ([dcir-events/1]): no key repeated in the
+   document or in an event (a reader sees only one of the two), contiguous
+   sequence numbers starting at 0, every code in the closed catalogue,
+   and a non-empty conflict witness on every autopar refusal — an
+   unexplained refusal is a provenance bug, not an optimization decision.
+   A stream with [CHAOS-CASE] events comes from a chaos-armed campaign:
+   every case names its faults, the campaign exercised at least four
+   fault kinds, and no [CHAOS-OUTCOME] is an oracle violation. *)
 let check_events (j : Json.t) : unit =
+  let unique_keys what = function
+    | Json.Obj fields ->
+        ignore
+          (List.fold_left
+             (fun seen (k, _) ->
+               if List.mem k seen then fail "%s repeats key %S" what k;
+               k :: seen)
+             [] fields)
+    | _ -> ()
+  in
+  unique_keys "the document" j;
   let events =
     match Option.bind (Json.member "events" j) Json.to_list with
     | Some rows -> rows
@@ -348,8 +283,10 @@ let check_events (j : Json.t) : unit =
   | Some (Json.Int n) ->
       fail "\"count\" says %d, stream has %d event(s)" n (List.length events)
   | _ -> fail "missing integer \"count\"");
+  let cases = ref 0 and faults = ref [] in
   List.iteri
     (fun i row ->
+      unique_keys (Printf.sprintf "event %d" i) row;
       (match Json.member "seq" row with
       | Some (Json.Int s) when s = i -> ()
       | Some (Json.Int s) -> fail "event %d has seq %d (not contiguous)" i s
@@ -361,11 +298,29 @@ let check_events (j : Json.t) : unit =
       in
       if not (Dcir_obs.Events.is_known code) then
         fail "event %d has code %S outside the catalogue" i code;
-      if code = "APAR-REFUSE" then
-        match Option.bind (Json.member "witness" row) Json.to_str with
-        | Some w when String.trim w <> "" -> ()
-        | _ -> fail "event %d: APAR-REFUSE without a conflict witness" i)
-    events
+      match code with
+      | "APAR-REFUSE" -> (
+          match Option.bind (Json.member "witness" row) Json.to_str with
+          | Some w when String.trim w <> "" -> ()
+          | _ -> fail "event %d: APAR-REFUSE without a conflict witness" i)
+      | "CHAOS-CASE" -> (
+          incr cases;
+          match Option.bind (Json.member "faults" row) Json.to_list with
+          | Some fs -> faults := List.filter_map Json.to_str fs @ !faults
+          | None -> fail "event %d: CHAOS-CASE without \"faults\"" i)
+      | "CHAOS-OUTCOME" -> (
+          match Option.bind (Json.member "outcome" row) Json.to_str with
+          | Some ("wrong-answer" | "escaped") ->
+              fail "event %d records a chaos oracle violation: %s" i
+                (Json.to_string row)
+          | Some _ -> ()
+          | None -> fail "event %d: CHAOS-OUTCOME without \"outcome\"" i)
+      | _ -> ())
+    events;
+  let kinds = List.sort_uniq compare !faults in
+  if !cases > 0 && List.length kinds < 4 then
+    fail "campaign exercised only %d fault kind(s): %s" (List.length kinds)
+      (String.concat ", " kinds)
 
 let check_bench (path : string) (j : Json.t) : unit =
   match pipelines_arrays j with
@@ -379,7 +334,6 @@ let dispatch (path : string) (j : Json.t) : unit =
   | Some (Json.Str "dcir-interp-bench/4") ->
       check_interp_bench j;
       check_parallel_bench j
-  | Some (Json.Str "dcir-incidents/1") -> check_incidents j
   | Some (Json.Str "dcir-events/1") -> check_events j
   | Some (Json.Str "dcir-serve-journal/3") -> check_serve_journal j
   | Some s -> fail "unexpected schema %s" (Json.to_string s)

@@ -31,6 +31,18 @@ let read_file path =
   close_in ic;
   s
 
+(* [--events FILE]: [write FILE] the decision-event stream, or exit 1. *)
+let write_events (events : string option) (write : string -> unit) : unit =
+  match events with
+  | Some path -> (
+      try
+        write path;
+        Format.printf "events written to %s@." path
+      with Sys_error msg ->
+        Format.eprintf "dcir: cannot write events: %s@." msg;
+        exit 1)
+  | None -> ()
+
 let pipeline_conv =
   Arg.enum
     [ ("gcc", Pipelines.Gcc); ("clang", Pipelines.Clang);
@@ -321,15 +333,7 @@ let explain_cmd =
         ()
     in
     Format.printf "%a" Dcir_core.Explain.pp x;
-    (match events with
-    | Some path -> (
-        try
-          Dcir_core.Explain.write_events x path;
-          Format.printf "events written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "dcir: cannot write events: %s@." msg;
-          exit 1)
-    | None -> ());
+    write_events events (Dcir_core.Explain.write_events x);
     report_obs ~timing ~trace;
     `Ok ()
   in
@@ -541,10 +545,8 @@ let fuzz_cmd =
   let journal_arg =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"FILE"
-             ~doc:"With $(b,--chaos): write the incident journal (schema \
-                   dcir-incidents/1) as JSON; with $(b,--serve): write the \
-                   serve response journal (schema dcir-serve-journal/3). \
-                   Same seed, same bytes.")
+             ~doc:"With $(b,--serve): write the serve response journal \
+                   (schema dcir-serve-journal/3). Same seed, same bytes.")
   in
   let coverage_arg =
     Arg.(value & flag
@@ -557,9 +559,9 @@ let fuzz_cmd =
   let events_arg =
     Arg.(value & opt (some string) None
          & info [ "events" ] ~docv:"FILE"
-             ~doc:"With $(b,--coverage): write the campaign's decision-event \
-                   stream (schema dcir-events/1) as JSON. Same seed, same \
-                   bytes.")
+             ~doc:"With $(b,--chaos) or $(b,--coverage): write the \
+                   campaign's decision-event stream (schema dcir-events/1) \
+                   as JSON. Same seed, same bytes.")
   in
   let write_reproducer dir (fc : Dcir_fuzz.Harness.failed_case) =
     let path =
@@ -578,7 +580,7 @@ let fuzz_cmd =
       Some path
     with Sys_error _ -> None
   in
-  let run_chaos ~count ~seed ~journal =
+  let run_chaos ~count ~seed ~events =
     let module C = Dcir_fuzz.Chaos_campaign in
     let report = C.run ~count ~seed () in
     List.iter
@@ -591,15 +593,7 @@ let fuzz_cmd =
             | C.Wrong msg | C.Escaped msg -> msg
             | _ -> ""))
       report.C.ch_cases;
-    (match journal with
-    | Some path -> (
-        try
-          C.write_journal report path;
-          Format.printf "journal written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "dcir: cannot write journal: %s@." msg;
-          exit 1)
-    | None -> ());
+    write_events events (C.write_events report);
     let tally name p =
       match
         List.length (List.filter (fun c -> p c.C.cr_outcome) report.C.ch_cases)
@@ -643,15 +637,7 @@ let fuzz_cmd =
     let module Cov = Dcir_fuzz.Coverage in
     let r = Cov.run ~count ~seed () in
     Format.printf "%a" Cov.pp r;
-    (match events with
-    | Some path -> (
-        try
-          Cov.write_events r path;
-          Format.printf "events written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "dcir: cannot write events: %s@." msg;
-          exit 1)
-    | None -> ());
+    write_events events (Cov.write_events r);
     true
   in
   let run count seed checked parallel jobs max_steps max_fuel chaos serve
@@ -693,14 +679,20 @@ let fuzz_cmd =
          else Printf.sprintf "%d failing case(s)" (List.length report.failed));
       Dcir_fuzz.Harness.ok report
     in
-    let ok =
-      if serve then run_serve ~count ~seed ~tenants ~workers ~journal
-      else if coverage then run_coverage ~count ~seed ~events
-      else if chaos then run_chaos ~count ~seed ~journal
-      else harness ()
-    in
-    report_obs ~timing ~trace;
-    if ok then `Ok () else exit 1
+    (* An output flag outside its mode would write nothing. *)
+    if journal <> None && not serve then
+      `Error (true, "--journal writes the serve journal; it needs --serve")
+    else if events <> None && (serve || not (chaos || coverage)) then
+      `Error (true, "--events needs --chaos or --coverage")
+    else
+      let ok =
+        if serve then run_serve ~count ~seed ~tenants ~workers ~journal
+        else if coverage then run_coverage ~count ~seed ~events
+        else if chaos then run_chaos ~count ~seed ~events
+        else harness ()
+      in
+      report_obs ~timing ~trace;
+      if ok then `Ok () else exit 1
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(

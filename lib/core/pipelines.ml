@@ -26,7 +26,6 @@ module Json = Dcir_obs.Json
 module Events = Dcir_obs.Events
 module Budget = Dcir_resilience.Budget
 module Chaos = Dcir_resilience.Chaos
-module Journal = Dcir_resilience.Journal
 
 type kind = Gcc | Clang | Mlir | Dace | Dcir
 
@@ -362,8 +361,8 @@ let dropped_between ~(requested : tier) ~(landed : tier) (kind : kind) :
       (dace_stage_names requested kind)
 
 (* Stable classification of a compile failure — diagnostic codes, budget
-   codes, chaos fault names. Journal entries use only this (raw messages
-   can embed globally-allocated SSA ids, which would break journal
+   codes, chaos fault names. Events and journal entries use only this (raw
+   messages can embed globally-allocated SSA ids, which would break their
    byte-reproducibility). *)
 let classify_exn (e : exn) : string =
   match e with
@@ -436,19 +435,11 @@ let compile_resilient ?(tier = O2) ?(floor = Unopt) ?(limits = Budget.default)
             ("degradations", Json.Int (List.length report.res_degradations));
             ("dropped", Json.Int (List.length report.res_dropped));
           ];
-        if degs <> [] then
-          Journal.note ~kind:"degraded"
-            [
-              ("pipeline", Json.Str (kind_name kind));
-              ("requested", Json.Str (tier_name tier));
-              ("landed", Json.Str (tier_name t));
-              ("dropped", Json.Int (List.length report.res_dropped));
-            ];
         (compiled, report)
     | exception (Diag.Error { phase = Diag.Frontend; _ } as e) -> raise e
     | exception e -> (
         let code = classify_exn e in
-        Journal.note ~kind:"tier-failed"
+        Events.emit ~code:"TIER-FAIL"
           [
             ("pipeline", Json.Str (kind_name kind));
             ("tier", Json.Str (tier_name t));

@@ -14,16 +14,20 @@
       fault, an interpreter trap, or the injected fault itself.
 
     A wrong answer or an unstructured exception escaping the ladder fails
-    the campaign. Every decision is a pure function of the campaign seed,
-    and journal records carry stable classification codes rather than
-    raw exception text, so replaying a seed reproduces the incident
-    journal byte-for-byte. *)
+    the campaign. The campaign installs a decision-event stream
+    ([dcir-events/1]): each case adds a [CHAOS-CASE] event with its fault
+    plan, the events of its compile and runs (injected faults, rollbacks,
+    breaker transitions, failed and landed ladder rungs), and a
+    [CHAOS-OUTCOME] event with its verdict. Every decision is a pure
+    function of the campaign seed, and events carry stable classification
+    codes rather than raw exception text, so replaying a seed reproduces
+    the stream byte-for-byte. *)
 
 module Pipelines = Dcir_core.Pipelines
 module Diag = Dcir_support.Diagnostics
 module Budget = Dcir_resilience.Budget
 module Chaos = Dcir_resilience.Chaos
-module Journal = Dcir_resilience.Journal
+module Events = Dcir_obs.Events
 module Json = Dcir_obs.Json
 
 type outcome =
@@ -57,7 +61,7 @@ type report = {
   ch_count : int;
   ch_seed : int;
   ch_cases : case_result list;  (** in generation order *)
-  ch_journal : Journal.t;
+  ch_events : Events.t;  (** the campaign's decision-event stream *)
 }
 
 let ok (r : report) : bool =
@@ -78,15 +82,10 @@ let diagnosis (e : exn) : string option =
 let chaos_seed (campaign_seed : int) (i : int) : int =
   Rng.derive (campaign_seed lxor 0x5eed_c4a0) i
 
-let run_case ~(journal : Journal.t) ~(seed : int) (i : int) : case_result =
+let run_case ~(seed : int) (i : int) : case_result =
   let case = Gen.generate (Rng.derive seed i) in
-  (* Reference before any chaos: the baseline must stay pristine. *)
-  let reference =
-    let m = Dcir_cfront.Polygeist.compile case.Gen.src in
-    Pipelines.run (Pipelines.CMlir m) ~entry:case.Gen.entry (case.Gen.args ())
-  in
   let plan = Chaos.plan ~seed:(chaos_seed seed i) () in
-  Journal.record journal ~kind:"chaos-case"
+  Events.emit ~code:"CHAOS-CASE"
     [
       ("case", Json.Int i);
       ("case_seed", Json.Int case.Gen.seed);
@@ -96,6 +95,11 @@ let run_case ~(journal : Journal.t) ~(seed : int) (i : int) : case_result =
       );
       ("checked", Json.Bool plan.Chaos.pl_checked);
     ];
+  (* Reference before any chaos: the baseline must stay pristine. *)
+  let reference =
+    let m = Dcir_cfront.Polygeist.compile case.Gen.src in
+    Pipelines.run (Pipelines.CMlir m) ~entry:case.Gen.entry (case.Gen.args ())
+  in
   Chaos.install plan;
   let outcome =
     Fun.protect ~finally:Chaos.clear (fun () ->
@@ -122,11 +126,11 @@ let run_case ~(journal : Journal.t) ~(seed : int) (i : int) : case_result =
             | Some code -> Diagnosed code
             | None -> Escaped (Pipelines.classify_exn e)))
   in
-  Journal.record journal ~kind:"case-outcome"
+  Events.emit ~code:"CHAOS-OUTCOME"
     ([ ("case", Json.Int i); ("outcome", Json.Str (outcome_name outcome)) ]
     @
     match outcome with
-    | Diagnosed code | Escaped code -> [ ("code", Json.Str code) ]
+    | Diagnosed code | Escaped code -> [ ("reason", Json.Str code) ]
     | Correct | Degraded_correct | Wrong _ -> []);
   {
     cr_index = i;
@@ -136,33 +140,32 @@ let run_case ~(journal : Journal.t) ~(seed : int) (i : int) : case_result =
   }
 
 (** Run the chaos campaign: [count] cases from [seed]. [on_case] fires
-    after each verdict (progress output). The returned journal carries
-    every incident of the campaign, oldest first, and serializes under
-    schema [dcir-incidents/1] with the campaign header. *)
+    after each verdict (progress output). The returned stream carries
+    every event of the campaign, oldest first. *)
 let run ?(on_case : (case_result -> unit) option) ~(count : int) ~(seed : int)
     () : report =
-  let journal = Dcir_obs.Events.create () in
-  Journal.install journal;
+  let evs = Events.create () in
+  Events.install evs;
   Fun.protect
     ~finally:(fun () ->
-      Journal.clear ();
+      Events.clear ();
       Chaos.clear ())
     (fun () ->
       let cases = ref [] in
       for i = 0 to count - 1 do
-        let cr = run_case ~journal ~seed i in
+        let cr = run_case ~seed i in
         (match on_case with Some f -> f cr | None -> ());
         cases := cr :: !cases
       done;
       { ch_count = count; ch_seed = seed; ch_cases = List.rev !cases;
-        ch_journal = journal })
+        ch_events = evs })
 
 let header (r : report) : (string * Json.t) list =
-  [ ("campaign", Json.Str "chaos"); ("seed", Json.Int r.ch_seed);
-    ("count", Json.Int r.ch_count) ]
+  [ ("tool", Json.Str "dcir fuzz --chaos"); ("seed", Json.Int r.ch_seed);
+    ("cases", Json.Int r.ch_count) ]
 
-let journal_json (r : report) : Json.t =
-  Journal.to_json ~header:(header r) r.ch_journal
+let events_json (r : report) : Json.t =
+  Events.to_json ~header:(header r) r.ch_events
 
-let write_journal (r : report) (path : string) : unit =
-  Journal.write ~header:(header r) r.ch_journal path
+let write_events (r : report) (path : string) : unit =
+  Events.write ~header:(header r) r.ch_events path

@@ -178,7 +178,7 @@ let run ?(chaos = true) ~(count : int) ~(seed : int) () : report =
            ]
           @
           match diagnosed with
-          | Some code -> [ ("code", Json.Str code) ]
+          | Some code -> [ ("reason", Json.Str code) ]
           | None -> []);
         (* Tally this case's decisions from its slice of the stream. *)
         let slice =

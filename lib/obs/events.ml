@@ -8,11 +8,11 @@
     same inputs and seed must produce byte-identical streams, which is
     what lets us golden-test provenance and diff it across commits.
 
-    Emission follows the ambient-install pattern of
-    [Dcir_resilience.Journal]: sites call {!emit} unconditionally; it is
-    a no-op unless a stream is {!install}ed. [Journal] forwards its
-    incident notes onto the installed stream, so a single stream carries
-    both layers. *)
+    Emission follows the ambient-install pattern: sites call {!emit}
+    unconditionally; it is a no-op unless a stream is {!install}ed.
+    Incidents (rollbacks, breaker transitions, injected faults, failed
+    ladder rungs) are events like any other, so one stream carries them
+    and the optimization decisions in one causal order. *)
 
 type event = {
   ev_seq : int;
@@ -49,7 +49,6 @@ let catalogue : (string * string) list =
     ("CHAOS-INJECT", "chaos harness injected a fault");
     ("CHAOS-CASE", "chaos campaign: generated case summary");
     ("CHAOS-OUTCOME", "chaos campaign: per-case verdict");
-    ("NOTE", "uncategorized incident-journal note");
     (* Serving engine (dcir serve) — mirrored from the response journal
        (schema dcir-serve-journal/3, see Dcir_serve.Sjournal). *)
     ("SRV-ADMIT", "serve: request admitted to the queue");
@@ -76,11 +75,11 @@ let record (t : t) ~(code : string) (fields : (string * Json.t) list) : unit =
     :: t.rev_events;
   t.next_seq <- t.next_seq + 1
 
-(* Ambient stream, [Journal]-style: decision sites emit without plumbing a
-   handle through every signature. Domain-local: a serve worker domain
-   sees no installed stream, so its speculative emissions are dropped and
-   the supervisor replays the decisions it commits — the stream stays a
-   deterministic function of commit order, not of scheduling. *)
+(* Ambient stream: decision sites emit without plumbing a handle through
+   every signature. Domain-local: a serve worker domain sees no installed
+   stream, so its speculative emissions are dropped and the supervisor
+   replays the decisions it commits — the stream stays a deterministic
+   function of commit order, not of scheduling. *)
 let ambient : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let install (t : t) : unit = Domain.DLS.set ambient (Some t)

@@ -43,8 +43,7 @@ type collector = {
   mutable owner : Domain.id option;
       (** the domain that called [enable], [None] while disabled. Spans
           from any other domain (serve pool workers compile on their
-          own) are dropped, as [Events] and [Journal] drop worker-domain
-          output. *)
+          own) are dropped, as [Events] drops worker-domain output. *)
   mutable stack : span list;  (** innermost open span first *)
   mutable finished : span list;  (** completed top-level spans, reverse *)
   mutable epoch : float;  (** trace time origin *)

@@ -64,13 +64,13 @@ let admits (b : t) (pass : string) : bool =
 let transition (b : t) (pass : string) (e : entry) (next : phase) ~(why : string)
     : unit =
   e.phase <- next;
-  let kind =
+  let code =
     match next with
-    | Closed -> "breaker-close"
-    | Open _ -> "breaker-open"
-    | Probation _ -> "breaker-probation"
+    | Closed -> "BRK-CLOSE"
+    | Open _ -> "BRK-OPEN"
+    | Probation _ -> "BRK-PROBATION"
   in
-  Journal.note ~kind
+  Dcir_obs.Events.emit ~code
     [
       ("pass", Dcir_obs.Json.Str pass);
       ("round", Dcir_obs.Json.Int b.round);

@@ -13,11 +13,10 @@
     {b Checked execution} ([~checked:true]): before each application the
     IR is snapshotted; after it, the instance's error rule re-checks it.
     If the pass raised or broke that rule, the IR is rolled back to the
-    snapshot, the incident is recorded (a [pass-rollback] journal note,
-    which the event stream carries as [PASS-ROLLBACK], a [rollback] span
-    and a {!Dcir_support.Diagnostics.incident} in the run record), a
-    crash-reproducer file (the pre-pass IR plus the single-pass pipeline
-    that triggers the fault, MLIR-style) is written, and the pass's
+    snapshot, the incident is recorded (a [PASS-ROLLBACK] event, a
+    [rollback] span and a {!Dcir_support.Diagnostics.incident} in the run
+    record), a crash-reproducer file (the pre-pass IR plus the single-pass
+    pipeline that triggers the fault, MLIR-style) is written, and the pass's
     circuit breaker trips: it stays open for a cooldown of fixpoint
     rounds, is then probationally re-admitted, and re-closes only after
     clean applications ({!Breaker}). Degraded output beats a crash.
@@ -64,7 +63,7 @@ module type IR = sig
   (** Runs the pass; returns whether it changed the IR. *)
 
   val domain : string
-  (** The [domain] field of the events and the journal notes. *)
+  (** The [domain] field of the events. *)
 
   val pass_cat : string
   (** Span category of one application. *)
@@ -87,7 +86,7 @@ module type IR = sig
   val check : snapshot -> ir -> (string * string) option
   (** The error rule, given the pre-pass snapshot: [None] when the pass
       left the IR acceptable, else [(reason, stable)], the full
-      diagnostics and the reason the journal records. *)
+      diagnostics and the reason the [PASS-ROLLBACK] event records. *)
 
   val print : ir -> string
   (** The IR text of a crash reproducer, written to
@@ -163,7 +162,7 @@ module Make (I : IR) = struct
     let inject = Chaos.tick_pass () in
     (match inject with
     | `Crash ->
-        Journal.note ~kind:"chaos-injected"
+        Events.emit ~code:"CHAOS-INJECT"
           [ ("fault", Json.Str "pass-crash"); ("pass", Json.Str name) ];
         raise (Chaos.Injected (Chaos.Pass_crash, name))
     | `Ok | `Corrupt -> ());
@@ -185,7 +184,7 @@ module Make (I : IR) = struct
     match inject with
     | `Corrupt ->
         I.corrupt ir;
-        Journal.note ~kind:"chaos-injected"
+        Events.emit ~code:"CHAOS-INJECT"
           [ ("fault", Json.Str "corrupt-rewrite"); ("pass", Json.Str name) ];
         (c, true)
     | `Ok | `Crash -> (c, false)
@@ -209,7 +208,7 @@ module Make (I : IR) = struct
         Some c
     | Error (reason, stable) ->
         I.restore ~into:ir snapshot;
-        Journal.note ~kind:"pass-rollback"
+        Events.emit ~code:"PASS-ROLLBACK"
           [
             ("domain", Json.Str I.domain);
             ("pass", Json.Str name);

@@ -36,9 +36,9 @@ let test_event_stream () =
   let t = Events.create () in
   Events.install t;
   Fun.protect ~finally:Events.clear (fun () ->
-      Events.emit ~code:"NOTE" [ ("msg", Json.Str "a") ];
+      Events.emit ~code:"PHASE" [ ("name", Json.Str "a") ];
       Events.emit ~code:"PHASE" [ ("name", Json.Str "b") ]);
-  Events.emit ~code:"NOTE" [ ("msg", Json.Str "after clear: dropped") ];
+  Events.emit ~code:"PHASE" [ ("name", Json.Str "after clear: dropped") ];
   Alcotest.(check int) "two events recorded" 2 (Events.length t);
   Alcotest.(check (list int))
     "contiguous seqs" [ 0; 1 ]

@@ -4,8 +4,8 @@
     exhaustion is a structured answer (never a hang), the two
     interpreters trap on exactly the same ceiling, a degraded compile
     still matches the unoptimized reference within floating-point
-    tolerance, and a chaos campaign replayed with its seed reproduces the
-    incident journal byte-for-byte. *)
+    tolerance, and a chaos campaign replayed with its seed reproduces its
+    decision-event stream byte-for-byte. *)
 
 module Pipelines = Dcir_core.Pipelines
 module Budget = Dcir_resilience.Budget
@@ -15,6 +15,7 @@ module Polybench = Dcir_workloads.Polybench
 module Workload = Dcir_workloads.Workload
 module Oracle = Dcir_fuzz.Oracle
 module Json = Dcir_obs.Json
+module Events = Dcir_obs.Events
 
 (* ------------------------------------------------------------------ *)
 (* Budgets *)
@@ -106,7 +107,6 @@ let run_with_step_cap (kind : Pipelines.kind) (w : Workload.t) : exn option =
    unchecked chaos corrupt-rewrite is such an edit. *)
 let test_fixpoint_skips_clean_passes () =
   let module Driver = Dcir_dace_passes.Driver in
-  let module Events = Dcir_obs.Events in
   let sdfg =
     match
       Pipelines.compile ~optimize_sdfg:false Pipelines.Dcir
@@ -271,15 +271,55 @@ let test_ladder (w : Workload.t) () =
 (* Chaos campaign determinism *)
 
 let test_chaos_determinism () =
-  let campaign () = Dcir_fuzz.Chaos_campaign.run ~count:12 ~seed:7 () in
+  let module C = Dcir_fuzz.Chaos_campaign in
+  let campaign () = C.run ~count:12 ~seed:7 () in
   let a = campaign () and b = campaign () in
-  Alcotest.(check bool) "no oracle violations" true
-    (Dcir_fuzz.Chaos_campaign.ok a);
-  Alcotest.(check bool) "journals are non-trivial" true
-    (Dcir_obs.Events.length a.Dcir_fuzz.Chaos_campaign.ch_journal > 24);
-  Alcotest.(check string) "same seed, byte-identical journal"
-    (Json.to_string (Dcir_fuzz.Chaos_campaign.journal_json a))
-    (Json.to_string (Dcir_fuzz.Chaos_campaign.journal_json b))
+  Alcotest.(check bool) "no oracle violations" true (C.ok a);
+  Alcotest.(check bool) "streams are non-trivial" true
+    (Events.length a.C.ch_events > 24);
+  Alcotest.(check string) "same seed, byte-identical stream"
+    (Json.to_string (C.events_json a))
+    (Json.to_string (C.events_json b));
+  (* Every event lies between a case's CHAOS-CASE and its CHAOS-OUTCOME; a
+     case that compiled has one TIER-LAND there, undegraded iff it landed
+     at the requested tier. *)
+  let evs = Events.events a.C.ch_events in
+  let count code i =
+    List.length
+      (List.filter
+         (fun e -> e.Events.ev_code = code && Events.int_field e "case" = i)
+         evs)
+  in
+  let lands = Hashtbl.create 16 in
+  ignore
+    (List.fold_left
+       (fun case (e : Events.event) ->
+         match (e.Events.ev_code, case) with
+         | "CHAOS-CASE", _ -> Some (Events.int_field e "case")
+         | "CHAOS-OUTCOME", _ -> None
+         | "TIER-LAND", Some i ->
+             Hashtbl.add lands i (Events.int_field e "degradations");
+             case
+         | code, None -> Alcotest.failf "%s outside a case" code
+         | _, Some _ -> case)
+       None evs);
+  List.iter
+    (fun (cr : C.case_result) ->
+      let i = cr.C.cr_index in
+      let what = Printf.sprintf "case %d" i in
+      Alcotest.(check int) (what ^ ": one CHAOS-CASE") 1 (count "CHAOS-CASE" i);
+      Alcotest.(check int)
+        (what ^ ": one CHAOS-OUTCOME") 1 (count "CHAOS-OUTCOME" i);
+      match (cr.C.cr_outcome, Hashtbl.find_all lands i) with
+      | C.Correct, [ d ] ->
+          Alcotest.(check int) (what ^ ": correct, no degradation") 0 d
+      | C.Degraded_correct, [ d ] ->
+          Alcotest.(check bool) (what ^ ": degraded-correct, degraded") true
+            (d > 0)
+      | (C.Correct | C.Degraded_correct), l ->
+          Alcotest.failf "%s: %d TIER-LAND events" what (List.length l)
+      | (C.Diagnosed _ | C.Wrong _ | C.Escaped _), _ -> ())
+    a.C.ch_cases
 
 let suite =
   ( "resilience",
