@@ -120,10 +120,6 @@ let crash_failure (pipeline : string) (e : exn) : failure =
    behaviour, same value of every machine metric
    ({!Dcir_core.Pipelines.bitwise_divergence}). *)
 
-let serial_par_divergence (serial : Pipelines.run_result)
-    (par : Pipelines.run_result) : string option =
-  Pipelines.bitwise_divergence ~what:"serial and parallel runs" serial par
-
 let autopar_failures ~(checked : bool) ?reproducer_dir ~(jobs : int)
     (case : Gen.case) (ref_r : Pipelines.run_result) : failure list =
   match
@@ -146,7 +142,10 @@ let autopar_failures ~(checked : bool) ?reproducer_dir ~(jobs : int)
           [ { f_pipeline = "dcir-autopar"; f_kind = Divergence msg;
               f_invalid = false } ]
       | None -> [])
-      @ (match serial_par_divergence serial par with
+      @ (match
+           Pipelines.bitwise_divergence ~what:"serial and parallel runs" serial
+             par
+         with
         | Some msg ->
             [ { f_pipeline = "dcir-autopar-par"; f_kind = Divergence msg;
                 f_invalid = false } ]

@@ -186,7 +186,7 @@ let check_identity (w : Workload.t) () =
     (Oracle.divergence reference serial);
   Alcotest.(check (option string))
     "parallel run bit-identical to serial" None
-    (Oracle.serial_par_divergence serial par)
+    (Pipelines.bitwise_divergence ~what:"serial and parallel runs" serial par)
 
 (* A reduction map merges each chunk's private accumulator into the shared
    array after the chunk runs. Elements no iteration reduced into must come
