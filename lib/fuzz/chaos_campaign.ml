@@ -82,8 +82,11 @@ let diagnosis (e : exn) : string option =
 let chaos_seed (campaign_seed : int) (i : int) : int =
   Rng.derive (campaign_seed lxor 0x5eed_c4a0) i
 
-let run_case ~(seed : int) (i : int) : case_result =
-  let case = Gen.generate (Rng.derive seed i) in
+(** The fault plan of case [i] ([case]) of a campaign seeded [seed]. Emits
+    the case's [CHAOS-CASE] event: its index, program seed, the plan's
+    fault kinds and whether it runs checked. The coverage campaign
+    records its cases with this too. *)
+let case_plan ~(seed : int) (i : int) (case : Gen.case) : Chaos.plan =
   let plan = Chaos.plan ~seed:(chaos_seed seed i) () in
   Events.emit ~code:"CHAOS-CASE"
     [
@@ -95,6 +98,20 @@ let run_case ~(seed : int) (i : int) : case_result =
       );
       ("checked", Json.Bool plan.Chaos.pl_checked);
     ];
+  plan
+
+(** Emit case [i]'s [CHAOS-OUTCOME] event: its verdict [outcome] and, for a
+    case that ended in an exception, its classification code as
+    [reason]. *)
+let emit_outcome (i : int) (outcome : string) (reason : string option) : unit
+    =
+  Events.emit ~code:"CHAOS-OUTCOME"
+    ([ ("case", Json.Int i); ("outcome", Json.Str outcome) ]
+    @ match reason with Some r -> [ ("reason", Json.Str r) ] | None -> [])
+
+let run_case ~(seed : int) (i : int) : case_result =
+  let case = Gen.generate (Rng.derive seed i) in
+  let plan = case_plan ~seed i case in
   (* Reference before any chaos: the baseline must stay pristine. *)
   let reference =
     let m = Dcir_cfront.Polygeist.compile case.Gen.src in
@@ -126,12 +143,10 @@ let run_case ~(seed : int) (i : int) : case_result =
             | Some code -> Diagnosed code
             | None -> Escaped (Pipelines.classify_exn e)))
   in
-  Events.emit ~code:"CHAOS-OUTCOME"
-    ([ ("case", Json.Int i); ("outcome", Json.Str (outcome_name outcome)) ]
-    @
-    match outcome with
-    | Diagnosed code | Escaped code -> [ ("reason", Json.Str code) ]
-    | Correct | Degraded_correct | Wrong _ -> []);
+  emit_outcome i (outcome_name outcome)
+    (match outcome with
+    | Diagnosed code | Escaped code -> Some code
+    | Correct | Degraded_correct | Wrong _ -> None);
   {
     cr_index = i;
     cr_seed = case.Gen.seed;

@@ -141,18 +141,7 @@ let run ?(chaos = true) ~(count : int) ~(seed : int) () : report =
         let tags = constructs_of case in
         let checked =
           if chaos then begin
-            let plan = Chaos.plan ~seed:(Chaos_campaign.chaos_seed seed i) () in
-            Events.emit ~code:"CHAOS-CASE"
-              [
-                ("case", Json.Int i);
-                ("case_seed", Json.Int case.Gen.seed);
-                ( "faults",
-                  Json.List
-                    (List.map
-                       (fun f -> Json.Str (Chaos.fault_name f))
-                       plan.Chaos.pl_faults) );
-                ("checked", Json.Bool plan.Chaos.pl_checked);
-              ];
+            let plan = Chaos_campaign.case_plan ~seed i case in
             Chaos.install plan;
             plan.Chaos.pl_checked
           end
@@ -168,18 +157,9 @@ let run ?(chaos = true) ~(count : int) ~(seed : int) () : report =
               | _ -> None
               | exception e -> Some (Pipelines.classify_exn e))
         in
-        Events.emit ~code:"CHAOS-OUTCOME"
-          ([
-             ("case", Json.Int i);
-             ( "outcome",
-               Json.Str
-                 (match diagnosed with None -> "compiled" | Some _ -> "diagnosed")
-             );
-           ]
-          @
-          match diagnosed with
-          | Some code -> [ ("reason", Json.Str code) ]
-          | None -> []);
+        Chaos_campaign.emit_outcome i
+          (match diagnosed with None -> "compiled" | Some _ -> "diagnosed")
+          diagnosed;
         (* Tally this case's decisions from its slice of the stream. *)
         let slice =
           List.filter
