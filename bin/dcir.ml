@@ -889,17 +889,6 @@ let () =
     | Dcir_support.Diagnostics.Error d ->
         Format.eprintf "dcir: %s@." (Dcir_support.Diagnostics.to_string d);
         1
-    | Pipelines.Pipeline_error msg ->
-        Format.eprintf "dcir: pipeline error: %s@."
-          (Dcir_support.Diagnostics.one_line msg);
-        1
-    | Dcir_cfront.C_lexer.Lex_error msg
-    | Dcir_cfront.C_parser.Parse_error msg
-    | Dcir_cfront.C_sema.Sema_error msg
-    | Dcir_cfront.Polygeist.Lower_error msg ->
-        Format.eprintf "dcir: frontend error: %s@."
-          (Dcir_support.Diagnostics.one_line msg);
-        1
     | Dcir_sdfg.Interp.Trap msg | Dcir_mlir.Interp.Trap msg ->
         Format.eprintf "dcir: runtime trap: %s@."
           (Dcir_support.Diagnostics.one_line msg);

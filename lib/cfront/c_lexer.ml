@@ -15,7 +15,9 @@ type token =
 
 type lexed = { tokens : token array; mutable pos : int }
 
-exception Lex_error of string
+module Diag = Dcir_support.Diagnostics
+
+let err fmt = Diag.fail ~code:"E-LEX" ~phase:Diag.Frontend fmt
 
 let keywords =
   [ "int"; "double"; "float"; "void"; "if"; "else"; "for"; "while"; "return";
@@ -42,7 +44,7 @@ let rec tokenize (src : string) : token list =
     | None ->
         push (if List.mem name keywords then KW name else IDENT name)
     | Some body ->
-        if depth > 16 then raise (Lex_error ("macro recursion: " ^ name));
+        if depth > 16 then err "macro recursion: %s" name;
         List.iter
           (function
             | IDENT id -> expand (depth + 1) id
@@ -139,7 +141,7 @@ let rec tokenize (src : string) : token list =
       | Some p ->
           push (PUNCT p);
           i := !i + String.length p
-      | None -> raise (Lex_error (Printf.sprintf "unexpected character %c" c))
+      | None -> err "unexpected character %c" c
     end
   done;
   List.rev (EOF :: !toks)

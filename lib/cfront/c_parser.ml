@@ -4,17 +4,16 @@
 
 open C_ast
 
-exception Parse_error of string
+module Diag = Dcir_support.Diagnostics
 
 type st = { toks : C_lexer.token array; mutable pos : int }
 
 let error st fmt =
   Fmt.kstr
     (fun m ->
-      raise
-        (Parse_error
-           (Printf.sprintf "%s (at token %d: %s)" m st.pos
-              (C_lexer.token_to_string st.toks.(min st.pos (Array.length st.toks - 1))))))
+      Diag.fail ~code:"E-PARSE" ~phase:Diag.Frontend "%s (at token %d: %s)" m
+        st.pos
+        (C_lexer.token_to_string st.toks.(min st.pos (Array.length st.toks - 1))))
     fmt
 
 let peek st = st.toks.(st.pos)

@@ -9,9 +9,9 @@
 
 open C_ast
 
-exception Sema_error of string
+module Diag = Dcir_support.Diagnostics
 
-let err fmt = Fmt.kstr (fun m -> raise (Sema_error m)) fmt
+let err fmt = Diag.fail ~code:"E-SEMA" ~phase:Diag.Frontend fmt
 
 type scope = (string, cty) Hashtbl.t list
 
@@ -199,7 +199,7 @@ and check_block prog ret sc ss : stmt list =
   let inner = Hashtbl.create 8 :: sc in
   List.map (check_stmt prog ret inner) ss
 
-(** Type-check and normalize a whole program. Raises {!Sema_error}. *)
+(** Type-check and normalize a whole program. Raises [E-SEMA]. *)
 let check (prog : program) : program =
   let funcs =
     List.map

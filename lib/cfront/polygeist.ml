@@ -21,9 +21,9 @@
 open C_ast
 open Dcir_mlir
 
-exception Lower_error of string
+module Diag = Dcir_support.Diagnostics
 
-let err fmt = Fmt.kstr (fun m -> raise (Lower_error m)) fmt
+let err fmt = Diag.fail ~code:"E-LOWER" ~phase:Diag.Frontend fmt
 
 type binding =
   | Cell of Ir.value  (** memref<1xT> holding a mutable C scalar *)

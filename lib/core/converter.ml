@@ -24,9 +24,9 @@
 open Dcir_mlir
 open Dcir_symbolic
 
-exception Conversion_error of string
+module Diag = Dcir_support.Diagnostics
 
-let err fmt = Fmt.kstr (fun m -> raise (Conversion_error m)) fmt
+let err fmt = Diag.fail ~code:"E-CONVERT" ~phase:Diag.Convert fmt
 
 (* How an MLIR SSA value is represented on the data-centric side. *)
 type vkind =

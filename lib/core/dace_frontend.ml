@@ -25,9 +25,9 @@ module C_parser = Dcir_cfront.C_parser
 module Ir = Dcir_mlir.Ir
 module Types = Dcir_mlir.Types
 
-exception Frontend_error of string
+module Diag = Dcir_support.Diagnostics
 
-let err fmt = Fmt.kstr (fun m -> raise (Frontend_error m)) fmt
+let err fmt = Diag.fail ~code:"E-DACE-FRONTEND" ~phase:Diag.Frontend fmt
 
 type binding =
   | VSym of string  (** loop induction symbol *)

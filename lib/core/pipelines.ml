@@ -42,8 +42,6 @@ type compiled =
   | CMlir of Ir.modul
   | CSdfg of Sdfg.t
 
-exception Pipeline_error of string
-
 module Diag = Dcir_support.Diagnostics
 
 (* ------------------------------------------------------------------ *)
@@ -117,11 +115,8 @@ let dace_levels_at (tier : tier) : bool * bool * bool =
 
 (* Compile phases, each recording an {!Obs} span (no-ops when telemetry is
    disabled) so `--timing`/`--trace` show where compile time goes, and a
-   PHASE decision event when a stream is installed. Each phase translates
-   its subsystem's ad-hoc exceptions into a structured {!Diag.Error}
-   carrying a stable code and the phase name, so the CLI (and the fuzz
-   oracle) can render one-line diagnostics with meaningful exit codes
-   instead of backtraces. *)
+   PHASE decision event when a stream is installed. A stage that rejects
+   its input raises {!Diag.Error} with its own stable code and phase. *)
 
 let phase_span (name : string) (f : unit -> 'a) : 'a =
   Events.emit ~code:"PHASE" [ ("name", Json.Str name) ];
@@ -147,23 +142,8 @@ let with_fuel_spend ?(budget : Budget.t option) (phase : string)
         f
   | _ -> f ()
 
-(** Runs [f], turning the C lexer's, parser's and checker's errors into
-    the frontend diagnostics [E-LEX], [E-PARSE] and [E-SEMA]. *)
-let frontend_errors (f : unit -> 'a) : 'a =
-  try f () with
-  | Dcir_cfront.C_lexer.Lex_error msg ->
-      Diag.fail ~code:"E-LEX" ~phase:Diag.Frontend "%s" msg
-  | Dcir_cfront.C_parser.Parse_error msg ->
-      Diag.fail ~code:"E-PARSE" ~phase:Diag.Frontend "%s" msg
-  | Dcir_cfront.C_sema.Sema_error msg ->
-      Diag.fail ~code:"E-SEMA" ~phase:Diag.Frontend "%s" msg
-
 let frontend_phase (src : string) : Ir.modul =
-  phase_span "c-frontend" (fun () ->
-      frontend_errors (fun () ->
-          try Dcir_cfront.Polygeist.compile src
-          with Dcir_cfront.Polygeist.Lower_error msg ->
-            Diag.fail ~code:"E-LOWER" ~phase:Diag.Frontend "%s" msg))
+  phase_span "c-frontend" (fun () -> Dcir_cfront.Polygeist.compile src)
 
 let control_phase ?(checked = false) ?budget ?reproducer_dir
     ~(passes : Pass.t list) (m : Ir.modul) : unit =
@@ -179,9 +159,7 @@ let control_phase ?(checked = false) ?budget ?reproducer_dir
          else [ ("rollbacks", Json.Int (List.length st.incidents)) ])))
 
 let verify_phase (m : Ir.modul) : unit =
-  phase_span "verify" (fun () ->
-      try Verifier.verify_exn m
-      with Failure msg -> Diag.fail ~code:"E-VERIFY" ~phase:Diag.Verify "%s" msg)
+  phase_span "verify" (fun () -> Verifier.verify_exn m)
 
 (** Conflict report of the most recent auto-parallelizing compile — one
     entry per loop inspected by {!Dcir_autopar.Loop_to_map.parallelize}.
@@ -293,12 +271,7 @@ let compile ?(optimize_sdfg = true) ?(disable = []) ?(checked = false)
           CMlir m
       | Dace ->
           let sdfg =
-            phase_span "dace-frontend" (fun () ->
-                frontend_errors (fun () ->
-                    try Dace_frontend.compile src ~entry
-                    with Dace_frontend.Frontend_error msg ->
-                      Diag.fail ~code:"E-DACE-FRONTEND" ~phase:Diag.Frontend
-                        "%s" msg))
+            phase_span "dace-frontend" (fun () -> Dace_frontend.compile src ~entry)
           in
           dace_opt sdfg;
           CSdfg sdfg
@@ -307,16 +280,11 @@ let compile ?(optimize_sdfg = true) ?(disable = []) ?(checked = false)
           control m;
           verify_phase m;
           let converted =
-            phase_span "convert" (fun () ->
-                try Converter.convert_module m
-                with Converter.Conversion_error msg ->
-                  Diag.fail ~code:"E-CONVERT" ~phase:Diag.Convert "%s" msg)
+            phase_span "convert" (fun () -> Converter.convert_module m)
           in
           let sdfg =
             phase_span "translate" (fun () ->
-                try Translator.translate_module converted ~entry
-                with Translator.Translation_error msg ->
-                  Diag.fail ~code:"E-TRANSLATE" ~phase:Diag.Translate "%s" msg)
+                Translator.translate_module converted ~entry)
           in
           dace_opt sdfg;
           CSdfg sdfg)
@@ -580,40 +548,42 @@ let reset_metrics (m : Metrics.t) : unit =
   m.l1_accesses <- 0
 
 (* Materialize argument buffers (uncharged: the harness owns them, like
-   Polybench's pre-allocated arrays). *)
-let make_buffers (machine : Machine.t) (args : arg list) :
-    (arg * Machine.buffer option) list =
+   Polybench's pre-allocated arrays): each argument binds to an array
+   buffer with its dims or to a scalar value. *)
+let make_buffers (machine : Machine.t) (args : arg list) : Interp.rtval list =
   let bufs =
     List.map
       (fun a ->
         match a with
-        | AFloatArr (data, _) ->
-            let b =
+        | AFloatArr (data, dims) ->
+            let buf =
               Machine.alloc machine ~storage:Machine.Heap
                 ~elems:(Array.length data) ~elem_bytes:8
                 ~zero_init:(Value.VFloat 0.0)
             in
-            Array.iteri (fun i v -> Machine.poke b i (Value.VFloat v)) data;
-            (a, Some b)
-        | AIntArr (data, _) ->
-            let b =
+            Array.iteri (fun i v -> Machine.poke buf i (Value.VFloat v)) data;
+            Interp.Buf { buf; dims }
+        | AIntArr (data, dims) ->
+            let buf =
               Machine.alloc machine ~storage:Machine.Heap
                 ~elems:(Array.length data) ~elem_bytes:8
                 ~zero_init:(Value.VInt 0)
             in
-            Array.iteri (fun i v -> Machine.poke b i (Value.VInt v)) data;
-            (a, Some b)
-        | AInt _ | AFloat _ -> (a, None))
+            Array.iteri (fun i v -> Machine.poke buf i (Value.VInt v)) data;
+            Interp.Buf { buf; dims }
+        | AInt n -> Interp.Scalar (Value.VInt n)
+        | AFloat f -> Interp.Scalar (Value.VFloat f))
       args
   in
   reset_metrics (Machine.metrics machine);
   bufs
 
-let snapshot_outputs (bufs : (arg * Machine.buffer option) list) :
-    (int * Value.t array) list =
-  List.mapi (fun i (_, b) -> (i, b)) bufs
+let snapshot_outputs (bufs : Interp.rtval list) : (int * Value.t array) list =
+  List.mapi (fun i b -> (i, b)) bufs
   |> List.filter_map (fun (i, b) ->
-         Option.map (fun buf -> (i, Machine.snapshot buf)) b)
+         match b with
+         | Interp.Buf { buf; _ } -> Some (i, Machine.snapshot buf)
+         | Interp.Scalar _ -> None)
 
 (** Interpreter execution tier, for both IRs: [`Tree] walks the IR
     directly — the reference semantics; [`Compiled] (default) runs MLIR
@@ -663,35 +633,10 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
   let result =
   match compiled with
   | CMlir m ->
-      let rt_args =
-        List.mapi
-          (fun i (a, b) ->
-            match (a, b) with
-            | AFloatArr (_, dims), Some buf | AIntArr (_, dims), Some buf ->
-                Interp.Buf { buf; dims }
-            | AInt n, None -> Interp.Scalar (Value.VInt n)
-            | AFloat f, None -> Interp.Scalar (Value.VFloat f)
-            | (AFloatArr _ | AIntArr _), None ->
-                raise
-                  (Pipeline_error
-                     (Printf.sprintf
-                        "argument %d of @%s: array argument was not \
-                         materialized into a buffer (expected an array \
-                         buffer)"
-                        i entry))
-            | (AInt _ | AFloat _), Some _ ->
-                raise
-                  (Pipeline_error
-                     (Printf.sprintf
-                        "argument %d of @%s: scalar argument carries an \
-                         array buffer (expected a plain int/float scalar)"
-                        i entry)))
-          bufs
-      in
       let mode =
         match interp_mode with `Tree -> Interp.Tree | `Compiled -> Interp.Compiled
       in
-      let results, _ = Interp.run ~machine ?profile ~mode m ~entry rt_args in
+      let results, _ = Interp.run ~machine ?profile ~mode m ~entry bufs in
       {
         return_value = (match results with v :: _ -> Some v | [] -> None);
         outputs = snapshot_outputs bufs;
@@ -707,19 +652,16 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
         | `Tree, _ | `Compiled, Some _ -> None
       in
       if List.length sdfg.param_order <> List.length args then
-        raise
-          (Pipeline_error
-             (Printf.sprintf "@%s expects %d arguments, got %d" entry
-                (List.length sdfg.param_order)
-                (List.length args)));
+        Diag.fail ~code:"E-ARGS" ~phase:Diag.Execute
+          "@%s expects %d arguments, got %d" entry
+          (List.length sdfg.param_order)
+          (List.length args);
       let buffers = ref [] in
       let symbols = ref [] in
-      let pos = ref (-1) in
       List.iter2
-        (fun pname (a, b) ->
-          incr pos;
-          match (a, b) with
-          | (AFloatArr (_, dims) | AIntArr (_, dims)), Some buf ->
+        (fun pname b ->
+          match b with
+          | Interp.Buf { buf; dims } ->
               if Hashtbl.mem sdfg.containers pname then begin
                 buffers := (pname, buf, dims) :: !buffers;
                 (* Bind free size symbols from the concrete dims. *)
@@ -733,40 +675,18 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
                     | _ -> ())
                   c.shape
               end
-          | AInt n, None ->
+          | Interp.Scalar v -> (
               if Hashtbl.mem sdfg.containers pname then begin
                 let buf =
                   Machine.alloc machine ~storage:Machine.Register ~elems:1
-                    ~elem_bytes:8 ~zero_init:(Value.VInt n)
+                    ~elem_bytes:8 ~zero_init:v
                 in
-                Machine.poke buf 0 (Value.VInt n);
+                Machine.poke buf 0 v;
                 buffers := (pname, buf, [||]) :: !buffers
               end;
-              symbols := (pname, n) :: !symbols
-          | AFloat f, None ->
-              if Hashtbl.mem sdfg.containers pname then begin
-                let buf =
-                  Machine.alloc machine ~storage:Machine.Register ~elems:1
-                    ~elem_bytes:8 ~zero_init:(Value.VFloat f)
-                in
-                Machine.poke buf 0 (Value.VFloat f);
-                buffers := (pname, buf, [||]) :: !buffers
-              end
-          | (AFloatArr _ | AIntArr _), None ->
-              raise
-                (Pipeline_error
-                   (Printf.sprintf
-                      "argument %d ('%s') of @%s: array argument was not \
-                       materialized into a buffer (expected an array \
-                       buffer)"
-                      !pos pname entry))
-          | (AInt _ | AFloat _), Some _ ->
-              raise
-                (Pipeline_error
-                   (Printf.sprintf
-                      "argument %d ('%s') of @%s: scalar argument carries \
-                       an array buffer (expected a plain int/float scalar)"
-                      !pos pname entry)))
+              match v with
+              | Value.VInt n -> symbols := (pname, n) :: !symbols
+              | Value.VFloat _ -> ()))
         sdfg.param_order bufs;
       let res =
         match program with

@@ -17,9 +17,9 @@ open Dcir_mlir
 open Dcir_sdfg
 open Dcir_symbolic
 
-exception Translation_error of string
+module Diag = Dcir_support.Diagnostics
 
-let err fmt = Fmt.kstr (fun m -> raise (Translation_error m)) fmt
+let err fmt = Diag.fail ~code:"E-TRANSLATE" ~phase:Diag.Translate fmt
 
 (* ------------------------------------------------------------------ *)
 (* Tasklet raising *)

@@ -43,21 +43,8 @@ let failure_str (f : failure) : string =
 let describe_exn (e : exn) : string =
   match e with
   | Diag.Error d -> Diag.to_string d
-  | Pipelines.Pipeline_error msg -> "pipeline error: " ^ Diag.one_line msg
   | Failure msg -> "failure: " ^ Diag.one_line msg
   | e -> Printexc.to_string e
-
-(* A frontend rejection means the *program* is invalid, not that a
-   pipeline is buggy. The reference path raises the frontend exceptions
-   directly; the pipelines wrap them in Diag.Error with phase Frontend. *)
-let is_frontend_reject (e : exn) : bool =
-  match e with
-  | Diag.Error { Diag.phase = Diag.Frontend; _ }
-  | Dcir_cfront.C_lexer.Lex_error _
-  | Dcir_cfront.C_parser.Parse_error _
-  | Dcir_cfront.C_sema.Sema_error _
-  | Dcir_cfront.Polygeist.Lower_error _ -> true
-  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Trap parity.
@@ -110,7 +97,8 @@ let divergence = Pipelines.divergence
 
 let crash_failure (pipeline : string) (e : exn) : failure =
   { f_pipeline = pipeline; f_kind = Crash (describe_exn e);
-    f_invalid = is_frontend_reject e }
+    f_invalid =
+      (match e with Diag.Error { phase = Diag.Frontend; _ } -> true | _ -> false) }
 
 (* ------------------------------------------------------------------ *)
 (* Sixth pipeline: dcir with loop→map auto-parallelization. Checked two

@@ -176,10 +176,11 @@ let verify_func (f : Ir.func) : diagnostic list =
 let verify_module (m : Ir.modul) : diagnostic list =
   List.concat_map verify_func m.funcs
 
-(** Raise [Failure] with all messages if verification finds errors. *)
+(** Raise [E-VERIFY] with all messages if verification finds errors. *)
 let verify_exn (m : Ir.modul) : unit =
   let diags = verify_module m in
   let errors = List.filter (fun d -> d.severity = `Error) diags in
   if errors <> [] then
-    failwith
+    Dcir_support.Diagnostics.fail ~code:"E-VERIFY"
+      ~phase:Dcir_support.Diagnostics.Verify "%s"
       (String.concat "\n" (List.map (fun d -> Fmt.str "%a" pp_diagnostic d) errors))

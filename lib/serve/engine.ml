@@ -160,19 +160,6 @@ let artifact_digest (c : Pipelines.compiled) : string =
     | Pipelines.CSdfg sdfg -> Dcir_sdfg.Printer.to_string sdfg
     | Pipelines.CMlir m -> Dcir_mlir.Printer.module_to_string m)
 
-(* Frontend rejections — poison requests — are never retried: the input
-   is invalid, and no amount of tier degradation or backoff changes
-   that. The raw exceptions appear when the parser/sema rejects before
-   the pipeline wraps them in a [Diag.Error]. *)
-let is_frontend_error : exn -> bool = function
-  | Diag.Error { phase = Diag.Frontend; _ }
-  | Dcir_cfront.C_lexer.Lex_error _
-  | Dcir_cfront.C_parser.Parse_error _
-  | Dcir_cfront.C_sema.Sema_error _
-  | Dcir_cfront.Polygeist.Lower_error _ ->
-      true
-  | _ -> false
-
 (* Everything one dequeue step decides, as data: the journal entries it
    would record (in order), the response it would return, and whether it
    re-enters the retry queue. Computing the step this way lets a worker
@@ -632,7 +619,13 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
                 | Some r -> r
                 | None -> config.cfg_retries
               in
-              if (not (is_frontend_error e)) && job.jb_attempts <= retries
+              (* Frontend rejections — poison requests — are never
+                 retried: the input is invalid, and no amount of tier
+                 degradation or backoff changes that. *)
+              if
+                match e with
+                | Diag.Error { phase = Diag.Frontend; _ } -> false
+                | _ -> job.jb_attempts <= retries
               then begin
                 let next =
                   match Pipelines.next_tier job.jb_tier with

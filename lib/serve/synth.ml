@@ -47,10 +47,7 @@ let args (src : string) (entry : string) ~(size : float) :
     reports the syntax error, while an omitted one fails here with the
     compile's diagnostic, [E-LEX] or [E-PARSE]. *)
 let resolve_entry (src : string) (entry : string option) : string =
-  match
-    Pipelines.frontend_errors (fun () ->
-        Dcir_cfront.C_parser.parse_program src)
-  with
+  match Dcir_cfront.C_parser.parse_program src with
   | exception Diag.Error _ when Option.is_some entry -> Option.get entry
   | prog -> (
       let funcs = List.map (fun (f : C_ast.func_def) -> f.name) prog.funcs in

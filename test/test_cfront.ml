@@ -3,6 +3,7 @@
 
 open Dcir_cfront
 open Dcir_machine
+module Diag = Dcir_support.Diagnostics
 
 let run_c ?(args = []) (src : string) ~(entry : string) : Value.t =
   let m = Polygeist.compile src in
@@ -36,30 +37,37 @@ let test_parser_for_headers () =
       Alcotest.(check string) "var" "i" hdr.var
   | _ -> Alcotest.fail "expected a single for statement"
 
+(* The code of the frontend diagnostic [f] fails with, or "accepted". *)
+let frontend_code (f : unit -> 'a) : string =
+  match f () with
+  | _ -> "accepted"
+  | exception Diag.Error { code; phase = Diag.Frontend; _ } -> code
+
 let test_parser_rejects () =
-  Alcotest.(check bool) "bad update" true
-    (try
-       ignore (C_parser.parse_program "void f() { for (int i = 0; i < 4; j++) {} }");
-       false
-     with C_parser.Parse_error _ -> true)
+  let parse src () = C_parser.parse_program src in
+  Alcotest.(check string) "bad update" "E-PARSE"
+    (frontend_code (parse "void f() { for (int i = 0; i < 4; j++) {} }"));
+  Alcotest.(check string) "stray character" "E-LEX"
+    (frontend_code (parse "int f(int n) { return n @ 1; }"))
 
 let test_sema_errors () =
   let expect_error src =
-    try
-      ignore (C_sema.check (C_parser.parse_program src));
-      false
-    with C_sema.Sema_error _ -> true
+    frontend_code (fun () -> C_sema.check (C_parser.parse_program src))
   in
-  Alcotest.(check bool) "undeclared var" true
+  Alcotest.(check string) "undeclared var" "E-SEMA"
     (expect_error "void f() { x = 1; }");
-  Alcotest.(check bool) "index count" true
+  Alcotest.(check string) "index count" "E-SEMA"
     (expect_error "void f(double a[4][4]) { a[1] = 0.0; }");
-  Alcotest.(check bool) "float index" true
+  Alcotest.(check string) "float index" "E-SEMA"
     (expect_error "void f(double a[4]) { a[1.5] = 0.0; }");
-  Alcotest.(check bool) "bad call arity" true
+  Alcotest.(check string) "bad call arity" "E-SEMA"
     (expect_error "void f() { double x = pow(2.0); }");
-  Alcotest.(check bool) "void return" true
-    (expect_error "double f() { return; }")
+  Alcotest.(check string) "void return" "E-SEMA"
+    (expect_error "double f() { return; }");
+  (* The checker accepts an early return; the lowering rejects it. *)
+  Alcotest.(check string) "early return" "E-LOWER"
+    (frontend_code (fun () ->
+         Polygeist.compile "int f(int n) { return n; n = 1; }"))
 
 let test_lowering_arith () =
   let v =

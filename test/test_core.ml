@@ -48,11 +48,13 @@ let test_converter_rejects_calls () =
       "double g(double x) { return x; }\ndouble f(double x) { return g(x); }"
   in
   (* Without inlining, func.call reaches the converter and is rejected. *)
-  Alcotest.(check bool) "calls rejected" true
-    (try
-       ignore (Converter.convert_module m);
-       false
-     with Converter.Conversion_error _ -> true)
+  Alcotest.(check string) "calls rejected" "E-CONVERT"
+    (match Converter.convert_module m with
+    | _ -> "accepted"
+    | exception
+        Dcir_support.Diagnostics.Error
+          { code; phase = Dcir_support.Diagnostics.Convert; _ } ->
+        code)
 
 let test_translator_raises_tasklets () =
   let converted = convert saxpy_src in
