@@ -268,6 +268,51 @@ let rec event_nodes (g : Sdfg.graph) (name : string) :
         | _ -> [])
       (Sdfg.nodes g)
 
+(* Append the dependency edge [a -> b] (no memlet) unless [g] has it. *)
+let add_dep_edge (g : Sdfg.graph) (a : int) (b : int) : unit =
+  if
+    not
+      (List.exists
+         (fun (e : Sdfg.edge) -> e.e_src = a && e.e_dst = b && e.e_memlet = None)
+         (Sdfg.edges g))
+  then
+    Sdfg.set_edges g @@
+      (Sdfg.edges g)
+      @ [ { Sdfg.e_src = a; e_src_conn = None; e_dst = b; e_dst_conn = None;
+            e_memlet = None } ]
+
+module SS = Set.Make (String)
+
+(** Merge [g2] into [g1], ordered after it: [g1] takes [g2]'s nodes and
+    edges, and a dependency edge from each event node of [g1] to each of
+    [g2] on every container both graphs touch and one of them writes
+    (read-read pairs need no order), so the merged graph stays race-free.
+    [reads1]/[writes1] and [reads2]/[writes2] are the containers [g1] and
+    [g2] read and write. State fusion and loop fusion merge with this. *)
+let merge_sequenced (g1 : Sdfg.graph) (g2 : Sdfg.graph) ~(reads1 : SS.t)
+    ~(writes1 : SS.t) ~(reads2 : SS.t) ~(writes2 : SS.t) : unit =
+  let common = SS.inter (SS.union reads1 writes1) (SS.union reads2 writes2) in
+  let deps =
+    SS.fold
+      (fun c acc ->
+        if (not (SS.mem c writes1)) && not (SS.mem c writes2) then acc
+        else
+          let ev2 = event_nodes g2 c in
+          List.concat_map
+            (fun ((n1, rw1) : Sdfg.node * _) ->
+              List.filter_map
+                (fun ((n2, rw2) : Sdfg.node * _) ->
+                  if rw1 = `Read && rw2 = `Read then None
+                  else Some (n1.nid, n2.nid))
+                ev2)
+            (event_nodes g1 c)
+          @ acc)
+      common []
+  in
+  Sdfg.set_nodes g1 @@ (Sdfg.nodes g1) @ (Sdfg.nodes g2);
+  Sdfg.set_edges g1 @@ (Sdfg.edges g1) @ (Sdfg.edges g2);
+  List.iter (fun (a, b) -> if a <> b then add_dep_edge g1 a b) deps
+
 (** Remove every access node of [name] from [g], bridging dependency
     ordering: each predecessor of a removed node gets a dep edge to each of
     its successors. Used after a container is eliminated while ordering
@@ -298,20 +343,7 @@ let remove_access_nodes_of (g : Sdfg.graph) (name : string) : unit =
         List.filter
           (fun (e : Sdfg.edge) -> e.e_src <> v.nid && e.e_dst <> v.nid)
           (Sdfg.edges g);
-      List.iter
-        (fun (a, b) ->
-          if
-            not
-              (List.exists
-                 (fun (e : Sdfg.edge) ->
-                   e.e_src = a && e.e_dst = b && e.e_memlet = None)
-                 (Sdfg.edges g))
-          then
-            Sdfg.set_edges g @@
-              (Sdfg.edges g)
-              @ [ { Sdfg.e_src = a; e_src_conn = None; e_dst = b;
-                    e_dst_conn = None; e_memlet = None } ])
-        bridges;
+      List.iter (fun (a, b) -> add_dep_edge g a b) bridges;
       Sdfg.set_nodes g @@
         List.filter (fun (n : Sdfg.node) -> n.nid <> v.nid) (Sdfg.nodes g))
     victims

@@ -146,40 +146,15 @@ let can_fuse (sdfg : Sdfg.t) (l1 : Loop_analysis.loop)
           && ((not (written c)) || List.mem l1.sym (Range.free_syms first)))
     shared
 
-(* Merge b2's graph into b1 with sequencing edges (same discipline as state
-   fusion). *)
+(* Merge b2's graph into b1 with sequencing edges, as state fusion does. *)
 let merge_bodies (b1 : Sdfg.state) (b2 : Sdfg.state) : unit =
   let g1 = b1.s_graph and g2 = b2.s_graph in
-  let module S = Set.Make (String) in
-  let touched g = S.of_list (Sdfg.read_containers g @ Sdfg.written_containers g) in
-  let common = S.inter (touched g1) (touched g2) in
-  let writes1 = S.of_list (Sdfg.written_containers g1) in
-  let writes2 = S.of_list (Sdfg.written_containers g2) in
-  let deps =
-    S.fold
-      (fun c acc ->
-        if (not (S.mem c writes1)) && not (S.mem c writes2) then acc
-        else
-          List.concat_map
-            (fun ((n1, r1) : Sdfg.node * _) ->
-              List.filter_map
-                (fun ((n2, r2) : Sdfg.node * _) ->
-                  if r1 = `Read && r2 = `Read then None else Some (n1.nid, n2.nid))
-                (Graph_util.event_nodes g2 c))
-            (Graph_util.event_nodes g1 c)
-          @ acc)
-      common []
-  in
-  Sdfg.set_nodes g1 @@ (Sdfg.nodes g1) @ (Sdfg.nodes g2);
-  Sdfg.set_edges g1 @@ (Sdfg.edges g1) @ (Sdfg.edges g2);
-  List.iter
-    (fun (a, b) ->
-      if a <> b then
-        Sdfg.set_edges g1 @@
-          (Sdfg.edges g1)
-          @ [ { Sdfg.e_src = a; e_src_conn = None; e_dst = b; e_dst_conn = None;
-                e_memlet = None } ])
-    deps
+  let set = Graph_util.SS.of_list in
+  Graph_util.merge_sequenced g1 g2
+    ~reads1:(set (Sdfg.read_containers g1))
+    ~writes1:(set (Sdfg.written_containers g1))
+    ~reads2:(set (Sdfg.read_containers g2))
+    ~writes2:(set (Sdfg.written_containers g2))
 
 (* Normalization: a state sitting between a loop's exit and the next
    construct moves above the loop when it is independent of it (disjoint

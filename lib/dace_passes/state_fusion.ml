@@ -78,51 +78,10 @@ let fuse_pair (cache : cache) (sdfg : Sdfg.t) (e : Sdfg.istate_edge) :
     Sdfg.state =
   let s1 = Option.get (Sdfg.find_state sdfg e.ie_src) in
   let s2 = Option.get (Sdfg.find_state sdfg e.ie_dst) in
-  let g1 = s1.s_graph and g2 = s2.s_graph in
   let sum1 = summary cache s1 and sum2 = summary cache s2 in
-  (* Containers touched in both states need sequencing edges. *)
-  let touched (sum : summary) =
-    S.union (Lazy.force sum.reads) (Lazy.force sum.writes)
-  in
-  let common = S.inter (touched sum1) (touched sum2) in
-  let writes1 = Lazy.force sum1.writes in
-  let writes2 = Lazy.force sum2.writes in
-  let dep_edges =
-    S.fold
-      (fun c acc ->
-        (* read-read needs no ordering *)
-        if (not (S.mem c writes1)) && not (S.mem c writes2) then acc
-        else
-          let ev1 = Graph_util.event_nodes g1 c in
-          let ev2 = Graph_util.event_nodes g2 c in
-          List.concat_map
-            (fun ((n1, rw1) : Sdfg.node * _) ->
-              List.filter_map
-                (fun ((n2, rw2) : Sdfg.node * _) ->
-                  if rw1 = `Read && rw2 = `Read then None
-                  else Some (n1.nid, n2.nid))
-                ev2)
-            ev1
-          @ acc)
-      common []
-  in
-  (* Merge. *)
-  Sdfg.set_nodes g1 @@ (Sdfg.nodes g1) @ (Sdfg.nodes g2);
-  Sdfg.set_edges g1 @@ (Sdfg.edges g1) @ (Sdfg.edges g2);
-  List.iter
-    (fun (a, b) ->
-      if a <> b
-         && not
-              (List.exists
-                 (fun (x : Sdfg.edge) ->
-                   x.e_src = a && x.e_dst = b && x.e_memlet = None)
-                 (Sdfg.edges g1))
-      then
-        Sdfg.set_edges g1 @@
-          (Sdfg.edges g1)
-          @ [ { e_src = a; e_src_conn = None; e_dst = b; e_dst_conn = None;
-                e_memlet = None } ])
-    dep_edges;
+  Graph_util.merge_sequenced s1.s_graph s2.s_graph
+    ~reads1:(Lazy.force sum1.reads) ~writes1:(Lazy.force sum1.writes)
+    ~reads2:(Lazy.force sum2.reads) ~writes2:(Lazy.force sum2.writes);
   (* Rewire the state machine: s2's outgoing edges now leave s1. *)
   Sdfg.set_istate_edges sdfg @@
     List.filter_map
