@@ -34,7 +34,7 @@ let events (x : t) : Events.t = x.ex_events
     on — the full decision surface) with a fresh event stream installed;
     when [run] is set, also execute the artifact. Failures are captured
     into the narrative instead of escaping. *)
-let explain ?(tier = Pipelines.O2) ?(limits = Budget.default)
+let explain ?(limits = Budget.default)
     ?(checked = true) ?(run = true) ?(jobs = 1)
     ?(interp : Pipelines.interp_mode = `Compiled) (kind : Pipelines.kind)
     ~(src : string) ~(entry : string) ~(args : unit -> Pipelines.arg list) ()
@@ -43,7 +43,7 @@ let explain ?(tier = Pipelines.O2) ?(limits = Budget.default)
   Events.install evs;
   Fun.protect ~finally:Events.clear (fun () ->
       match
-        Pipelines.compile_resilient ~tier ~limits ~checked ~autopar:true kind
+        Pipelines.compile_resilient ~limits ~checked ~autopar:true kind
           ~src ~entry
       with
       | compiled, report ->

@@ -1,7 +1,7 @@
 (** Per-construct coverage dashboard ([dcir fuzz --coverage]).
 
     Runs a seeded campaign of generated programs through the resilient
-    [dcir] pipeline (autopar on, chaos armed by default, compile-only)
+    [dcir] pipeline (autopar on, chaos armed, compile-only)
     with the decision-event stream installed, tags each case with the C
     constructs it exercises (loop shapes, branches, ternaries, libm
     calls, compound assignments, ...), and aggregates the per-case
@@ -112,13 +112,12 @@ let new_row () =
 type report = {
   cov_seed : int;
   cov_count : int;
-  cov_chaos : bool;
   cov_rows : (string * row) list;  (** sorted by construct name *)
   cov_total : row;
   cov_events : Events.t;  (** the campaign's full decision-event stream *)
 }
 
-let run ?(chaos = true) ~(count : int) ~(seed : int) () : report =
+let run ~(count : int) ~(seed : int) () : report =
   let evs = Events.create () in
   Events.install evs;
   let rows : (string, row) Hashtbl.t = Hashtbl.create 16 in
@@ -139,20 +138,15 @@ let run ?(chaos = true) ~(count : int) ~(seed : int) () : report =
       for i = 0 to count - 1 do
         let case = Gen.generate (Rng.derive seed i) in
         let tags = constructs_of case in
-        let checked =
-          if chaos then begin
-            let plan = Chaos_campaign.case_plan ~seed i case in
-            Chaos.install plan;
-            plan.Chaos.pl_checked
-          end
-          else true
-        in
+        let plan = Chaos_campaign.case_plan ~seed i case in
+        Chaos.install plan;
         let since = Events.length evs in
         let diagnosed =
           Fun.protect ~finally:Chaos.clear (fun () ->
               match
-                Pipelines.compile_resilient ~checked ~autopar:true
-                  Pipelines.Dcir ~src:case.Gen.src ~entry:case.Gen.entry
+                Pipelines.compile_resilient ~checked:plan.Chaos.pl_checked
+                  ~autopar:true Pipelines.Dcir ~src:case.Gen.src
+                  ~entry:case.Gen.entry
               with
               | _ -> None
               | exception e -> Some (Pipelines.classify_exn e))
@@ -196,7 +190,6 @@ let run ?(chaos = true) ~(count : int) ~(seed : int) () : report =
   {
     cov_seed = seed;
     cov_count = count;
-    cov_chaos = chaos;
     cov_rows =
       Hashtbl.fold (fun tag r acc -> (tag, r) :: acc) rows []
       |> List.sort (fun (a, _) (b, _) -> compare a b);
@@ -212,7 +205,6 @@ let events_header (r : report) : (string * Json.t) list =
     ("tool", Json.Str "dcir fuzz --coverage");
     ("seed", Json.Int r.cov_seed);
     ("cases", Json.Int r.cov_count);
-    ("chaos", Json.Bool r.cov_chaos);
   ]
 
 let write_events (r : report) (path : string) : unit =
@@ -220,9 +212,8 @@ let write_events (r : report) (path : string) : unit =
 
 let pp (ppf : Format.formatter) (r : report) : unit =
   Format.fprintf ppf
-    "coverage: %d case(s), seed %d%s — %d decision event(s)@." r.cov_count
-    r.cov_seed
-    (if r.cov_chaos then ", chaos armed" else "")
+    "coverage: %d case(s), seed %d, chaos armed — %d decision event(s)@."
+    r.cov_count r.cov_seed
     (Events.length r.cov_events);
   Format.fprintf ppf "  %-16s %6s %9s %8s %9s %8s %9s %10s@." "construct"
     "cases" "certified" "refused" "rollback" "brk-open" "degraded" "diagnosed";
