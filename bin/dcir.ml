@@ -118,6 +118,25 @@ let interp_arg =
                  the flat bytecode VM). Outputs, traps and machine \
                  metrics are bit-identical across tiers.")
 
+(* Output streams, shared by explain/fuzz ([--events]) and fuzz/serve
+   ([--journal]); each subcommand checks the modes it writes them in. *)
+
+let events_arg =
+  Arg.(value & opt (some string) None
+       & info [ "events" ] ~docv:"FILE"
+           ~doc:"Write the decision-event stream (schema dcir-events/1) as \
+                 JSON, byte-identical for the same input and seed; \
+                 $(b,fuzz) writes it with $(b,--chaos) or $(b,--coverage).")
+
+let journal_arg =
+  Arg.(value & opt (some string) None
+       & info [ "journal" ] ~docv:"FILE"
+           ~doc:"Write the serve response journal (schema \
+                 dcir-serve-journal/3), byte-identical for the same \
+                 requests, seed and configuration; $(b,serve) writes it to \
+                 stdout without this flag, $(b,fuzz) only with \
+                 $(b,--serve).")
+
 (* ------------------------------------------------------------------ *)
 (* Resource-budget flags, shared by run/bench/fuzz (see README
    "Resilience"). Cmdliner renders the defaults in --help. *)
@@ -301,12 +320,6 @@ let explain_cmd =
      passes admitted/skipped, loops certified or refused (with the conflict \
      witness), breaker and degradation-ladder activity, and budget spend. \
      Each line carries its stable event code."
-  in
-  let events_arg =
-    Arg.(value & opt (some string) None
-         & info [ "events" ] ~docv:"FILE"
-             ~doc:"Write the decision-event stream (schema dcir-events/1) as \
-                   JSON. Byte-identical across runs for the same input.")
   in
   let no_run_arg =
     Arg.(value & flag
@@ -542,12 +555,6 @@ let fuzz_cmd =
                    workers and fails unless the journals agree \
                    byte-for-byte.")
   in
-  let journal_arg =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"FILE"
-             ~doc:"With $(b,--serve): write the serve response journal \
-                   (schema dcir-serve-journal/3). Same seed, same bytes.")
-  in
   let coverage_arg =
     Arg.(value & flag
          & info [ "coverage" ]
@@ -555,13 +562,6 @@ let fuzz_cmd =
                    compile-only campaign and aggregate per-construct \
                    autopar / rollback / breaker / degradation rates from \
                    the decision-event stream.")
-  in
-  let events_arg =
-    Arg.(value & opt (some string) None
-         & info [ "events" ] ~docv:"FILE"
-             ~doc:"With $(b,--chaos) or $(b,--coverage): write the \
-                   campaign's decision-event stream (schema dcir-events/1) \
-                   as JSON. Same seed, same bytes.")
   in
   let write_reproducer dir (fc : Dcir_fuzz.Harness.failed_case) =
     let path =
@@ -725,11 +725,6 @@ let serve_cmd =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"FILE"
              ~doc:"Request batch (JSON); $(b,-) reads standard input")
-  in
-  let journal_arg =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"FILE"
-             ~doc:"Write the response journal here instead of stdout")
   in
   let seed_arg =
     Arg.(value & opt int 0
