@@ -622,11 +622,12 @@ let run ?(config = default_config) (requests : (Request.t, Request.rejected) res
               (* Frontend rejections — poison requests — are never
                  retried: the input is invalid, and no amount of tier
                  degradation or backoff changes that. *)
-              if
+              let retry =
                 match e with
                 | Diag.Error { phase = Diag.Frontend; _ } -> false
                 | _ -> job.jb_attempts <= retries
-              then begin
+              in
+              if retry then begin
                 let next =
                   match Pipelines.next_tier job.jb_tier with
                   | Some t -> t

@@ -4,6 +4,7 @@
 
 open Dcir_core
 open Dcir_mlir
+module Diag = Dcir_support.Diagnostics
 
 let saxpy_src =
   {|
@@ -51,10 +52,7 @@ let test_converter_rejects_calls () =
   Alcotest.(check string) "calls rejected" "E-CONVERT"
     (match Converter.convert_module m with
     | _ -> "accepted"
-    | exception
-        Dcir_support.Diagnostics.Error
-          { code; phase = Dcir_support.Diagnostics.Convert; _ } ->
-        code)
+    | exception Diag.Error { code; phase = Diag.Convert; _ } -> code)
 
 let test_translator_raises_tasklets () =
   let converted = convert saxpy_src in
