@@ -33,11 +33,20 @@
 
     The driver also writes one line per product, under the same name, to
     the file named by its first argument ([compile_counts.expected] is
-    its golden): [control=ADMITTED/CHANGED data=ADMITTED/CHANGED], the
-    [PASS-ADMIT] events of an {!Dcir_obs.Events} stream installed around
-    the product's compile, per pass domain, and how many of them changed
-    the IR. A change to how often the pass drivers run a pass shows up
-    there without touching a digest or a cost. *)
+    its golden):
+    - [control=ADMITTED/CHANGED data=ADMITTED/CHANGED]: the [PASS-ADMIT]
+      events of an {!Dcir_obs.Events} stream installed around the
+      product's compile, per pass domain, and how many of them changed
+      the IR. A change to how often the pass drivers run a pass shows up
+      there without touching a digest or a cost;
+    - [compile_words=N run_words=M]: [Gc.minor_words] allocated by the
+      product's compile and by its compiled-tier run (arguments built
+      before the count starts). They repeat exactly from process to
+      process, so a host-side allocation change shows up as a diff of
+      them. They are counts of the default dev build that [dune runtest]
+      uses: dune compiles library modules with [-opaque] there, so no
+      function is inlined across modules, and a release build allocates
+      differently. A product whose compile fails has no [run_words]. *)
 
 open Dcir_core
 module D = Dcir_support.Digest
@@ -50,12 +59,18 @@ let counts_oc =
   | [| _; path |] -> open_out path
   | _ -> failwith "usage: compile_digests COUNTS-FILE"
 
+(* Minor-heap words allocated by [f ()], with its outcome. *)
+let words (f : unit -> 'a) : ('a, exn) result * int =
+  let w0 = Gc.minor_words () in
+  let r = try Ok (f ()) with e -> Error e in
+  (r, int_of_float (Gc.minor_words () -. w0))
+
 (* Runs the compile [f] under a fresh event stream; returns its outcome
-   and the product's pass counts. *)
+   and the product's pass counts and compile words. *)
 let counted (f : unit -> 'a) : ('a, exn) result * string =
   let t = Events.create () in
   Events.install t;
-  let r = try Ok (f ()) with e -> Error e in
+  let r, cw = words f in
   Events.clear ();
   let admits = Events.with_code t "PASS-ADMIT" in
   let count domain =
@@ -70,10 +85,12 @@ let counted (f : unit -> 'a) : ('a, exn) result * string =
     Printf.sprintf "%s=%d/%d" domain (List.length admitted)
       (List.length changed)
   in
-  (r, count "control" ^ " " ^ count "data")
+  (r, Printf.sprintf "%s %s compile_words=%d" (count "control") (count "data") cw)
 
-let print_counts (name : string) (counts : string) : unit =
-  Printf.fprintf counts_oc "%s %s\n" name counts
+let print_counts ?run_words (name : string) (counts : string) : unit =
+  match run_words with
+  | Some w -> Printf.fprintf counts_oc "%s %s run_words=%d\n" name counts w
+  | None -> Printf.fprintf counts_oc "%s %s\n" name counts
 
 let digest (c : Pipelines.compiled) : string =
   D.of_string
@@ -81,20 +98,26 @@ let digest (c : Pipelines.compiled) : string =
     | Pipelines.CMlir m -> Dcir_mlir.Printer.module_to_string m
     | Pipelines.CSdfg s -> Dcir_sdfg.Printer.to_string s)
 
+(* The run of [c] under a fresh budget, with the words it allocated. *)
 let run ~entry ~args (c : Pipelines.compiled) :
-    (Pipelines.run_result * Budget.t, string) result =
+    (Pipelines.run_result * Budget.t, string) result * int =
   let budget = Budget.create () in
-  match Pipelines.run ~budget c ~entry (args ()) with
-  | r -> Ok (r, budget)
-  | exception e -> Error (Pipelines.classify_exn e)
+  let args = args () in
+  let r, w = words (fun () -> Pipelines.run ~budget c ~entry args) in
+  ( (match r with
+    | Ok r -> Ok (r, budget)
+    | Error e -> Error (Pipelines.classify_exn e)),
+    w )
 
 (* The line of product [c]: its name and digest, then whether it agrees
-   with [reference] (the run of the unoptimized product) and its costs. *)
+   with [reference] (the run of the unoptimized product) and its costs;
+   with the words its run allocated. *)
 let line ~entry ~args ~reference (name : string) (c : Pipelines.compiled) :
-    string =
+    string * int =
   let d = digest c in
+  let outcome, run_words = run ~entry ~args c in
   let costs =
-    match run ~entry ~args c with
+    match outcome with
     | Error code -> "trap " ^ code
     | Ok (r, budget) ->
         let m = r.metrics in
@@ -110,18 +133,26 @@ let line ~entry ~args ~reference (name : string) (c : Pipelines.compiled) :
           m.cycles m.loads m.stores m.l1_misses m.l2_misses m.l3_misses
           m.heap_allocs m.heap_bytes budget.steps
   in
-  Printf.sprintf "%s %s %s" name d costs
+  (Printf.sprintf "%s %s %s" name d costs, run_words)
 
 let reference_run ~src ~entry ~args =
-  lazy (run ~entry ~args (Pipelines.CMlir (Dcir_cfront.Polygeist.compile src)))
+  lazy
+    (fst
+       (run ~entry ~args (Pipelines.CMlir (Dcir_cfront.Polygeist.compile src))))
+
+(* Writes both lines of one compiled product. *)
+let print_product ~entry ~args ~reference (name : string) (counts : string)
+    (c : Pipelines.compiled) : unit =
+  let l, run_words = line ~entry ~args ~reference name c in
+  print_counts ~run_words name counts;
+  print_endline l
 
 let workload (w : Dcir_workloads.Workload.t) : unit =
   let reference = reference_run ~src:w.src ~entry:w.entry ~args:w.args in
   let product how (c, counts) =
     let name = w.name ^ " " ^ how in
-    print_counts name counts;
     let c = match c with Ok c -> c | Error e -> raise e in
-    print_endline (line ~entry:w.entry ~args:w.args ~reference name c)
+    print_product ~entry:w.entry ~args:w.args ~reference name counts c
   in
   let compile ?tier ?checked kind =
     counted (fun () ->
@@ -146,8 +177,7 @@ let generated (i : int) : unit =
       let reference =
         reference_run ~src:case.src ~entry:case.entry ~args:case.args
       in
-      print_counts name counts;
-      print_endline (line ~entry:case.entry ~args:case.args ~reference name c)
+      print_product ~entry:case.entry ~args:case.args ~reference name counts c
   | Error e, counts ->
       print_counts name counts;
       Printf.printf "%s error %s\n" name (Pipelines.classify_exn e)
