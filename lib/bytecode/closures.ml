@@ -29,7 +29,8 @@ type syms = string -> int
 
 (* Compiled symbolic expression; mirrors Expr.eval's left-to-right
    evaluation (the symbol environment may charge for scalar-container
-   reads) and raises Expr.Unbound_symbol like the interpreter. *)
+   reads) and raises Expr.Unbound_symbol like the interpreter. Sums and
+   products of two or three terms evaluate without a fold closure. *)
 let compile_expr (sym : syms) : Expr.t -> iexpr =
   let rec compile_expr (e : Expr.t) : iexpr =
     match e with
@@ -37,6 +38,30 @@ let compile_expr (sym : syms) : Expr.t -> iexpr =
     | Expr.Sym s ->
         let id = sym s in
         fun rt -> sym_id rt id s
+    | Expr.Add [ a; b ] ->
+        let ca = compile_expr a and cb = compile_expr b in
+        fun rt ->
+          let x = ca rt in
+          x + cb rt
+    | Expr.Add [ a; b; c ] ->
+        let ca = compile_expr a and cb = compile_expr b in
+        let cc = compile_expr c in
+        fun rt ->
+          let x = ca rt in
+          let y = cb rt in
+          x + y + cc rt
+    | Expr.Mul [ a; b ] ->
+        let ca = compile_expr a and cb = compile_expr b in
+        fun rt ->
+          let x = ca rt in
+          x * cb rt
+    | Expr.Mul [ a; b; c ] ->
+        let ca = compile_expr a and cb = compile_expr b in
+        let cc = compile_expr c in
+        fun rt ->
+          let x = ca rt in
+          let y = cb rt in
+          x * y * cc rt
     | Expr.Add xs ->
         let cs = List.map compile_expr xs in
         fun rt -> List.fold_left (fun acc c -> acc + c rt) 0 cs

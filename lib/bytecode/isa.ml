@@ -30,8 +30,8 @@
     traps and every machine metric agree across both tiers. Symbolic
     index expressions and tasklet bodies that do not fit a specialized
     opcode run as {!Closures} — exactness by construction, with the
-    specialized forms ([Copy1], [Bin], [DivT], [FusedBin]) reserved for
-    shapes whose charge sequence is statically known. *)
+    specialized forms ([Copy1], [CopyIdx], [Bin], [DivT], [FusedBin])
+    reserved for shapes whose charge sequence is statically known. *)
 
 open Dcir_machine
 module Interp = Dcir_sdfg.Interp
@@ -99,6 +99,22 @@ type instr =
       dslot : int;
       wcr : Sdfg.wcr option;
     }  (** scalar → scalar copy *)
+  | CopyIdx of {
+      src : string;
+      sslot : int;
+      dst : string;
+      dslot : int;
+      wcr : Sdfg.wcr option;
+      sr : (iexpr * iexpr) list;
+      dr : (iexpr * iexpr) list;
+          (** (lo, step) per dimension: an index dimension's hi is the
+              same expression as its lo *)
+      base : int;
+          (** [ints.(base + k)]: the index of source dimension [k], then
+              of each destination dimension *)
+    }
+      (** single-element copy between index subsets of any ranks (other
+          than [Copy0]'s and [Copy1]'s) *)
   (* -- tasklets ------------------------------------------------------ *)
   | LoadIdx of { dst : int; data : string; cslot : int; idxs : iexpr array }
       (** fill one connector slot from a single-element subset *)
@@ -137,7 +153,7 @@ type instr =
       modul : Dcir_mlir.Ir.modul;
       entry : string;
       nid : int;
-      syms : (int * string) list;
+      syms : (int * string) array;  (** symbol arguments, then [args] *)
       args : oarg array;
       keys : string array;
       obase : int;
@@ -200,6 +216,7 @@ let opcode_name : instr -> string = function
   | CopyND _ -> "copy.nd"
   | Copy1 _ -> "copy.1d"
   | Copy0 _ -> "copy.0d"
+  | CopyIdx _ -> "copy.idx"
   | LoadIdx _ -> "load.idx"
   | LoadLast _ -> "load.last"
   | Eval _ -> "eval"

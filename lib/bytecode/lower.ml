@@ -246,7 +246,8 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
                 modul;
                 entry = f.Dcir_mlir.Ir.fname;
                 nid = n.nid;
-                syms = List.map (fun s -> (sym b s, s)) t.t_syms;
+                syms =
+                  Array.of_list (List.map (fun s -> (sym b s, s)) t.t_syms);
                 args;
                 keys;
                 obase;
@@ -334,6 +335,11 @@ let lower_tasklet (b : builder) (g : Sdfg.graph) (n : Sdfg.node)
    lowering: the exception is caught here and deferred as a [Reraise] at
    the point where the tree walker raises it. *)
 
+(* A single-index dimension: [Range.is_index] without the simplification
+   it runs on both bounds, which allocates more than lowering the copy.
+   Bounds that differ only before simplification lower to [CopyND]. *)
+let same_lo_hi (d : Range.dim) : bool = Dcir_symbolic.Expr.compare d.lo d.hi = 0
+
 let reraise_on (b : builder) (f : unit -> 'a) (k : 'a -> unit) : unit =
   match f () with v -> k v | exception e -> ignore (emit b (Reraise e))
 
@@ -391,6 +397,25 @@ and lower_copy (b : builder) ~(src : string) ~(dst : string)
             wcr;
             sr = Closures.compile_range_dim (sym b) sd;
             dr = Closures.compile_range_dim (sym b) dd;
+          }
+    | _
+      when List.for_all same_lo_hi src_subset
+           && List.for_all same_lo_hi dst_subset ->
+        let index (d : Range.dim) =
+          ( Closures.compile_expr (sym b) d.lo,
+            Closures.compile_expr (sym b) d.step )
+        in
+        CopyIdx
+          {
+            src;
+            sslot = cslot b src;
+            dst;
+            dslot = cslot b dst;
+            wcr;
+            sr = List.map index src_subset;
+            dr = List.map index dst_subset;
+            base =
+              alloc_ints b (List.length src_subset + List.length dst_subset);
           }
     | _ ->
         CopyND

@@ -78,6 +78,41 @@ let load_linear (rt : Interp.runtime) (fr : frame) ~(data : string)
       done;
       (buf, !lin)
 
+(* [CopyIdx]'s ranges in [eval_crange]'s order (lo, hi, step per
+   dimension; hi is lo again, and it and step evaluate for their charges
+   only), each index landing in [ints.(pos)] onwards. *)
+let rec eval_indices (rt : Interp.runtime) (fr : frame)
+    (rs : (iexpr * iexpr) list) (pos : int) : unit =
+  match rs with
+  | [] -> ()
+  | (clo, cstep) :: rest ->
+      fr.ints.(pos) <- Closures.ceval clo rt;
+      ignore (Closures.ceval clo rt : int);
+      ignore (Closures.ceval cstep rt : int);
+      eval_indices rt fr rest (pos + 1)
+
+(* [Interp.linearize] of the [n] indices at [ints.(base)]: the rank trap,
+   then one Int_alu per dimension past the first. *)
+let linear_ints (rt : Interp.runtime) (fr : frame) ~(name : string)
+    (dims : int array) (base : int) (n : int) : int =
+  if Array.length dims <> n then rank_trap name n (Array.length dims);
+  let lin = ref 0 in
+  for k = 0 to n - 1 do
+    if k > 0 then Machine.charge_op rt.machine Cost.Int_alu;
+    lin := (!lin * dims.(k)) + fr.ints.(base + k)
+  done;
+  !lin
+
+(* The filler of a fresh opaque-call argument array. *)
+let no_arg : Dcir_mlir.Interp.rtval = Dcir_mlir.Interp.Scalar (Value.VInt 0)
+
+let rec blit_list (l : Value.t list) (dst : Value.t array) (pos : int) : unit =
+  match l with
+  | [] -> ()
+  | v :: rest ->
+      dst.(pos) <- v;
+      blit_list rest dst (pos + 1)
+
 let do_store (rt : Interp.runtime) (buf : Machine.buffer) (lin : int)
     (wcr : Sdfg.wcr option) (v : Value.t) : unit =
   match wcr with
@@ -112,12 +147,7 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
               1 shape
             * Sdfg.elem_bytes c
           in
-          let pages = (bytes + 4095) / 4096 in
-          Machine.charge m
-            (m.cfg.malloc_cost
-            +. (m.cfg.malloc_per_page *. float_of_int pages)
-            +. if c.alloc_in_loop then m.cfg.free_cost else 0.0);
-          (Machine.metrics m).heap_allocs <- (Machine.metrics m).heap_allocs + 1
+          Machine.charge_state_alloc m ~bytes ~in_loop:c.alloc_in_loop
         end
     | ChargeBranch -> Machine.charge_op m Cost.Branch
     | EdgeCond { cond; src; dst; if_false } ->
@@ -201,6 +231,20 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
         let v = Machine.load m sbuf 0 in
         if Array.length ddims <> 0 then rank_trap dst 0 (Array.length ddims);
         do_store rt dbuf 0 wcr v
+    | CopyIdx { src; sslot; dst; dslot; wcr; sr; dr; base } ->
+        (* [Closures.exec_ccopy]'s single-element path *)
+        let sbuf, sdims = cached rt fr sslot src in
+        let dbuf, ddims = cached rt fr dslot dst in
+        let ns = List.length sr in
+        eval_indices rt fr sr base;
+        eval_indices rt fr dr (base + ns);
+        let v =
+          Machine.load m sbuf (linear_ints rt fr ~name:src sdims base ns)
+        in
+        let dlin =
+          linear_ints rt fr ~name:dst ddims (base + ns) (List.length dr)
+        in
+        do_store rt dbuf dlin wcr v
     (* -- tasklets -------------------------------------------------- *)
     | LoadIdx { dst; data; cslot; idxs } ->
         let buf, lin = load_linear rt fr ~data ~cslot idxs in
@@ -243,29 +287,30 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
     | CallOpaque { tname; overhead; modul; entry; nid; syms; args; keys; obase }
       ->
         Machine.charge m overhead;
-        let sym_args =
-          List.map
-            (fun (id, s) ->
-              match Interp.sym_id rt id s with
-              | v -> Dcir_mlir.Interp.Scalar (Value.VInt v)
-              | exception Expr.Unbound_symbol _ ->
-                  Interp.trap "opaque tasklet '%s': unbound symbol '%s'" tname
-                    s)
-            syms
-        in
-        let margs =
-          List.map
-            (fun (a : oarg) ->
-              match a with
-              | OScalar i -> Dcir_mlir.Interp.Scalar fr.vals.(i)
-              | OArray data ->
-                  Dcir_mlir.Interp.Buf
-                    { buf = Interp.buffer_of rt data; dims = Interp.dims_of rt data }
-              | OUnbound conn ->
-                  Interp.trap "opaque tasklet '%s': unbound connector '%s'"
-                    tname conn)
-            (Array.to_list args)
-        in
+        let ns = Array.length syms in
+        let argv = Array.make (ns + Array.length args) no_arg in
+        for i = 0 to ns - 1 do
+          let id, s = syms.(i) in
+          argv.(i) <-
+            (match Interp.sym_id rt id s with
+            | v -> Dcir_mlir.Interp.Scalar (Value.VInt v)
+            | exception Expr.Unbound_symbol _ ->
+                Interp.trap "opaque tasklet '%s': unbound symbol '%s'" tname s)
+        done;
+        for j = 0 to Array.length args - 1 do
+          argv.(ns + j) <-
+            (match args.(j) with
+            | OScalar i -> Dcir_mlir.Interp.Scalar fr.vals.(i)
+            | OArray data ->
+                Dcir_mlir.Interp.Buf
+                  {
+                    buf = Interp.buffer_of rt data;
+                    dims = Interp.dims_of rt data;
+                  }
+            | OUnbound conn ->
+                Interp.trap "opaque tasklet '%s': unbound connector '%s'" tname
+                  conn)
+        done;
         let prep =
           match Hashtbl.find_opt rt.prepared nid with
           | Some p -> p
@@ -276,12 +321,11 @@ let rec exec (rt : Interp.runtime) (p : program) : unit =
               Hashtbl.replace rt.prepared nid p;
               p
         in
-        let results = Dcir_mlir.Interp.run_prepared prep (sym_args @ margs) in
-        let vals =
-          Array.of_list
-            (List.map2 (fun _ v -> v) (Array.to_list keys) results)
-        in
-        Array.blit vals 0 fr.vals obase (Array.length vals)
+        let results = Dcir_mlir.Interp.run_prepared prep argv in
+        (* one result per output key, or the length error of [List.map2] *)
+        if List.compare_length_with results (Array.length keys) <> 0 then
+          invalid_arg "List.map2";
+        blit_list results fr.vals obase
   done
 
 (** [run p ~buffers ~symbols] executes a lowered program through

@@ -528,25 +528,6 @@ let bitwise_divergence ~(what : string) (a : run_result) (b : run_result) :
          b.metrics.loads)
   else None
 
-let reset_metrics (m : Metrics.t) : unit =
-  m.cycles <- 0.0;
-  m.loads <- 0;
-  m.stores <- 0;
-  m.bytes_loaded <- 0;
-  m.bytes_stored <- 0;
-  m.int_ops <- 0;
-  m.fp_ops <- 0;
-  m.math_calls <- 0;
-  m.branches <- 0;
-  m.heap_allocs <- 0;
-  m.heap_frees <- 0;
-  m.heap_bytes <- 0;
-  m.stack_allocs <- 0;
-  m.l1_misses <- 0;
-  m.l2_misses <- 0;
-  m.l3_misses <- 0;
-  m.l1_accesses <- 0
-
 (* Materialize argument buffers (uncharged: the harness owns them, like
    Polybench's pre-allocated arrays): each argument binds to an array
    buffer with its dims or to a scalar value. *)
@@ -575,7 +556,7 @@ let make_buffers (machine : Machine.t) (args : arg list) : Interp.rtval list =
         | AFloat f -> Interp.Scalar (Value.VFloat f))
       args
   in
-  reset_metrics (Machine.metrics machine);
+  Machine.reset_metrics machine;
   bufs
 
 let snapshot_outputs (bufs : Interp.rtval list) : (int * Value.t array) list =

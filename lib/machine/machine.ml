@@ -27,11 +27,19 @@ type buffer = {
 module Budget = Dcir_resilience.Budget
 module Chaos = Dcir_resilience.Chaos
 
+type clock = { mutable cycles : float }
+(** The live cycle counter. An all-float record stores its field flat,
+    so adding to it allocates nothing; [Metrics.t] mixes float and int
+    fields, so writing its [cycles] boxes a float on every charge. *)
+
 type t = {
   cfg : Cost.config;
   op_costs : float array;
       (** [Cost.op_cost cfg] per {!Cost.class_index}, built once *)
   metrics : Metrics.t;
+      (** every counter but [cycles], which is live in [clock] and copied
+          in by {!metrics} *)
+  clock : clock;
   budget : Budget.t;
       (** governs allocations here and interpreter steps upstream *)
   l1 : Cache.t;
@@ -59,6 +67,7 @@ let create ?(cfg = Cost.default) ?(budget = Budget.create ()) () : t =
     cfg;
     op_costs;
     metrics = Metrics.create ();
+    clock = { cycles = 0.0 };
     budget;
     l1 = Cache.create ~name:"L1" ~size_bytes:(32 * 1024) ~assoc:8 ~line_bytes;
     l2 = Cache.create ~name:"L2" ~size_bytes:(1024 * 1024) ~assoc:16 ~line_bytes;
@@ -73,8 +82,36 @@ let create ?(cfg = Cost.default) ?(budget = Budget.create ()) () : t =
     alloc_ordinal = 0;
   }
 
-let metrics (m : t) : Metrics.t = m.metrics
+(** The machine's counters, with [cycles] brought up to date. This module
+    is the only writer of them: a write to the returned record's [cycles]
+    is lost at the next call. *)
+let metrics (m : t) : Metrics.t =
+  m.metrics.cycles <- m.clock.cycles;
+  m.metrics
+
 let budget (m : t) : Budget.t = m.budget
+
+(** Zero every counter, as at [create]. *)
+let reset_metrics (m : t) : unit =
+  let mt = m.metrics in
+  m.clock.cycles <- 0.0;
+  mt.cycles <- 0.0;
+  mt.loads <- 0;
+  mt.stores <- 0;
+  mt.bytes_loaded <- 0;
+  mt.bytes_stored <- 0;
+  mt.int_ops <- 0;
+  mt.fp_ops <- 0;
+  mt.math_calls <- 0;
+  mt.branches <- 0;
+  mt.heap_allocs <- 0;
+  mt.heap_frees <- 0;
+  mt.heap_bytes <- 0;
+  mt.stack_allocs <- 0;
+  mt.l1_misses <- 0;
+  mt.l2_misses <- 0;
+  mt.l3_misses <- 0;
+  mt.l1_accesses <- 0
 
 (** A fresh machine continuing [m]'s address space: cold caches, zeroed
     metrics, but the same allocation cursors — the substrate of one parallel
@@ -88,15 +125,22 @@ let fork (m : t) : t =
   f.next_id <- m.next_id;
   f
 
+(** [merge ~into src] adds [src]'s counters to [into]'s ([into] first,
+    for [cycles]) — a parallel map's chunk machine merging back into the
+    master, in chunk order. *)
+let merge ~(into : t) (src : t) : unit =
+  Metrics.add_into ~into:(metrics into) (metrics src);
+  into.clock.cycles <- into.metrics.cycles
+
 (* ------------------------------------------------------------------ *)
 (* Cost charging *)
 
 let charge (m : t) (cycles : float) : unit =
-  m.metrics.cycles <- m.metrics.cycles +. cycles
+  m.clock.cycles <- m.clock.cycles +. cycles
 
 let charge_op (m : t) (cls : Cost.op_class) : unit =
   let mt = m.metrics in
-  mt.cycles <- mt.cycles +. m.op_costs.(Cost.class_index cls);
+  m.clock.cycles <- m.clock.cycles +. m.op_costs.(Cost.class_index cls);
   match cls with
   | Int_alu | Int_mul | Int_div | Move -> mt.int_ops <- mt.int_ops + 1
   | Fp_add | Fp_mul | Fp_div | Fp_sqrt -> mt.fp_ops <- mt.fp_ops + 1
@@ -123,7 +167,7 @@ let probe_line (m : t) (addr : int) : unit =
       end
     end
   in
-  mt.cycles <- mt.cycles +. cost
+  m.clock.cycles <- m.clock.cycles +. cost
 
 let mem_access (m : t) ~(addr : int) ~(bytes : int) : unit =
   let first = addr / line_bytes and last = (addr + bytes - 1) / line_bytes in
@@ -170,6 +214,29 @@ let alloc (m : t) ~(storage : storage) ~(elems : int) ~(elem_bytes : int)
   in
   { id; base; elem_bytes; size = elems; data = Array.make (max elems 1) zero_init;
     storage; freed = false }
+
+(** [alloc] without its cost: the cycles it charges and the heap
+    allocation it counts are taken back (its bytes stay counted). For a
+    transient whose allocation cost is charged per execution of its
+    allocating state instead, by {!charge_state_alloc}. *)
+let alloc_uncharged (m : t) ~(storage : storage) ~(elems : int)
+    ~(elem_bytes : int) ~(zero_init : Value.t) : buffer =
+  let cycles = m.clock.cycles and heap_allocs = m.metrics.heap_allocs in
+  let b = alloc m ~storage ~elems ~elem_bytes ~zero_init in
+  m.clock.cycles <- cycles;
+  m.metrics.heap_allocs <- heap_allocs;
+  b
+
+(** The heap allocation a state makes when execution reaches it: a
+    [bytes]-sized malloc, plus its free when the allocation recurs
+    ([in_loop]). Counts one heap allocation. *)
+let charge_state_alloc (m : t) ~(bytes : int) ~(in_loop : bool) : unit =
+  let pages = (bytes + page_bytes - 1) / page_bytes in
+  charge m
+    (m.cfg.malloc_cost
+    +. (m.cfg.malloc_per_page *. float_of_int pages)
+    +. if in_loop then m.cfg.free_cost else 0.0);
+  m.metrics.heap_allocs <- m.metrics.heap_allocs + 1
 
 let free (m : t) (b : buffer) : unit =
   match b.storage with

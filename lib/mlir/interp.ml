@@ -463,10 +463,37 @@ type sv = { k : int; v : Ir.value }
 let sv (env : env) (v : Ir.value) : sv = { k = slot env v; v }
 
 (* Compiled [linearize b (List.map (int_of env) idxs)]: every index is
-   read, left to right, before [linearize]'s rank check and charges. *)
+   read, left to right, before [linearize]'s rank check and charges.
+   Ranks 1-3 compute the offset without building the index list. *)
 let compile_linear (env : env) (idxs : Ir.value list) : bufinfo -> int =
-  let svs = List.map (sv env) idxs in
-  fun b -> linearize env b (List.map (fun a -> sint env a.k a.v) svs)
+  let m = env.machine in
+  let check (b : bufinfo) (n : int) : unit =
+    if Array.length b.dims <> n then
+      trap "index count %d does not match rank %d" n (Array.length b.dims)
+  in
+  match List.map (sv env) idxs with
+  | [ x ] ->
+      fun b ->
+        let i = sint env x.k x.v in
+        check b 1;
+        i
+  | [ x; y ] ->
+      fun b ->
+        let i = sint env x.k x.v in
+        let j = sint env y.k y.v in
+        check b 2;
+        Machine.charge_op m Int_alu;
+        (i * b.dims.(1)) + j
+  | [ x; y; z ] ->
+      fun b ->
+        let i = sint env x.k x.v in
+        let j = sint env y.k y.v in
+        let k = sint env z.k z.v in
+        check b 3;
+        Machine.charge_op m Int_alu;
+        Machine.charge_op m Int_alu;
+        (((i * b.dims.(1)) + j) * b.dims.(2)) + k
+  | svs -> fun b -> linearize env b (List.map (fun a -> sint env a.k a.v) svs)
 
 (* Run a compiled op sequence until a terminator produces control.
    Charges one budget step per executed closure — the compiled-mode twin
@@ -765,6 +792,7 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
         KContinue
   | "func.call" ->
       let callee = Option.value ~default:"" (Func_d.callee o) in
+      let opa = Array.of_list ops in
       let results = List.map (sv env) o.results in
       fun () -> (
         (* Resolved per call, like the tree walker; the compiled body is
@@ -774,7 +802,7 @@ let rec compile_op (env : env) ~(structured : bool) (o : Ir.op) :
         | Some f ->
             Machine.charge m 20.0;
             List.iter (fun _ -> Machine.charge_op m Move) ops;
-            let args = List.map (fun a -> sget env a.k a.v) ops in
+            let args = Array.map (fun a -> sget env a.k a.v) opa in
             let rets = call_cfunc env (get_cfunc env f) args in
             List.iter2 (fun a v -> sset env a.k (Scalar v)) results rets;
             KContinue)
@@ -806,15 +834,15 @@ and get_cfunc (env : env) (f : Ir.func) : cfunc =
 
 (* Mirrors [call_func]: depth check, then argument binding. Profiles are
    the tree walker's alone ([run] takes the tree path when given one). *)
-and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
+and call_cfunc (env : env) (cf : cfunc) (args : rtval array) : Value.t list =
   if env.call_depth > 256 then trap "call depth exceeded";
   match cf.cf_func.fbody with
   | None -> trap "call to external function @%s" cf.cf_func.fname
   | Some _ ->
-      if Array.length cf.cf_rslots <> List.length args then
+      if Array.length cf.cf_rslots <> Array.length args then
         trap "@%s: argument count mismatch" cf.cf_func.fname;
       env.call_depth <- env.call_depth + 1;
-      List.iteri (fun i a -> sset env cf.cf_rslots.(i) a) args;
+      Array.iteri (fun i a -> sset env cf.cf_rslots.(i) a) args;
       let result =
         match run_seq env cf.cf_body with
         | KReturn vals -> vals
@@ -830,17 +858,20 @@ and call_cfunc (env : env) (cf : cfunc) (args : rtval list) : Value.t list =
     function — used by the SDFG bytecode tier so opaque
     tasklets compile their MLIR body once per run instead of once per
     invocation. Slots are reused across invocations; this is safe
-    because SSA dominance guarantees every value read is rebound first. *)
-type prepared = { p_env : env; p_entry : Ir.func }
+    because SSA dominance guarantees every value read is rebound first.
+    The entry's compiled body is resolved once, here. *)
+type prepared = { p_env : env; p_entry : cfunc }
 
 let prepare ~(machine : Machine.t) (m : Ir.modul) ~(entry : string) :
     prepared =
   match Ir.find_func m entry with
   | None -> trap "entry function @%s not found" entry
-  | Some f -> { p_env = new_env machine m; p_entry = f }
+  | Some f ->
+      let env = new_env machine m in
+      { p_env = env; p_entry = get_cfunc env f }
 
-let run_prepared (p : prepared) (args : rtval list) : Value.t list =
-  call_cfunc p.p_env (get_cfunc p.p_env p.p_entry) args
+let run_prepared (p : prepared) (args : rtval array) : Value.t list =
+  call_cfunc p.p_env p.p_entry args
 
 (** [run ?machine ?profile ?mode m ~entry args] executes function [entry] of
     module [m]. Returns the function results and the machine (with metrics).
@@ -861,7 +892,8 @@ let run ?(machine : Machine.t option)
       let env = new_env ?profile machine m in
       let results =
         match (mode, profile) with
-        | Compiled, None -> call_cfunc env (get_cfunc env f) args
+        | Compiled, None ->
+            call_cfunc env (get_cfunc env f) (Array.of_list args)
         | Tree, _ | Compiled, Some _ -> call_func env f args
       in
       (results, machine)

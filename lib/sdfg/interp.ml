@@ -152,19 +152,16 @@ let rec buffer_of (rt : runtime) (name : string) : Machine.buffer =
       | Some c when c.transient ->
           let dims = Array.of_list (List.map (eval_expr rt) c.shape) in
           let elems = Array.fold_left ( * ) 1 dims in
-          let charge_alloc = (not c.alloc_in_loop) && c.alloc_state = None in
-          let saved = (Machine.metrics rt.machine).cycles in
-          let saved_allocs = (Machine.metrics rt.machine).heap_allocs in
+          (* A recurring allocation, or one with an allocating state, is
+             charged per execution of that state instead. *)
+          let alloc =
+            if (not c.alloc_in_loop) && c.alloc_state = None then Machine.alloc
+            else Machine.alloc_uncharged
+          in
           let b =
-            Machine.alloc rt.machine ~storage:(storage_of c.storage) ~elems
+            alloc rt.machine ~storage:(storage_of c.storage) ~elems
               ~elem_bytes:(Sdfg.elem_bytes c) ~zero_init:(zero_of c)
           in
-          if not charge_alloc then begin
-            (* Recurring cost is charged per execution of the allocating
-               state instead. *)
-            (Machine.metrics rt.machine).cycles <- saved;
-            (Machine.metrics rt.machine).heap_allocs <- saved_allocs
-          end;
           Hashtbl.replace rt.buffers name b;
           Hashtbl.replace rt.dims name dims;
           b
@@ -586,9 +583,7 @@ let exec_par_chunks (rt : runtime) (cert : Sdfg.par_cert)
               Machine.poke shared x (combine_wcr w (Machine.peek shared x) v)
           done)
         accus;
-      Metrics.add_into
-        ~into:(Machine.metrics rt.machine)
-        (Machine.metrics crt.machine);
+      Machine.merge ~into:rt.machine crt.machine;
       Dcir_resilience.Budget.merge_steps ~into:rt.budget crt.budget
     in
     let settle c =
@@ -891,13 +886,7 @@ let exec_state (rt : runtime) (s : Sdfg.state) : unit =
           List.fold_left (fun acc d -> acc * max 1 (eval_expr rt d)) 1 c.shape
           * Sdfg.elem_bytes c
         in
-        let pages = (bytes + 4095) / 4096 in
-        Machine.charge rt.machine
-          (rt.machine.cfg.malloc_cost
-          +. (rt.machine.cfg.malloc_per_page *. float_of_int pages)
-          +. if c.alloc_in_loop then rt.machine.cfg.free_cost else 0.0);
-        (Machine.metrics rt.machine).heap_allocs <-
-          (Machine.metrics rt.machine).heap_allocs + 1
+        Machine.charge_state_alloc rt.machine ~bytes ~in_loop:c.alloc_in_loop
       end)
     rt.sdfg.containers;
   exec_graph rt s.s_graph

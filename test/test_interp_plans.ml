@@ -720,6 +720,301 @@ let test_map_symbol_shadowing () =
            [ Value.VInt 0; Value.VInt 1; Value.VInt 2; Value.VInt 0 ])
   | None, _ -> Alcotest.fail "removed symbol: expected a trap"
 
+(* ------------------------------------------------------------------ *)
+(* Element copies of any rank ([CopyIdx]) and rank-specialized MLIR
+   addressing: the compiled tiers' allocation-free paths keep the tree
+   walkers' charge sequence, traps included. *)
+
+(* One state copying [src] to [dst] over one access-to-access memlet, then
+   ([tail]) copying [dst] on to a second destination. Containers are
+   integer (name, shape, transient). *)
+let copy_sdfg ?wcr ?tail ~(containers : (string * int list * bool) list)
+    ~(src : string) (src_subset : Range.t) ~(dst : string)
+    (dst_subset : Range.t) : Sdfg.t =
+  let sdfg = Sdfg.create "copyidx" in
+  List.iter
+    (fun (name, shape, transient) ->
+      ignore
+        (Sdfg.add_container sdfg ~transient ~dtype:Sdfg.DInt
+           ~shape:(List.map Expr.int shape) name))
+    containers;
+  sdfg.param_order <-
+    List.filter_map (fun (n, _, t) -> if t then None else Some n) containers;
+  let g = (Sdfg.add_state sdfg "s").s_graph in
+  let a = Sdfg.add_node g (Sdfg.Access src) in
+  let b = Sdfg.add_node g (Sdfg.Access dst) in
+  ignore
+    (Sdfg.add_edge g
+       ~memlet:(memlet ?wcr ~other:dst_subset src src_subset)
+       a b);
+  (match tail with
+  | Some (subset, dst2, dst2_subset) ->
+      let c = Sdfg.add_node g (Sdfg.Access dst2) in
+      ignore
+        (Sdfg.add_edge g ~memlet:(memlet ~other:dst2_subset dst subset) b c)
+  | None -> ());
+  sdfg.start_state <- "s";
+  sdfg
+
+let idx (ns : int list) : Range.t =
+  List.map (fun n -> Range.index (Expr.int n)) ns
+
+(* Both SDFG tiers, each on a fresh machine whose argument buffers
+   [(name, dims)] hold 1, 2, 3, ... in row-major order and whose counters
+   start at zero: the exception text, the metrics and every argument's
+   contents must agree. Returns the tree walker's. *)
+let copy_both ~(label : string) (sdfg : Sdfg.t)
+    (args : (string * int array) list) =
+  let lowered = Dcir_bytecode.Lower.lower sdfg in
+  Alcotest.(check bool) (label ^ ": lowers to copy.idx") true
+    (Array.exists
+       (fun i -> Dcir_bytecode.Isa.opcode_name i = "copy.idx")
+       lowered.p_code);
+  let run tier =
+    let machine = Machine.create () in
+    let bufs =
+      List.map
+        (fun (name, dims) ->
+          let n = Array.fold_left ( * ) 1 dims in
+          let b =
+            Machine.alloc machine ~storage:Machine.Heap ~elems:n ~elem_bytes:8
+              ~zero_init:(Value.VInt 0)
+          in
+          for i = 0 to n - 1 do
+            Machine.poke b i (Value.VInt (i + 1))
+          done;
+          (name, b, dims))
+        args
+    in
+    Machine.reset_metrics machine;
+    let exn =
+      match run_tier tier ~machine sdfg ~buffers:bufs with
+      | _ -> None
+      | exception e -> Some (Printexc.to_string e)
+    in
+    let values =
+      List.concat_map
+        (fun (_, b, _) ->
+          List.init b.Machine.size (fun i -> Value.as_int (Machine.peek b i)))
+        bufs
+    in
+    (exn, Machine.metrics machine, values)
+  in
+  let et, mt, vt = run Tree and eb, mb, vb = run Bytecode in
+  Alcotest.(check (option string)) (label ^ ": same exception") et eb;
+  check_metrics_equal label mt mb;
+  Alcotest.(check (list int)) (label ^ ": same contents") vt vb;
+  (et, mt, vt)
+
+(* A [3x4], B [5], C [2x3x4] and the scalar s; contents 1, 2, 3, ... *)
+let copy_containers =
+  [ ("A", [ 3; 4 ], false); ("B", [ 5 ], false); ("C", [ 2; 3; 4 ], false);
+    ("s", [], false) ]
+
+let copy_args =
+  [ ("A", [| 3; 4 |]); ("B", [| 5 |]); ("C", [| 2; 3; 4 |]); ("s", [||]) ]
+
+(* The contents of [copy_args] after the element at flat index [at] of
+   argument [name] became [v]. *)
+let expect_contents (changes : (string * int * int) list) : int list =
+  List.concat_map
+    (fun (name, dims) ->
+      List.init (Array.fold_left ( * ) 1 dims) (fun i ->
+          match
+            List.find_opt (fun (n, at, _) -> n = name && at = i) changes
+          with
+          | Some (_, _, v) -> v
+          | None -> i + 1))
+    copy_args
+
+let test_copy_idx_shapes () =
+  List.iter
+    (fun (what, src, ssub, dst, dsub, (dname, at, moved, old)) ->
+      List.iter
+        (fun wcr ->
+          let label =
+            what ^ if wcr = None then "" else " (wcr sum)"
+          in
+          let sdfg =
+            copy_sdfg ?wcr ~containers:copy_containers ~src ssub ~dst dsub
+          in
+          match copy_both ~label sdfg copy_args with
+          | None, mt, vs ->
+              let v = if wcr = None then moved else old + moved in
+              Alcotest.(check (list int)) (label ^ ": moved one element")
+                (expect_contents [ (dname, at, v) ])
+                vs;
+              Alcotest.(check int) (label ^ ": one load, one store")
+                (if wcr = None then 1 else 2) mt.loads
+          | Some e, _, _ -> Alcotest.failf "%s: unexpected %s" label e)
+        [ None; Some Sdfg.WcrSum ])
+    [
+      (* A[1][2] = 7 into s (= 1) *)
+      ("2->0", "A", idx [ 1; 2 ], "s", [], ("s", 0, 7, 1));
+      (* s = 1 into A[2][3] (= 12) *)
+      ("0->2", "s", [], "A", idx [ 2; 3 ], ("A", 11, 1, 12));
+      (* B[3] = 4 into s *)
+      ("1->0", "B", idx [ 3 ], "s", [], ("s", 0, 4, 1));
+      (* C[1][2][3] = 24 into B[4] (= 5) *)
+      ("3->1", "C", idx [ 1; 2; 3 ], "B", idx [ 4 ], ("B", 4, 24, 5));
+    ]
+
+let test_copy_idx_rank_mismatch () =
+  List.iter
+    (fun (what, src, ssub, dst, dsub, needle) ->
+      let sdfg = copy_sdfg ~containers:copy_containers ~src ssub ~dst dsub in
+      match copy_both ~label:what sdfg copy_args with
+      | Some e, mt, _ ->
+          Alcotest.(check bool) (what ^ ": rank trap") true
+            (Tutil.contains e needle);
+          (* a destination mismatch traps after the source load *)
+          Alcotest.(check int) (what ^ ": loads before the trap")
+            (if dst = "A" then 1 else 0) mt.loads
+      | None, _, _ -> Alcotest.failf "%s: expected a rank trap" what)
+    [
+      ( "source rank", "A", idx [ 1 ], "s", [],
+        "container 'A': 1 indices for rank 2" );
+      ("destination rank", "C", idx [ 0; 1; 2 ], "A", idx [ 1 ],
+        "container 'A': 1 indices for rank 2");
+    ]
+
+let test_copy_idx_lazy_transient () =
+  List.iter
+    (fun alloc_state ->
+      let label =
+        "lazy transient" ^ if alloc_state = None then "" else " (state alloc)"
+      in
+      (* A[2][1] = 10 into the transient T[3], then T[3] into s *)
+      let sdfg =
+        copy_sdfg
+          ~containers:(copy_containers @ [ ("T", [ 4 ], true) ])
+          ~src:"A" (idx [ 2; 1 ]) ~dst:"T" (idx [ 3 ])
+          ~tail:(idx [ 3 ], "s", [])
+      in
+      (Sdfg.container sdfg "T").alloc_state <- alloc_state;
+      match copy_both ~label sdfg copy_args with
+      | None, mt, vs ->
+          Alcotest.(check (list int)) (label ^ ": through the transient")
+            (expect_contents [ ("s", 0, 10) ])
+            vs;
+          Alcotest.(check int) (label ^ ": one heap allocation") 1
+            mt.heap_allocs
+      | Some e, _, _ -> Alcotest.failf "%s: unexpected %s" label e)
+    [ None; Some "s" ]
+
+let test_copy_idx_scalar_symbol () =
+  (* The source index [k] is a scalar container, not a symbol: reading it
+     is a charged load (k = 1, so A[1][3] = 8 moves). *)
+  let sdfg =
+    copy_sdfg
+      ~containers:(copy_containers @ [ ("k", [], false) ])
+      ~src:"A"
+      [ Range.index (Expr.sym "k"); Range.index (Expr.int 3) ]
+      ~dst:"s" []
+  in
+  match copy_both ~label:"scalar index" sdfg (copy_args @ [ ("k", [||]) ]) with
+  | None, mt, vs ->
+      Alcotest.(check (list int)) "scalar index: A[1][3] moved"
+        (expect_contents [ ("s", 0, 8) ] @ [ 1 ])
+        vs;
+      (* lo and hi each read k: two index loads and the element's *)
+      Alcotest.(check int) "scalar index: three loads" 3 mt.loads
+  | Some e, _, _ -> Alcotest.failf "scalar index: unexpected %s" e
+
+(* f(a) loads a[0][1][0]..., doubles it, stores it back and returns the
+   reloaded element, with [rank] indices; run on a buffer of rank
+   [buf_rank] holding 1, 2, 3, ... *)
+let memref_rank_parity ~(rank : int) ~(buf_rank : int) =
+  let open Dcir_mlir in
+  let f =
+    Func_d.make_func ~name:"f"
+      ~params:
+        [
+          ( "a",
+            Types.MemRef (Types.F64, List.init rank (fun _ -> Types.Dynamic))
+          );
+        ]
+      ~ret:[ Types.F64 ]
+      (fun ps ->
+        let a = List.hd ps in
+        let cs =
+          List.init rank (fun k -> Arith.const_int Types.Index (k mod 2))
+        in
+        let ivs = List.map Ir.result cs in
+        let ld = Memref_d.load a ivs in
+        let two = Arith.const_float Types.F64 2.0 in
+        let prod = Arith.mulf (Ir.result ld) (Ir.result two) in
+        let st = Memref_d.store (Ir.result prod) a ivs in
+        let ld2 = Memref_d.load a ivs in
+        cs @ [ ld; two; prod; st; ld2; Func_d.return_ [ Ir.result ld2 ] ])
+  in
+  let m = Ir.new_module () in
+  m.funcs <- [ f ];
+  let dims = Array.init buf_rank (fun k -> k + 2) in
+  let run mode =
+    let machine = Machine.create () in
+    let n = Array.fold_left ( * ) 1 dims in
+    let buf =
+      Machine.alloc machine ~storage:Machine.Heap ~elems:n ~elem_bytes:8
+        ~zero_init:(Value.VFloat 0.0)
+    in
+    for i = 0 to n - 1 do
+      Machine.poke buf i (Value.VFloat (float_of_int (i + 1)))
+    done;
+    Machine.reset_metrics machine;
+    let out =
+      match
+        Interp.run ~machine ~mode m ~entry:"f" [ Interp.Buf { buf; dims } ]
+      with
+      | results, _ -> Ok results
+      | exception Interp.Trap msg -> Error msg
+    in
+    (out, Machine.metrics machine)
+  in
+  let label = Printf.sprintf "rank-%d access on rank %d" rank buf_rank in
+  let ot, mt = run Interp.Tree and oc, mc = run Interp.Compiled in
+  check_metrics_equal label mt mc;
+  (match (ot, oc) with
+  | Ok a, Ok b ->
+      Alcotest.(check bool) (label ^ ": same results") true
+        (List.equal Value.equal a b)
+  | Error a, Error b -> Alcotest.(check string) (label ^ ": same trap") a b
+  | _ -> Alcotest.failf "%s: one mode trapped, the other did not" label);
+  (ot, mt)
+
+let test_mlir_memref_ranks () =
+  List.iter
+    (fun rank ->
+      (* the flat index of (0, 1, 0, 1, ...) over dims 2, 3, 4, 5 *)
+      let lin = ref 0 in
+      for k = 0 to rank - 1 do
+        lin := (!lin * (k + 2)) + (k mod 2)
+      done;
+      (match memref_rank_parity ~rank ~buf_rank:rank with
+      | Ok [ v ], mt ->
+          Alcotest.(check bool)
+            (Printf.sprintf "rank %d: doubled element" rank)
+            true
+            (Value.equal v (Value.VFloat (2.0 *. float_of_int (!lin + 1))));
+          Alcotest.(check int)
+            (Printf.sprintf "rank %d: rank-1 Int_alu per access" rank)
+            (3 * (rank - 1)) mt.int_ops
+      | _ -> Alcotest.failf "rank %d: expected one result" rank);
+      List.iter
+        (fun buf_rank ->
+          match memref_rank_parity ~rank ~buf_rank with
+          | Error msg, mt ->
+              Alcotest.(check string)
+                (Printf.sprintf "rank %d on %d: trap" rank buf_rank)
+                (Printf.sprintf "index count %d does not match rank %d" rank
+                   buf_rank)
+                msg;
+              Alcotest.(check int) "no access charged" 0 mt.int_ops
+          | Ok _, _ ->
+              Alcotest.failf "rank %d on %d: expected a trap" rank buf_rank)
+        [ rank - 1; rank + 1 ])
+    [ 1; 2; 3; 4 ]
+
 let suite =
   ( "interp-plans",
     [
@@ -748,6 +1043,16 @@ let suite =
         test_value_edge_never_ran;
       Alcotest.test_case "serial map restores or removes its symbol" `Quick
         test_map_symbol_shadowing;
+      Alcotest.test_case "copy.idx 2->0, 0->2, 1->0, 3->1, with and without wcr"
+        `Quick test_copy_idx_shapes;
+      Alcotest.test_case "copy.idx subset rank mismatch: same trap" `Quick
+        test_copy_idx_rank_mismatch;
+      Alcotest.test_case "copy.idx into a lazily allocated transient" `Quick
+        test_copy_idx_lazy_transient;
+      Alcotest.test_case "copy.idx index reading a scalar container" `Quick
+        test_copy_idx_scalar_symbol;
+      Alcotest.test_case "MLIR memref ranks 1-4: same results and traps" `Quick
+        test_mlir_memref_ranks;
       Alcotest.test_case "fuzz corpus plan-vs-tree differential" `Slow
         test_fuzz_tier_differential;
       Alcotest.test_case "polybench plan-vs-tree metric equality" `Slow

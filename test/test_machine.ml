@@ -148,6 +148,68 @@ let test_op_cost_table () =
         ((Machine.metrics m).cycles -. before))
     Cost.all_classes
 
+let test_cycle_counter () =
+  (* The live counter must read as the plain sequential float sum of every
+     charge — through a fork and its merge, a reset, the uncharged
+     allocation and a state's allocation charge — bit for bit. *)
+  let bits f = Int64.bits_of_float f in
+  let check what (expect : float) (m : Machine.t) =
+    Alcotest.(check int64) what (bits expect) (bits (Machine.metrics m).cycles)
+  in
+  let charges = [ 0.1; 0.2; 0.3; 1e-17; 7.25; 1.0 /. 3.0 ] in
+  let m = Machine.create () in
+  let sum = ref 0.0 in
+  List.iter
+    (fun c ->
+      Machine.charge m c;
+      sum := !sum +. c)
+    charges;
+  check "charges" !sum m;
+  Machine.charge_op m Cost.Fp_div;
+  sum := !sum +. Cost.op_cost Cost.default Cost.Fp_div;
+  check "charge_op" !sum m;
+  (* a fork starts at zero and merges back master first *)
+  let f = Machine.fork m in
+  check "fork starts at zero" 0.0 f;
+  let fsum = ref 0.0 in
+  List.iter
+    (fun c ->
+      Machine.charge f c;
+      fsum := !fsum +. c)
+    (List.rev charges);
+  (* reading the master's counters mid-way must not disturb the merge *)
+  ignore (Machine.metrics m);
+  check "fork charges" !fsum f;
+  Machine.merge ~into:m f;
+  sum := !sum +. !fsum;
+  check "merged" !sum m;
+  Machine.charge m 0.7;
+  sum := !sum +. 0.7;
+  check "charge after merge" !sum m;
+  (* the uncharged allocation takes back its cycles and its count *)
+  let allocs = (Machine.metrics m).heap_allocs in
+  let bytes = (Machine.metrics m).heap_bytes in
+  ignore
+    (Machine.alloc_uncharged m ~storage:Machine.Heap ~elems:1000 ~elem_bytes:8
+       ~zero_init:(Value.VInt 0));
+  check "uncharged allocation" !sum m;
+  Alcotest.(check int) "not counted" allocs (Machine.metrics m).heap_allocs;
+  Alcotest.(check int) "its bytes are" (bytes + 8000)
+    (Machine.metrics m).heap_bytes;
+  Machine.charge_state_alloc m ~bytes:8000 ~in_loop:true;
+  let cfg = Cost.default in
+  sum :=
+    !sum +. (cfg.malloc_cost +. (cfg.malloc_per_page *. 2.0) +. cfg.free_cost);
+  check "state allocation" !sum m;
+  Alcotest.(check int) "state allocation counted" (allocs + 1)
+    (Machine.metrics m).heap_allocs;
+  Machine.reset_metrics m;
+  check "reset" 0.0 m;
+  Alcotest.(check bool) "every counter reset" true
+    (Metrics.equal (Machine.metrics m) (Metrics.create ()));
+  Machine.charge m 0.1;
+  check "charge after reset" 0.1 m
+
 let test_vector_math_cfg () =
   let scalar = Cost.op_cost Cost.default Cost.Math_call in
   let vec =
@@ -195,6 +257,8 @@ let suite =
       Alcotest.test_case "vector math knob" `Quick test_vector_math_cfg;
       Alcotest.test_case "op cost table matches Cost.op_cost" `Quick
         test_op_cost_table;
+      Alcotest.test_case "cycle counter is the sequential sum" `Quick
+        test_cycle_counter;
       QCheck_alcotest.to_alcotest prop_cache_determinism;
       QCheck_alcotest.to_alcotest prop_repeated_access_hits;
     ] )
