@@ -580,6 +580,14 @@ type interp_mode = [ `Tree | `Compiled ]
 let plan_for (sdfg : Sdfg.t) : Dcir_bytecode.Isa.program =
   Dcir_bytecode.Lower.lower sdfg
 
+(* A run given a number of arguments other than its entry's [params]
+   fails with the same diagnostic on both IRs. *)
+let check_arg_count ~(entry : string) ~(params : int) (args : arg list) : unit
+    =
+  if params <> List.length args then
+    Diag.fail ~code:"E-ARGS" ~phase:Diag.Execute
+      "@%s expects %d arguments, got %d" entry params (List.length args)
+
 let run ?(cfg = Cost.default) ?(budget : Budget.t option)
     ?(profile : Obs.Profile.t option)
     ?(interp_mode : interp_mode = `Compiled) ?(jobs = 1)
@@ -614,6 +622,9 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
   let result =
   match compiled with
   | CMlir m ->
+      (match Ir.find_func m entry with
+      | Some f -> check_arg_count ~entry ~params:(List.length f.fparams) args
+      | None -> ());
       let mode =
         match interp_mode with `Tree -> Interp.Tree | `Compiled -> Interp.Compiled
       in
@@ -632,11 +643,7 @@ let run ?(cfg = Cost.default) ?(budget : Budget.t option)
         | `Compiled, None -> Some (plan_for sdfg)
         | `Tree, _ | `Compiled, Some _ -> None
       in
-      if List.length sdfg.param_order <> List.length args then
-        Diag.fail ~code:"E-ARGS" ~phase:Diag.Execute
-          "@%s expects %d arguments, got %d" entry
-          (List.length sdfg.param_order)
-          (List.length args);
+      check_arg_count ~entry ~params:(List.length sdfg.param_order) args;
       let buffers = ref [] in
       let symbols = ref [] in
       List.iter2

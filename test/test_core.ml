@@ -312,6 +312,24 @@ let test_history_independent () =
     (fun (name, a) (_, b) -> Alcotest.(check string) name a b)
     first (products ())
 
+let test_wrong_argument_count () =
+  (* One argument for two parameters is the same E-ARGS diagnostic on
+     every pipeline, whichever IR its product runs. *)
+  let src = "double f(double a[4], int n) {\n  return a[0] + n;\n}\n" in
+  List.iter
+    (fun kind ->
+      let c = Pipelines.compile kind ~src ~entry:"f" in
+      Alcotest.(check string)
+        (Pipelines.kind_name kind ^ ": wrong argument count")
+        "E-ARGS"
+        (match
+           Pipelines.run c ~entry:"f"
+             [ Pipelines.AFloatArr ([| 1.; 2.; 3.; 4. |], [| 4 |]) ]
+         with
+        | _ -> "ran"
+        | exception Diag.Error { code; phase = Diag.Execute; _ } -> code))
+    Pipelines.all_kinds
+
 let suite =
   ( "core",
     [
@@ -339,4 +357,6 @@ let suite =
         `Quick test_no_change_contract;
       Alcotest.test_case "printed products do not depend on id counters"
         `Quick test_history_independent;
+      Alcotest.test_case "wrong argument count is E-ARGS on every pipeline"
+        `Quick test_wrong_argument_count;
     ] )
