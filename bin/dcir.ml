@@ -222,19 +222,25 @@ let compile_cmd =
     setup_obs ~verbose ~timing ~trace;
     let src = read_file file in
     let entry = Dcir_serve.Synth.resolve_entry src entry in
+    (* The front of [Pipelines.compile] for an SDFG pipeline, up to the
+       verified MLIR its bridge starts from. *)
+    let verified_mlir () =
+      let m = Pipelines.frontend_phase src in
+      (match Pipelines.control_passes pipeline with
+      | [] -> ()
+      | passes -> Pipelines.control_phase ~passes m);
+      Pipelines.verify_phase m;
+      m
+    in
+    let print_mlir m = print_string (Dcir_mlir.Printer.module_to_string m) in
     (match (pipeline, emit) with
-    | (Pipelines.Gcc | Clang | Mlir), _ | _, `Mlir ->
-        let m = Dcir_cfront.Polygeist.compile src in
-        ignore
-          (Dcir_mlir.Pass.run_to_fixpoint (Pipelines.control_passes pipeline) m);
-        print_string (Dcir_mlir.Printer.module_to_string m)
+    | (Pipelines.Dcir | Dace), `Mlir -> print_mlir (verified_mlir ())
     | Pipelines.Dcir, `Dialect ->
-        let m = Dcir_cfront.Polygeist.compile src in
-        ignore
-          (Dcir_mlir.Pass.run_to_fixpoint (Pipelines.control_passes pipeline) m);
-        let converted = Dcir_core.Converter.convert_module m in
-        print_string (Dcir_mlir.Printer.module_to_string converted)
-    | (Pipelines.Dcir | Dace), _ -> (
+        let m = verified_mlir () in
+        print_mlir
+          (Pipelines.phase_span "convert" (fun () ->
+               Dcir_core.Converter.convert_module m))
+    | _ -> (
         match
           Pipelines.compile ~optimize_sdfg:(not no_opt) ~autopar:parallel
             pipeline ~src ~entry
@@ -243,8 +249,7 @@ let compile_cmd =
             print_string (Dcir_sdfg.Printer.to_string sdfg);
             (* The conflict report goes to stderr so stdout stays pure IR. *)
             if parallel then print_autopar_report Format.err_formatter
-        | Pipelines.CMlir m ->
-            print_string (Dcir_mlir.Printer.module_to_string m)));
+        | Pipelines.CMlir m -> print_mlir m));
     report_obs ~timing ~trace;
     `Ok ()
   in
