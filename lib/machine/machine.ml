@@ -93,25 +93,8 @@ let budget (m : t) : Budget.t = m.budget
 
 (** Zero every counter, as at [create]. *)
 let reset_metrics (m : t) : unit =
-  let mt = m.metrics in
   m.clock.cycles <- 0.0;
-  mt.cycles <- 0.0;
-  mt.loads <- 0;
-  mt.stores <- 0;
-  mt.bytes_loaded <- 0;
-  mt.bytes_stored <- 0;
-  mt.int_ops <- 0;
-  mt.fp_ops <- 0;
-  mt.math_calls <- 0;
-  mt.branches <- 0;
-  mt.heap_allocs <- 0;
-  mt.heap_frees <- 0;
-  mt.heap_bytes <- 0;
-  mt.stack_allocs <- 0;
-  mt.l1_misses <- 0;
-  mt.l2_misses <- 0;
-  mt.l3_misses <- 0;
-  mt.l1_accesses <- 0
+  Metrics.reset m.metrics
 
 (** A fresh machine continuing [m]'s address space: cold caches, zeroed
     metrics, but the same allocation cursors — the substrate of one parallel

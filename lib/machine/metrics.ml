@@ -47,6 +47,26 @@ let create () : t =
 
 let bytes_moved (m : t) : int = m.bytes_loaded + m.bytes_stored
 
+(** Zero every counter, as at [create]. *)
+let reset (m : t) : unit =
+  m.cycles <- 0.0;
+  m.loads <- 0;
+  m.stores <- 0;
+  m.bytes_loaded <- 0;
+  m.bytes_stored <- 0;
+  m.int_ops <- 0;
+  m.fp_ops <- 0;
+  m.math_calls <- 0;
+  m.branches <- 0;
+  m.heap_allocs <- 0;
+  m.heap_frees <- 0;
+  m.heap_bytes <- 0;
+  m.stack_allocs <- 0;
+  m.l1_misses <- 0;
+  m.l2_misses <- 0;
+  m.l3_misses <- 0;
+  m.l1_accesses <- 0
+
 (** [add_into ~into src] accumulates [src] into [into] — merging a parallel
     worker's counters back into the master machine. Addition order is the
     caller's responsibility (floats: [cycles]). *)

@@ -506,12 +506,15 @@ let test_lazy_failure_timing () =
    when they compile, so the edge cases of the names themselves must keep
    the tree walkers' behaviour. *)
 
-(* Both MLIR modes on a fresh machine each: the results or the trap
+(* Both MLIR modes on a fresh machine each, with the arguments [args]
+   builds on it and the counters then zeroed: the results or the trap
    message, and the machine metrics. *)
 let mlir_both (m : Dcir_mlir.Ir.modul) ~(entry : string)
-    (args : Dcir_mlir.Interp.rtval list) =
+    (args : Machine.t -> Dcir_mlir.Interp.rtval list) =
   let run mode =
     let machine = Machine.create () in
+    let args = args machine in
+    Machine.reset_metrics machine;
     let out =
       match Dcir_mlir.Interp.run ~machine ~mode m ~entry args with
       | results, _ -> Ok results
@@ -521,6 +524,8 @@ let mlir_both (m : Dcir_mlir.Ir.modul) ~(entry : string)
   in
   (run Dcir_mlir.Interp.Tree, run Dcir_mlir.Interp.Compiled)
 
+(* The tree walker's outcome and metrics, after checking that the
+   compiled mode's are the same. *)
 let check_mlir_parity label m ~entry args =
   let (ot, mt), (oc, mc) = mlir_both m ~entry args in
   (match (ot, oc) with
@@ -531,7 +536,7 @@ let check_mlir_parity label m ~entry args =
   | Error a, Error b -> Alcotest.(check string) (label ^ ": same trap") a b
   | _ -> Alcotest.failf "%s: one mode trapped, the other did not" label);
   check_metrics_equal label mt mc;
-  ot
+  (ot, mt)
 
 let test_mlir_use_before_def () =
   let open Dcir_mlir in
@@ -549,13 +554,13 @@ let test_mlir_use_before_def () =
   let m = Ir.new_module () in
   m.funcs <- [ f ];
   match
-    check_mlir_parity "use before def" m ~entry:"f"
-      [ Interp.Scalar (Value.VInt 3) ]
+    check_mlir_parity "use before def" m ~entry:"f" (fun _ ->
+        [ Interp.Scalar (Value.VInt 3) ])
   with
-  | Error msg ->
+  | Error msg, _ ->
       Alcotest.(check bool) "traps on the unbound value" true
         (Tutil.contains msg "unbound SSA value")
-  | Ok _ -> Alcotest.fail "use before def: expected a trap"
+  | Ok _, _ -> Alcotest.fail "use before def: expected a trap"
 
 let test_mlir_self_recursion () =
   let open Dcir_mlir in
@@ -583,10 +588,10 @@ let test_mlir_self_recursion () =
   let m = Ir.new_module () in
   m.funcs <- [ fact ];
   match
-    check_mlir_parity "self-recursion" m ~entry:"fact"
-      [ Interp.Scalar (Value.VInt 6) ]
+    check_mlir_parity "self-recursion" m ~entry:"fact" (fun _ ->
+        [ Interp.Scalar (Value.VInt 6) ])
   with
-  | Ok [ v ] ->
+  | Ok [ v ], _ ->
       Alcotest.(check bool) "one binding per value" true
         (Value.equal v (Value.VInt 1))
   | _ -> Alcotest.fail "self-recursion: expected one result"
@@ -951,36 +956,19 @@ let memref_rank_parity ~(rank : int) ~(buf_rank : int) =
   let m = Ir.new_module () in
   m.funcs <- [ f ];
   let dims = Array.init buf_rank (fun k -> k + 2) in
-  let run mode =
-    let machine = Machine.create () in
-    let n = Array.fold_left ( * ) 1 dims in
-    let buf =
-      Machine.alloc machine ~storage:Machine.Heap ~elems:n ~elem_bytes:8
-        ~zero_init:(Value.VFloat 0.0)
-    in
-    for i = 0 to n - 1 do
-      Machine.poke buf i (Value.VFloat (float_of_int (i + 1)))
-    done;
-    Machine.reset_metrics machine;
-    let out =
-      match
-        Interp.run ~machine ~mode m ~entry:"f" [ Interp.Buf { buf; dims } ]
-      with
-      | results, _ -> Ok results
-      | exception Interp.Trap msg -> Error msg
-    in
-    (out, Machine.metrics machine)
-  in
-  let label = Printf.sprintf "rank-%d access on rank %d" rank buf_rank in
-  let ot, mt = run Interp.Tree and oc, mc = run Interp.Compiled in
-  check_metrics_equal label mt mc;
-  (match (ot, oc) with
-  | Ok a, Ok b ->
-      Alcotest.(check bool) (label ^ ": same results") true
-        (List.equal Value.equal a b)
-  | Error a, Error b -> Alcotest.(check string) (label ^ ": same trap") a b
-  | _ -> Alcotest.failf "%s: one mode trapped, the other did not" label);
-  (ot, mt)
+  check_mlir_parity
+    (Printf.sprintf "rank-%d access on rank %d" rank buf_rank)
+    m ~entry:"f"
+    (fun machine ->
+      let n = Array.fold_left ( * ) 1 dims in
+      let buf =
+        Machine.alloc machine ~storage:Machine.Heap ~elems:n ~elem_bytes:8
+          ~zero_init:(Value.VFloat 0.0)
+      in
+      for i = 0 to n - 1 do
+        Machine.poke buf i (Value.VFloat (float_of_int (i + 1)))
+      done;
+      [ Interp.Buf { buf; dims } ])
 
 let test_mlir_memref_ranks () =
   List.iter
